@@ -16,17 +16,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import (
-    exact_spectrum,
-    fit_quadratic_minimum,
-    monte_carlo_minimum_uncertainty,
-)
+from .analysis import fit_quadratic_minimum, monte_carlo_minimum_uncertainty
 from .driver import FoldedResult, VqeResult, run_folded, run_vqe
 from .estimation import (
+    MAX_SEED,
     STREAM_MC,
     STREAM_SCAN,
     RngStream,
@@ -93,6 +91,12 @@ class RunConfig:
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
         self.seed = int(self.seed)
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+        if not isinstance(self.layers, int) or self.layers < 1:
+            raise ConfigError(f"layers must be an integer >= 1, got {self.layers!r}")
+        if not isinstance(self.bias, (int, float)) or not math.isfinite(self.bias):
+            raise ConfigError(f"bias must be a finite number, got {self.bias!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.mode in ("vqe", "folded") and not self.hamiltonian:
@@ -368,8 +372,7 @@ def _run_vqe_mode(config: RunConfig, out: Path) -> dict:
         hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed
     )
     _write_trace_csv(out / "trace.csv", result)
-    ground = exact_spectrum(hamiltonian).ground_energy()
-    payload = _summary_payload(result, config, exact_ground_energy=ground)
+    payload = _summary_payload(result, config, exact_ground_energy=result.exact_ground_energy)
     _write_json(out / "summary.json", payload)
     return payload
 
@@ -440,7 +443,7 @@ def scan_curve(
         point_seed = derive_seed(seed, STREAM_SCAN, index)
         result = run_vqe(point.hamiltonian, ansatz, policy, optimizer_config, point_seed)
         estimate = estimate_energy(
-            (ansatz, result.best_parameters),
+            ansatz.prepare(result.best_parameters),
             point.hamiltonian,
             policy,
             RngStream(point_seed),
@@ -450,7 +453,7 @@ def scan_curve(
             ScanRow(
                 label=point.label,
                 energy_estimate=estimate.value,
-                exact_ground=exact_spectrum(point.hamiltonian).ground_energy(),
+                exact_ground=result.exact_ground_energy,
                 std_error=estimate.std_error,
                 result=result,
             )
@@ -531,13 +534,12 @@ def _run_ucc_mode(config: RunConfig, out: Path) -> dict:
     )
     _write_trace_csv(out / "trace.csv", result)
     reference_energy = exact_energy(ansatz.reference_state(), hamiltonian)
-    ground = exact_spectrum(hamiltonian).ground_energy()
     payload = _summary_payload(
         result,
         config,
         reference=config.reference,
         reference_energy=reference_energy,
-        exact_ground_energy=ground,
+        exact_ground_energy=result.exact_ground_energy,
         excitations=[list(exc) for exc in ansatz.excitations],
     )
     _write_json(out / "summary.json", payload)

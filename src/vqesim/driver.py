@@ -1,11 +1,11 @@
 """The variational loop: estimator-driven minimization with diagnostics.
 
-Every objective evaluation is one optimization step j and produces one
-trace record carrying the shot-based estimate alongside noiseless
-diagnostics (exact energy of the prepared state, tangle on two qubits,
-overlap with the exact ground space). Repeated evaluation of the same
-parameters draws fresh noise, as on real hardware, because the
-evaluation index is part of the RNG stream label.
+Every objective evaluation is one optimization step j: the ansatz is
+prepared once, and that state feeds both the shot-based estimate and
+the noiseless diagnostics of its trace record (exact energy, tangle on
+two qubits, overlap with the exact ground space). Repeated evaluation
+of the same parameters draws fresh noise, as on real hardware, because
+the evaluation index is part of the RNG stream label.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class VqeResult:
     trace: VqeTrace
     converged: bool
     reason: str
+    exact_ground_energy: float
 
     @property
     def best_energy(self) -> float:
@@ -128,8 +129,8 @@ def run_vqe(
     def objective(params: np.ndarray) -> float:
         nonlocal restart_pending
         step = len(records)
-        estimate = estimate_energy((ansatz, params), hamiltonian, policy, rng, iteration=step)
         state = ansatz.prepare(params)
+        estimate = estimate_energy(state, hamiltonian, policy, rng, iteration=step)
         records.append(
             TraceRecord(
                 iteration=step,
@@ -163,7 +164,12 @@ def run_vqe(
         evaluations=opt.evaluations,
         restarts=opt.restarts,
     )
-    return VqeResult(trace=trace, converged=opt.converged, reason=opt.reason)
+    return VqeResult(
+        trace=trace,
+        converged=opt.converged,
+        reason=opt.reason,
+        exact_ground_energy=spectrum.ground_energy(),
+    )
 
 
 def run_folded(

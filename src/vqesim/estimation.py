@@ -1,12 +1,18 @@
 """Shot-based estimation of Pauli expectations and Hamiltonian energies.
 
-Each Pauli term is measured in its own short experiment: the state is
-re-prepared, rotated into the term's joint eigenbasis (Hadamard for X
+Each Pauli term is measured in its own short experiment: one prepared
+state is rotated into the term's joint eigenbasis (Hadamard for X
 factors, Rz(-pi/2) then Hadamard for Y), and a bitstring is drawn per
 shot from the Born probabilities; the shot score is the product of the
 +-1 eigenvalues at the non-identity positions. Estimating one term
 with coefficient h to precision p therefore costs ceil(h^2/p^2) shots,
 and the per-evaluation budget is the sum of that rule over terms.
+
+On hardware every term needs a fresh preparation. On a noiseless
+statevector a re-preparation returns the same amplitudes, so the state
+is prepared once per evaluation and each term samples it on its own RNG
+stream; that is statistically the same as re-preparing, and the term
+estimates stay independent.
 
 Randomness is fully deterministic: a 64-bit seed plus a (term index,
 iteration index) stream label select an independent generator, so term
@@ -19,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -206,37 +211,29 @@ def sample_pauli(
     return mean, float(outcomes.std(ddof=1) / math.sqrt(shots))
 
 
-StatePreparation = Callable[[], StateVector]
-
-
-def _as_preparer(prep) -> StatePreparation:
-    if callable(prep):
-        return prep
-    ansatz, params = prep
-    return lambda: ansatz.prepare(params)
-
-
 def estimate_energy(
-    prep,
+    state: StateVector,
     hamiltonian: PauliHamiltonian,
     policy: ShotPolicy,
     rng: RngStream,
     iteration: int = 0,
 ) -> EnergyEstimate:
-    """Estimate <H> for the state produced by `prep` under a shot policy.
+    """Estimate <H> for a prepared state under a shot policy.
 
-    `prep` is either an (ansatz, parameters) pair or a zero-argument
-    callable returning a StateVector; the state is re-prepared for each
-    Hamiltonian term, mirroring independent short experiments. Term
-    errors combine in quadrature (independent preparations). Exact mode
-    delegates to the noiseless expectation.
+    The one state is measured per Hamiltonian term, each term on its own
+    (term index, iteration) RNG stream. On a noiseless statevector that
+    is statistically the same as re-preparing the state for every term,
+    so the term estimates are independent and their errors combine in
+    quadrature. Exact mode delegates to the noiseless expectation.
     """
+    if state.n_qubits != hamiltonian.n_qubits:
+        raise ValueError(
+            f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
+        )
     if policy.mode == "exact":
-        state = _as_preparer(prep)()
         value = exact_energy(state, hamiltonian)
         return EnergyEstimate(value, 0.0, (0,) * hamiltonian.term_count, 0)
 
-    make_state = _as_preparer(prep)
     value = 0.0
     variance = 0.0
     shots_used: list[int] = []
@@ -246,11 +243,6 @@ def estimate_energy(
             shots_used.append(0)
             continue
         shots = policy.term_shots(coeff)
-        state = make_state()
-        if state.n_qubits != hamiltonian.n_qubits:
-            raise ValueError(
-                f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
-            )
         mean, err = sample_pauli(state, string, shots, rng.labeled(index, iteration))
         value += coeff * mean
         variance += (coeff * err) ** 2

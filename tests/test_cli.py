@@ -72,6 +72,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="vqe", seed=1, hamiltonian=str(hamiltonian_file), policy="shots:0")
 
+    @pytest.mark.parametrize("field,value", [("layers", "2"), ("bias", "x")])
+    def test_wrong_value_types_rejected(self, hamiltonian_file, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config_from_mapping(
+                {"mode": "vqe", "seed": 1, "hamiltonian": str(hamiltonian_file), field: value}
+            )
+
     def test_fit_window_ordering(self, scan_file):
         with pytest.raises(ConfigError, match="lo < hi"):
             RunConfig(mode="scan", seed=1, scan=str(scan_file), fit_window=(5.0, 1.0))
@@ -307,6 +314,18 @@ class TestMainEntry:
         )
         assert code == 0
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "-1", "--exact"], ["--seed", "1", "--layers", "0", "--exact"], ["--seed", "1", "--exact", "--bias", "nan"]],
+        ids=["seed", "layers", "bias"],
+    )
+    def test_bad_value_rejected_before_any_write(self, hamiltonian_file, tmp_path, capsys, flags):
+        out = tmp_path / "run_out"
+        code = main(["run", "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), *flags, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_output_is_reported(self, hamiltonian_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -166,6 +166,39 @@ class TestGradientDescentDriver:
         assert result.reason == "evaluation_budget"
 
 
+class CountingAnsatz:
+    """An AnsatzSpec that counts its prepare calls."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.parameter_count = spec.parameter_count
+        self.prepares = 0
+
+    def prepare(self, parameters):
+        self.prepares += 1
+        return self.spec.prepare(parameters)
+
+
+class TestOnePreparationPerEvaluation:
+    @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(100)], ids=["exact", "shots100"])
+    @pytest.mark.parametrize(
+        "config",
+        [quick_nm(max_evaluations=80, stagnation_window=20), GradientDescentConfig(max_evaluations=80)],
+        ids=["nelder-mead", "gradient-descent"],
+    )
+    def test_one_prepare_per_evaluation(self, policy, config):
+        h = random_hamiltonian(np.random.default_rng(31), 2)
+        ansatz = CountingAnsatz(AnsatzSpec(2, 1))
+        result = run_vqe(h, ansatz, policy, config, seed=4)
+        assert result.trace.evaluations == len(result.trace.records) > 0
+        assert ansatz.prepares == result.trace.evaluations
+
+    def test_exact_ground_energy_reported(self):
+        h = random_hamiltonian(np.random.default_rng(32), 2)
+        result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), quick_nm(max_evaluations=20), seed=1)
+        assert result.exact_ground_energy == exact_spectrum(h).ground_energy()
+
+
 class TestRunFolded:
     @pytest.mark.parametrize("shift,expected", [(0.1, 0.0), (1.9, 2.0)])
     def test_recovers_nearest_eigenvalue(self, diag_hamiltonian, shift, expected):

@@ -139,7 +139,7 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy((spec, params), h, ShotPolicy.exact(), RngStream(0))
+        estimate = estimate_energy(spec.prepare(params), h, ShotPolicy.exact(), RngStream(0))
         state = spec.prepare(params)
         by_terms = sum(c * exact_expectation(state, p) for c, p in h.terms)
         assert estimate.value == pytest.approx(by_terms, abs=1e-10)
@@ -149,7 +149,7 @@ class TestEstimateEnergy:
         h = PauliHamiltonian(2, [(2.0, "II")])
         spec = AnsatzSpec(2, 1)
         estimate = estimate_energy(
-            (spec, np.zeros(12)), h, ShotPolicy.fixed(100), RngStream(1)
+            spec.prepare(np.zeros(12)), h, ShotPolicy.fixed(100), RngStream(1)
         )
         assert estimate.value == 2.0 and estimate.std_error == 0.0
         assert estimate.total_shots == 0
@@ -158,7 +158,7 @@ class TestEstimateEnergy:
         h = PauliHamiltonian(1, [(1.0, "Z")])
         spec = AnsatzSpec(1, 1)
         estimate = estimate_energy(
-            (spec, np.zeros(6)), h, ShotPolicy.target_precision(0.01), RngStream(2)
+            spec.prepare(np.zeros(6)), h, ShotPolicy.target_precision(0.01), RngStream(2)
         )
         assert estimate.term_shots == (10_000,)
         assert estimate.total_shots == 10_000
@@ -168,7 +168,7 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy((spec, params), h, ShotPolicy.fixed(100_000), RngStream(3))
+        estimate = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(100_000), RngStream(3))
         truth = exact_energy(spec.prepare(params), h)
         assert abs(estimate.value - truth) <= 5.0 * estimate.std_error
 
@@ -177,8 +177,8 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy((spec, params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
-        b = estimate_energy((spec, params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
+        a = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
+        b = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
         assert a == b
 
     def test_iteration_label_changes_noise(self):
@@ -186,25 +186,31 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy((spec, params), h, ShotPolicy.fixed(500), RngStream(11), iteration=0)
-        b = estimate_energy((spec, params), h, ShotPolicy.fixed(500), RngStream(11), iteration=1)
+        a = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=0)
+        b = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=1)
         assert a.value != b.value
 
     def test_callable_preparation(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
         from vqesim import init_zero
 
-        estimate = estimate_energy(lambda: init_zero(1), h, ShotPolicy.fixed(50), RngStream(0))
+        estimate = estimate_energy(init_zero(1), h, ShotPolicy.fixed(50), RngStream(0))
         assert estimate.value == 1.0
+
+    @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)])
+    def test_state_size_checked_for_identity_only(self, policy):
+        h = PauliHamiltonian(2, [(2.0, "II")])
+        with pytest.raises(ValueError, match="prepared state has 1 qubits"):
+            estimate_energy(plus(), h, policy, RngStream(0))
 
     def test_bias_shifts_sampled_estimates_only(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
         spec = AnsatzSpec(1, 1)
         biased = ShotPolicy.fixed(100, bias=0.25)
-        shifted = estimate_energy((spec, np.zeros(6)), h, biased, RngStream(1))
-        plain = estimate_energy((spec, np.zeros(6)), h, ShotPolicy.fixed(100), RngStream(1))
+        shifted = estimate_energy(spec.prepare(np.zeros(6)), h, biased, RngStream(1))
+        plain = estimate_energy(spec.prepare(np.zeros(6)), h, ShotPolicy.fixed(100), RngStream(1))
         assert shifted.value == pytest.approx(plain.value + 0.25)
-        exact = estimate_energy((spec, np.zeros(6)), h, ShotPolicy.exact(), RngStream(1))
+        exact = estimate_energy(spec.prepare(np.zeros(6)), h, ShotPolicy.exact(), RngStream(1))
         assert exact.value == pytest.approx(1.0)
 
 
