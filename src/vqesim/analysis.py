@@ -17,6 +17,7 @@ from .pauli import PauliHamiltonian, basis_action, reconstruct
 from .statevector import StateVector
 
 MAX_SPECTRUM_QUBITS = 10
+MIN_FIT_POINTS = 4  # three coefficients plus one residual degree of freedom
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,14 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
-    def ground_space(self, degeneracy_tol: float | None = None) -> np.ndarray:
-        """Columns spanning the (possibly degenerate) lowest eigenspace."""
-        if degeneracy_tol is None:
-            scale = max(1.0, float(np.max(np.abs(self.eigenvalues))))
-            degeneracy_tol = 1e-8 * scale
-        mask = self.eigenvalues <= self.eigenvalues[0] + degeneracy_tol
+    def ground_space(self) -> np.ndarray:
+        """Columns spanning the (possibly degenerate) lowest eigenspace.
+
+        Eigenvalues within 1e-8 * max(1, max |eigenvalue|) of the lowest
+        count as degenerate with it.
+        """
+        scale = max(1.0, float(np.max(np.abs(self.eigenvalues))))
+        mask = self.eigenvalues <= self.eigenvalues[0] + 1e-8 * scale
         return self.eigenvectors[:, mask]
 
 
@@ -112,8 +115,8 @@ def fit_quadratic_minimum(points: list[tuple[float, float, float]]) -> Quadratic
     Weights are inverse variances; the covariance comes from the
     weighted normal equations, so at least 4 points are required.
     """
-    if len(points) < 4:
-        raise ValueError(f"need at least 4 points to fit and report covariance, got {len(points)}")
+    if len(points) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit and report covariance, got {len(points)}")
     r = np.array([p[0] for p in points], dtype=float)
     e = np.array([p[1] for p in points], dtype=float)
     var = np.array([p[2] for p in points], dtype=float)

@@ -4,10 +4,17 @@ Configuration is a single flat JSON document; command-line flags
 override individual keys (flags win). Every run requires an explicit
 seed and writes byte-reproducible artifacts: the effective config, a
 per-iteration trace CSV, and a JSON summary (plus curve/fit files in
-scan mode).
+scan mode). Artifacts are strict JSON: a non-finite value is an error,
+never `NaN` or `Infinity` in a file.
 
-Exit codes: 0 success, 2 configuration errors, 3 malformed input
-files, 4 execution/output failures.
+Both verbs load and check every input through `load_inputs` before
+anything else happens, so `run` writes no file unless `validate` would
+pass. That includes the scan rule: the fit window (default: the whole
+scan) must select at least 4 scan points, the minimum of the quadratic
+fit with a covariance.
+
+Exit codes: 0 success, 2 configuration errors, 3 malformed or missing
+input files, 4 execution/output failures.
 """
 
 from __future__ import annotations
@@ -18,10 +25,12 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import fit_quadratic_minimum, monte_carlo_minimum_uncertainty
+import numpy as np
+
+from .analysis import MIN_FIT_POINTS, fit_quadratic_minimum, monte_carlo_minimum_uncertainty
 from .driver import FoldedResult, VqeResult, run_folded, run_vqe
 from .estimation import (
     MAX_SEED,
@@ -34,7 +43,7 @@ from .estimation import (
     estimate_energy,
     shot_budget,
 )
-from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner, ucc_vqe
+from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
 from .formats import (
     FormatError,
     ScanPoint,
@@ -53,6 +62,10 @@ class ConfigError(ValueError):
 
 MODES = ("vqe", "folded", "scan", "ucc")
 OPTIMIZERS = ("nelder-mead", "gradient-descent")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -90,11 +103,15 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
-        self.seed = int(self.seed)
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
-        if not isinstance(self.layers, int) or self.layers < 1:
+        if not _is_int(self.seed) or not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
+        if not _is_int(self.layers) or self.layers < 1:
             raise ConfigError(f"layers must be an integer >= 1, got {self.layers!r}")
+        # A run with no evaluation has no energy to report.
+        for name in ("nm_max_evaluations", "gd_max_evaluations"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.bias, (int, float)) or not math.isfinite(self.bias):
             raise ConfigError(f"bias must be a finite number, got {self.bias!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -197,25 +214,22 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{path}: config must be a flat JSON object")
         mapping.update(loaded)
 
-    overrides: dict = {}
-    simple = (
-        "mode seed out hamiltonian scan integrals layers reference cluster_cap "
-        "mc_samples optimizer bias nm_initial_scale nm_tolerance nm_stagnation_window "
-        "nm_restart_limit nm_max_evaluations gd_step_size gd_max_evaluations"
-    ).split()
-    for name in simple:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "exact", False):
+    # A flag whose dest is a config key overrides that key; the policy and
+    # list flags are translated below.
+    overrides = {
+        name: value
+        for name, value in vars(args).items()
+        if name in _CONFIG_FIELDS and value is not None
+    }
+    if args.exact:
         overrides["policy"] = "exact"
-    if getattr(args, "shots", None) is not None:
+    if args.shots is not None:
         overrides["policy"] = f"shots:{args.shots}"
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         overrides["policy"] = f"precision:{args.precision}"
-    if getattr(args, "lambdas", None) is not None:
+    if args.lambdas is not None:
         overrides["lambdas"] = _parse_float_list(args.lambdas)
-    if getattr(args, "fit_window", None) is not None:
+    if args.fit_window is not None:
         overrides["fit_window"] = _parse_window(args.fit_window)
 
     mapping.update(overrides)
@@ -236,7 +250,7 @@ class ValidationReport:
     n_qubits: int
     parameter_count: int
     policy: str
-    entries: list[BudgetEntry] = field(default_factory=list)
+    entries: list[BudgetEntry]
 
     @property
     def shots_per_evaluation(self) -> int:
@@ -261,59 +275,66 @@ class ValidationReport:
         return out
 
 
-def _budget_entry(label: str, h: PauliHamiltonian, policy: ShotPolicy) -> BudgetEntry:
-    per_term, total = shot_budget(h, policy)
-    return BudgetEntry(label, h.term_count, per_term, total)
+def _fit_selection(points: list, fit_window: tuple[float, float] | None):
+    """The fit window (default: the whole scan) and the points inside it."""
+    window = fit_window or (points[0].label, points[-1].label)
+    return window, [point for point in points if window[0] <= point.label <= window[1]]
 
 
-def _ucc_hamiltonian(config: RunConfig) -> tuple[PauliHamiltonian, UccAnsatz]:
-    integrals = load_integrals(config.integrals)
-    mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
-    if isinstance(mapped, ComplexPauliSum):
-        raise FormatError(
-            f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian"
-        )
-    if config.reference is None or len(config.reference) != integrals.n_modes:
-        raise ConfigError(
-            f"reference must be a {integrals.n_modes}-mode bitstring, got {config.reference!r}"
-        )
-    ansatz = UccAnsatz.from_reference(integrals.n_modes, config.reference, config.cluster_cap)
-    return mapped, ansatz
+def load_inputs(
+    config: RunConfig,
+) -> tuple[PauliHamiltonian | list[ScanPoint], AnsatzSpec | UccAnsatz]:
+    """Read and check every input file of a run; writes nothing.
+
+    Returns the Hamiltonian (the scan points in scan mode) and the
+    ansatz. Both `validate` and `run` go through here, so a run fails
+    on its inputs before it writes any file.
+    """
+    if config.mode == "scan":
+        points = load_scan(config.scan)
+        window, selected = _fit_selection(points, config.fit_window)
+        if len(selected) < MIN_FIT_POINTS:
+            raise ConfigError(
+                f"fit window [{window[0]:g}, {window[1]:g}] selects {len(selected)} scan "
+                f"points; the quadratic fit needs at least {MIN_FIT_POINTS}"
+            )
+        return points, AnsatzSpec(points[0].hamiltonian.n_qubits, config.layers)
+    if config.mode == "ucc":
+        integrals = load_integrals(config.integrals)
+        mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
+        if isinstance(mapped, ComplexPauliSum):
+            raise FormatError(
+                f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian"
+            )
+        try:
+            ansatz = UccAnsatz.from_reference(
+                integrals.n_modes, config.reference, config.cluster_cap
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return mapped, ansatz
+    hamiltonian = load_hamiltonian(config.hamiltonian)
+    return hamiltonian, AnsatzSpec(hamiltonian.n_qubits, config.layers)
 
 
 def validate_config(config: RunConfig) -> ValidationReport:
-    """Dry-run: parse all inputs and report sizes and the shot budget."""
+    """Dry-run: load every input as `run` would and report sizes and the shot budget."""
+    loaded, ansatz = load_inputs(config)
     policy = config.shot_policy()
-    if config.mode in ("vqe", "folded"):
-        hamiltonian = load_hamiltonian(config.hamiltonian)
-        ansatz = AnsatzSpec(hamiltonian.n_qubits, config.layers)
-        report = ValidationReport(
-            config.mode, hamiltonian.n_qubits, ansatz.parameter_count, policy.describe()
-        )
-        if config.mode == "vqe":
-            report.entries.append(_budget_entry("hamiltonian", hamiltonian, policy))
-        else:
-            for shift in config.lambdas:
-                folded = shift_and_square(hamiltonian, shift)
-                report.entries.append(_budget_entry(f"lambda={shift:g}", folded, policy))
-        return report
     if config.mode == "scan":
-        points = load_scan(config.scan)
-        ansatz = AnsatzSpec(points[0].hamiltonian.n_qubits, config.layers)
-        report = ValidationReport(
-            config.mode, points[0].hamiltonian.n_qubits, ansatz.parameter_count, policy.describe()
-        )
-        for point in points:
-            report.entries.append(
-                _budget_entry(f"R={point.label:g}", point.hamiltonian, policy)
-            )
-        return report
-    hamiltonian, ansatz = _ucc_hamiltonian(config)
-    report = ValidationReport(
-        config.mode, hamiltonian.n_qubits, ansatz.parameter_count, policy.describe()
+        operators = [(f"R={point.label:g}", point.hamiltonian) for point in loaded]
+    elif config.mode == "folded":
+        operators = [(f"lambda={shift:g}", shift_and_square(loaded, shift)) for shift in config.lambdas]
+    else:
+        label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
+        operators = [(label, loaded)]
+    return ValidationReport(
+        config.mode,
+        operators[0][1].n_qubits,
+        ansatz.parameter_count,
+        policy.describe(),
+        [BudgetEntry(label, h.term_count, *shot_budget(h, policy)) for label, h in operators],
     )
-    report.entries.append(_budget_entry("jw-hamiltonian", hamiltonian, policy))
-    return report
 
 
 def _write_trace_csv(path: Path, result: VqeResult) -> None:
@@ -353,21 +374,10 @@ def _summary_payload(result: VqeResult, config: RunConfig, **extra) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _prepare_out_dir(config: RunConfig) -> Path:
-    if not config.out:
-        raise ConfigError("run mode requires an output directory (--out)")
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", config.to_flat_dict())
-    return out
-
-
-def _run_vqe_mode(config: RunConfig, out: Path) -> dict:
-    hamiltonian = load_hamiltonian(config.hamiltonian)
-    ansatz = AnsatzSpec(hamiltonian.n_qubits, config.layers)
+def _run_vqe_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec, out: Path) -> dict:
     result = run_vqe(
         hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed
     )
@@ -377,9 +387,7 @@ def _run_vqe_mode(config: RunConfig, out: Path) -> dict:
     return payload
 
 
-def _run_folded_mode(config: RunConfig, out: Path) -> dict:
-    hamiltonian = load_hamiltonian(config.hamiltonian)
-    ansatz = AnsatzSpec(hamiltonian.n_qubits, config.layers)
+def _run_folded_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec, out: Path) -> dict:
     shifts = []
     for index, shift in enumerate(config.lambdas):
         sub = out / f"lambda_{index:02d}"
@@ -476,8 +484,7 @@ def scan_fit(
     seed: int,
 ):
     """Weighted quadratic fit over the window plus Monte-Carlo uncertainties."""
-    window = fit_window or (rows[0].label, rows[-1].label)
-    selected = [row for row in rows if window[0] <= row.label <= window[1]]
+    window, selected = _fit_selection(rows, fit_window)
     variances = _fit_variances([row.std_error for row in selected])
     fit = fit_quadratic_minimum(
         [(row.label, row.energy_estimate, var) for row, var in zip(selected, variances)]
@@ -488,14 +495,11 @@ def scan_fit(
     return fit, uncertainty, window, len(selected)
 
 
-def _run_scan_mode(config: RunConfig, out: Path) -> dict:
-    points = load_scan(config.scan)
-    policy = config.shot_policy()
-    ansatz = AnsatzSpec(points[0].hamiltonian.n_qubits, config.layers)
+def _run_scan_mode(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpec, out: Path) -> dict:
     trace_dir = out / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = scan_curve(points, ansatz, policy, config.optimizer_config(), config.seed)
+    rows = scan_curve(points, ansatz, config.shot_policy(), config.optimizer_config(), config.seed)
     for index, row in enumerate(rows):
         _write_trace_csv(trace_dir / f"point_{index:02d}.csv", row.result)
 
@@ -527,10 +531,11 @@ def _run_scan_mode(config: RunConfig, out: Path) -> dict:
     return fit_payload
 
 
-def _run_ucc_mode(config: RunConfig, out: Path) -> dict:
-    hamiltonian, ansatz = _ucc_hamiltonian(config)
-    result = ucc_vqe(
-        hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed
+def _run_ucc_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: UccAnsatz, out: Path) -> dict:
+    # Zero amplitudes: the first evaluation is the reference state.
+    x0 = np.zeros(ansatz.parameter_count)
+    result = run_vqe(
+        hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed, x0
     )
     _write_trace_csv(out / "trace.csv", result)
     reference_energy = exact_energy(ansatz.reference_state(), hamiltonian)
@@ -547,15 +552,24 @@ def _run_ucc_mode(config: RunConfig, out: Path) -> dict:
 
 
 def run_config(config: RunConfig) -> dict:
-    """Execute a run and write its artifacts; returns the summary payload."""
-    out = _prepare_out_dir(config)
+    """Load every input, then execute the run and write its artifacts.
+
+    Returns the summary payload. Nothing is written until every input
+    has loaded and passed its checks.
+    """
+    if not config.out:
+        raise ConfigError("run mode requires an output directory (--out)")
+    loaded, ansatz = load_inputs(config)
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", config.to_flat_dict())
     if config.mode == "vqe":
-        return _run_vqe_mode(config, out)
+        return _run_vqe_mode(config, loaded, ansatz, out)
     if config.mode == "folded":
-        return _run_folded_mode(config, out)
+        return _run_folded_mode(config, loaded, ansatz, out)
     if config.mode == "scan":
-        return _run_scan_mode(config, out)
-    return _run_ucc_mode(config, out)
+        return _run_scan_mode(config, loaded, ansatz, out)
+    return _run_ucc_mode(config, loaded, ansatz, out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -77,7 +77,6 @@ class FoldedResult:
 
     vqe: VqeResult
     shift: float
-    folded_hamiltonian: PauliHamiltonian
     folded_energy: float
     recovered_eigenvalue: float
     final_state: StateVector
@@ -147,13 +146,7 @@ def run_vqe(
         return estimate.value
 
     if isinstance(config, GradientDescentConfig):
-        opt = gradient_descent(
-            objective,
-            x0,
-            step_size=config.step_size,
-            max_evaluations=config.max_evaluations,
-            fd_step=config.fd_step,
-        )
+        opt = gradient_descent(objective, x0, config)
     else:
         opt = nelder_mead(objective, x0, config, on_restart=mark_restart)
 
@@ -192,7 +185,6 @@ def run_folded(
     return FoldedResult(
         vqe=result,
         shift=shift,
-        folded_hamiltonian=folded,
         folded_energy=exact_energy(final_state, folded),
         recovered_eigenvalue=exact_energy(final_state, hamiltonian),
         final_state=final_state,

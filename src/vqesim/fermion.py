@@ -119,10 +119,7 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
 
 def jw_matrix(op: FermionOperator) -> np.ndarray:
     """Dense qubit-space matrix of a fermionic operator (oracle path)."""
-    mapped = jordan_wigner(op)
-    if isinstance(mapped, ComplexPauliSum):
-        return mapped.to_matrix()
-    return reconstruct(mapped)
+    return reconstruct(jordan_wigner(op))
 
 
 @dataclass(frozen=True)
@@ -218,16 +215,14 @@ def reference_index(reference: str, n_modes: int) -> int:
     return int(reference, 2)
 
 
-def ucc_prepare(amplitudes: ClusterAmplitudes, reference: str, n_modes: int | None = None) -> StateVector:
+def ucc_prepare(amplitudes: ClusterAmplitudes, reference: str) -> StateVector:
     """Apply exp(T - T^dag) to a computational-basis reference state.
 
     The anti-Hermitian generator is mapped to qubit space, checked
     (a corrupted amplitude table breaks anti-Hermiticity), and
     exponentiated exactly via eigendecomposition.
     """
-    n = amplitudes.n_modes if n_modes is None else n_modes
-    if n != amplitudes.n_modes:
-        raise ValueError("n_modes disagrees with the amplitude table")
+    n = amplitudes.n_modes
     if n > MAX_UCC_MODES:
         raise ValueError(f"{n} modes exceeds the {MAX_UCC_MODES}-mode guard")
     ref = reference_index(reference, n)
@@ -308,27 +303,3 @@ class UccAnsatz:
     def reference_state(self) -> StateVector:
         return basis_state(self.n_modes, reference_index(self.reference, self.n_modes))
 
-
-def ucc_vqe(
-    hamiltonian: PauliHamiltonian,
-    ansatz: UccAnsatz,
-    policy,
-    config=None,
-    seed: int = 0,
-    x0: np.ndarray | None = None,
-):
-    """Variational run with coupled-cluster state preparation.
-
-    Starts from zero amplitudes (the reference state) unless an
-    explicit amplitude vector is given; otherwise identical to the
-    generic variational loop.
-    """
-    from .driver import run_vqe
-
-    if hamiltonian.n_qubits != ansatz.n_modes:
-        raise ValueError(
-            f"Hamiltonian acts on {hamiltonian.n_qubits} qubits, ansatz has {ansatz.n_modes} modes"
-        )
-    if x0 is None:
-        x0 = np.zeros(ansatz.parameter_count)
-    return run_vqe(hamiltonian, ansatz, policy, config, seed, x0)

@@ -212,9 +212,7 @@ def nelder_mead(
 def gradient_descent(
     objective: Objective,
     x0: Sequence[float],
-    step_size: float = 0.1,
-    max_evaluations: int = 2000,
-    fd_step: float = 1e-3,
+    config: GradientDescentConfig | None = None,
 ) -> OptimizerResult:
     """Fixed-step descent along a central finite-difference gradient.
 
@@ -222,9 +220,9 @@ def gradient_descent(
     point evaluated (probe points included). With zero budget the
     start point is returned untouched.
     """
-    GradientDescentConfig(step_size, fd_step, max_evaluations)
+    cfg = config or GradientDescentConfig()
     x0 = np.asarray(x0, dtype=float)
-    f = _CountingObjective(objective, max_evaluations)
+    f = _CountingObjective(objective, cfg.max_evaluations)
     x = x0.copy()
     try:
         f(x)
@@ -232,12 +230,12 @@ def gradient_descent(
             grad = np.zeros_like(x)
             for k in range(x.size):
                 probe = x.copy()
-                probe[k] += fd_step
+                probe[k] += cfg.fd_step
                 upper = f(probe)
-                probe[k] -= 2.0 * fd_step
+                probe[k] -= 2.0 * cfg.fd_step
                 lower = f(probe)
-                grad[k] = (upper - lower) / (2.0 * fd_step)
-            x = x - step_size * grad
+                grad[k] = (upper - lower) / (2.0 * cfg.fd_step)
+            x = x - cfg.step_size * grad
             f(x)
     except _BudgetExhausted:
         return _finalize(f, x0, 0, False, REASON_BUDGET)

@@ -72,19 +72,6 @@ class PauliString:
         return self.label
 
 
-def parse_pauli(label: str) -> PauliString:
-    """Parse a label over {I,X,Y,Z} into a PauliString.
-
-    Raises ValueError naming the offending position for any other
-    character.
-    """
-    return PauliString(label)
-
-
-def identity_string(n_qubits: int) -> PauliString:
-    return PauliString("I" * n_qubits)
-
-
 def pauli_matrix(p: PauliString | str) -> np.ndarray:
     """Dense matrix of a Pauli string (Kronecker product in label order)."""
     label = p.label if isinstance(p, PauliString) else PauliString(p).label
@@ -186,9 +173,6 @@ class PauliHamiltonian:
                 return c
         return 0.0
 
-    def scaled(self, factor: float) -> "PauliHamiltonian":
-        return PauliHamiltonian(self.n_qubits, [(factor * c, p) for c, p in self.terms])
-
     def __str__(self) -> str:
         if not self.terms:
             return f"0 ({self.n_qubits} qubits)"
@@ -213,8 +197,9 @@ class ComplexPauliSum:
             raise ValueError(f"label {label!r} has wrong length for {self.n_qubits} qubits")
         self._coeffs[label] = self._coeffs.get(label, 0.0) + complex(coeff)
 
-    def terms(self) -> list[tuple[complex, PauliString]]:
-        return [(c, PauliString(lbl)) for lbl, c in self._coeffs.items()]
+    @property
+    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+        return tuple((c, PauliString(lbl)) for lbl, c in self._coeffs.items())
 
     @property
     def term_count(self) -> int:
@@ -224,15 +209,6 @@ class ComplexPauliSum:
         if not self._coeffs:
             return 0.0
         return max(abs(c.imag) for c in self._coeffs.values())
-
-    def to_matrix(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for lbl, c in self._coeffs.items():
-            targets, phases = basis_action(lbl)
-            m[targets, cols] += c * phases
-        return m
 
     def to_hamiltonian(self, imag_tol: float = 1e-10, prune: float = 1e-12) -> PauliHamiltonian:
         residue = self.imag_residue()
@@ -299,8 +275,8 @@ def decompose(m: np.ndarray, prune: float = 1e-12) -> PauliHamiltonian:
     return PauliHamiltonian(n, terms)
 
 
-def reconstruct(h: PauliHamiltonian) -> np.ndarray:
-    """Dense matrix of a PauliHamiltonian (the inverse of decompose)."""
+def reconstruct(h: PauliHamiltonian | ComplexPauliSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum; for a PauliHamiltonian, the inverse of decompose."""
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

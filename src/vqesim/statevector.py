@@ -49,10 +49,6 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
 
 def init_zero(n_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
@@ -161,20 +157,3 @@ def exact_energy(state: StateVector, h: PauliHamiltonian) -> float:
         )
     return float(sum(c * exact_expectation(state, p) for c, p in h.terms))
 
-
-def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    """Apply a full 2^n x 2^n unitary to the state.
-
-    The matrix must be unitary within 1e-8; the result is renormalized
-    to strip that residual scale.
-    """
-    u = np.asarray(u, dtype=complex)
-    dim = state.dim
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary shape {u.shape} does not match dimension {dim}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if defect > 1e-8:
-        raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
-    amps = u @ state.amplitudes
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(state.n_qubits, amps)

@@ -33,7 +33,6 @@ from vqesim import (
     run_vqe,
     sample_pauli,
     tangle,
-    ucc_vqe,
 )
 from vqesim.cli import RunConfig, scan_curve, scan_fit, validate_config
 from vqesim.fermion import FermionOperator, MolecularIntegrals, jw_matrix
@@ -190,12 +189,13 @@ def test_ucc_sanity():
     reference_energy = exact_energy(ansatz.reference_state(), hamiltonian)
     zero_state = ansatz.prepare(np.zeros(ansatz.parameter_count))
     zero_energy = exact_energy(zero_state, hamiltonian)
-    result = ucc_vqe(
+    result = run_vqe(
         hamiltonian,
         ansatz,
         ShotPolicy.exact(),
         NelderMeadConfig(max_evaluations=2000),
         seed=4,
+        x0=np.zeros(ansatz.parameter_count),
     )
     ground = exact_spectrum(hamiltonian).ground_energy()
     ok = (

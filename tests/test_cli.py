@@ -72,7 +72,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(mode="vqe", seed=1, hamiltonian=str(hamiltonian_file), policy="shots:0")
 
-    @pytest.mark.parametrize("field,value", [("layers", "2"), ("bias", "x")])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("layers", "2"), ("bias", "x"), ("seed", 1.7), ("seed", "abc"), ("seed", True)],
+    )
     def test_wrong_value_types_rejected(self, hamiltonian_file, field, value):
         with pytest.raises(ConfigError, match=field):
             config_from_mapping(
@@ -317,8 +320,14 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--seed", "-1", "--exact"], ["--seed", "1", "--layers", "0", "--exact"], ["--seed", "1", "--exact", "--bias", "nan"]],
-        ids=["seed", "layers", "bias"],
+        [
+            ["--seed", "-1", "--exact"],
+            ["--seed", "1", "--layers", "0", "--exact"],
+            ["--seed", "1", "--exact", "--bias", "nan"],
+            ["--seed", "1", "--exact", "--nm-max-evaluations", "0"],
+            ["--seed", "1", "--exact", "--gd-max-evaluations", "0"],
+        ],
+        ids=["seed", "layers", "bias", "nm_max_evaluations", "gd_max_evaluations"],
     )
     def test_bad_value_rejected_before_any_write(self, hamiltonian_file, tmp_path, capsys, flags):
         out = tmp_path / "run_out"
@@ -326,6 +335,55 @@ class TestMainEntry:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("seed", [1.7, "abc", True])
+    def test_non_integer_seed_in_config_file(self, hamiltonian_file, tmp_path, capsys, seed):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mode": "vqe", "hamiltonian": str(hamiltonian_file), "seed": seed}))
+        out = tmp_path / "run_out"
+        code = main(["run", "--config", str(config_path), "--exact", "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("content", [None, "0.5 ZI\n0.5 Z\n"], ids=["missing", "malformed"])
+    def test_bad_input_file_rejected_before_any_write(self, tmp_path, capsys, content):
+        path = tmp_path / "h.txt"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "run_out"
+        code = main(["run", "--mode", "vqe", "--hamiltonian", str(path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_fit_window_with_too_few_points(self, scan_file, tmp_path, capsys, command):
+        out = tmp_path / "run_out"
+        # The scan has R = 1, 2, 3, 4, 5; this window holds only 2, 3 and 4.
+        code = main(
+            [command, "--mode", "scan", "--scan", str(scan_file), "--seed", "1", "--shots", "50", "--fit-window", "1.5,4.5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "fit window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--reference", "110"], ["--reference", "11x0"], ["--reference", "1100", "--cluster-cap", "3"]],
+        ids=["length", "character", "cap"],
+    )
+    def test_bad_ucc_ansatz_is_config_error(self, integrals_file, tmp_path, capsys, flags):
+        out = tmp_path / "run_out"
+        code = main(["run", "--mode", "ucc", "--integrals", str(integrals_file), "--seed", "1", *flags, "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_without_out_is_config_error(self, hamiltonian_file, capsys):
+        code = main(["run", "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), "--seed", "1", "--exact"])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_unwritable_output_is_reported(self, hamiltonian_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -20,8 +20,8 @@ from vqesim import (
     exact_spectrum,
     jordan_wigner,
     overlap,
+    run_vqe,
     ucc_prepare,
-    ucc_vqe,
 )
 from vqesim.fermion import jw_matrix, reference_index
 
@@ -34,7 +34,7 @@ class TestJordanWigner:
     def test_annihilation_on_two_modes(self):
         mapped = jordan_wigner(FermionOperator(2, [(1.0, ((1, False),))]))
         assert isinstance(mapped, ComplexPauliSum)
-        coeffs = {p.label: c for c, p in mapped.terms()}
+        coeffs = {p.label: c for c, p in mapped.terms}
         assert coeffs["XZ"] == pytest.approx(0.5)
         assert coeffs["YZ"] == pytest.approx(0.5j)
 
@@ -67,8 +67,7 @@ class TestJordanWigner:
     def test_term_count_bound(self):
         op = FermionOperator(3, [(0.5, ((1, True), (2, False))), (0.25, ((2, True), (3, True), (3, False), (1, False)))])
         mapped = jordan_wigner(op)
-        terms = mapped.terms() if isinstance(mapped, ComplexPauliSum) else mapped.terms
-        assert len(terms) <= 2**2 + 2**4
+        assert len(mapped.terms) <= 2**2 + 2**4
 
     def test_hermitian_input_yields_hamiltonian(self):
         op = FermionOperator(
@@ -211,8 +210,13 @@ class TestUccVqe:
     def test_iteration_zero_is_reference_energy(self):
         mapped = jordan_wigner(build_molecular_hamiltonian(toy_integrals()))
         ansatz = UccAnsatz.from_reference(4, "1100")
-        result = ucc_vqe(
-            mapped, ansatz, ShotPolicy.exact(), NelderMeadConfig(max_evaluations=40), seed=0
+        result = run_vqe(
+            mapped,
+            ansatz,
+            ShotPolicy.exact(),
+            NelderMeadConfig(max_evaluations=40),
+            seed=0,
+            x0=np.zeros(ansatz.parameter_count),
         )
         reference_energy = exact_energy(ansatz.reference_state(), mapped)
         assert result.trace.records[0].energy_estimate == pytest.approx(reference_energy)
@@ -220,12 +224,13 @@ class TestUccVqe:
     def test_exact_mode_variational_window(self):
         mapped = jordan_wigner(build_molecular_hamiltonian(toy_integrals()))
         ansatz = UccAnsatz.from_reference(4, "1100")
-        result = ucc_vqe(
+        result = run_vqe(
             mapped,
             ansatz,
             ShotPolicy.exact(),
             NelderMeadConfig(max_evaluations=1500),
             seed=1,
+            x0=np.zeros(ansatz.parameter_count),
         )
         reference_energy = exact_energy(ansatz.reference_state(), mapped)
         ground = exact_spectrum(mapped).ground_energy()
@@ -233,9 +238,11 @@ class TestUccVqe:
         assert result.best_energy >= ground - 1e-9
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError, match="modes"):
-            ucc_vqe(
+        ansatz = UccAnsatz.from_reference(4, "1100")
+        with pytest.raises(ValueError, match="qubits"):
+            run_vqe(
                 PauliHamiltonian(2, [(1.0, "ZZ")]),
-                UccAnsatz.from_reference(4, "1100"),
+                ansatz,
                 ShotPolicy.exact(),
+                x0=np.zeros(ansatz.parameter_count),
             )

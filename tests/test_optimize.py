@@ -139,11 +139,11 @@ class TestNelderMead:
 
 class TestGradientDescent:
     def test_quadratic_noiseless(self):
-        result = gradient_descent(sphere, np.array([1.0, -1.0]), step_size=0.2, max_evaluations=500)
+        result = gradient_descent(sphere, np.array([1.0, -1.0]), GradientDescentConfig(step_size=0.2, max_evaluations=500))
         assert result.f_best <= 1e-6
 
     def test_zero_budget_returns_start(self):
-        result = gradient_descent(sphere, np.array([3.0, 4.0]), max_evaluations=0)
+        result = gradient_descent(sphere, np.array([3.0, 4.0]), GradientDescentConfig(max_evaluations=0))
         assert np.array_equal(result.x_best, [3.0, 4.0])
         assert result.evaluations == 0
 
@@ -155,13 +155,13 @@ class TestGradientDescent:
             calls += 1
             return sphere(x)
 
-        result = gradient_descent(counted, np.zeros(3), max_evaluations=25)
+        result = gradient_descent(counted, np.zeros(3), GradientDescentConfig(max_evaluations=25))
         assert calls == 25 and result.evaluations == 25
         assert result.reason == REASON_BUDGET
 
     def test_nan_objective_aborts(self):
         with pytest.raises(ObjectiveValueError):
-            gradient_descent(lambda x: float("nan"), np.array([0.1]), max_evaluations=10)
+            gradient_descent(lambda x: float("nan"), np.array([0.1]), GradientDescentConfig(max_evaluations=10))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from vqesim import (
     PauliString,
     decompose,
     multiply,
-    parse_pauli,
     pauli_matrix,
     reconstruct,
     shift_and_square,
@@ -23,27 +22,27 @@ labels_st = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
 class TestParse:
     def test_identity(self):
-        assert parse_pauli("II").label == "II"
-        assert parse_pauli("II").is_identity
+        assert PauliString("II").label == "II"
+        assert PauliString("II").is_identity
 
     def test_direct_mapping(self):
-        p = parse_pauli("XZ")
+        p = PauliString("XZ")
         assert p.label == "XZ"
         assert p.n_qubits == 2
 
     def test_error_names_position(self):
         with pytest.raises(ValueError, match="position 0"):
-            parse_pauli("AB")
+            PauliString("AB")
         with pytest.raises(ValueError, match="position 2"):
-            parse_pauli("XZq")
+            PauliString("XZq")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            parse_pauli("")
+            PauliString("")
 
     @given(labels_st)
     def test_roundtrip(self, label):
-        assert parse_pauli(label).label == label
+        assert PauliString(label).label == label
 
 
 class TestMatrix:
@@ -225,4 +224,4 @@ class TestComplexPauliSum:
         acc.add("X", 0.5)
         acc.add("Y", 0.5j)
         expected = 0.5 * pauli_matrix(PauliString("X")) + 0.5j * pauli_matrix(PauliString("Y"))
-        assert np.allclose(acc.to_matrix(), expected)
+        assert np.allclose(reconstruct(acc), expected)

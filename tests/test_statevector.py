@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hamiltonian, random_hermitian, random_state
+from conftest import random_hamiltonian, random_state
 from vqesim import (
     AnsatzSpec,
     PauliString,
     StateVector,
-    apply_unitary,
     exact_energy,
     exact_expectation,
     init_zero,
@@ -135,27 +134,6 @@ class TestExactEnergy:
         dense = reconstruct(h)
         expected = float(np.real(np.vdot(state.amplitudes, dense @ state.amplitudes)))
         assert exact_energy(state, h) == pytest.approx(expected, abs=1e-10)
-
-
-class TestApplyUnitary:
-    def test_identity(self):
-        state = random_state(np.random.default_rng(1), 2)
-        out = apply_unitary(state, np.eye(4))
-        assert np.allclose(out.amplitudes, state.amplitudes)
-
-    def test_x_flips(self):
-        out = apply_unitary(init_zero(1), np.array([[0, 1], [1, 0]], dtype=complex))
-        assert abs(out.amplitudes[1]) == pytest.approx(1.0)
-
-    def test_random_unitary_preserves_norm(self):
-        rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(random_hermitian(rng, 4) + 1j * random_hermitian(rng, 4))
-        out = apply_unitary(random_state(rng, 2), q)
-        assert np.abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(init_zero(1), np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def _zyz_angles(g: np.ndarray) -> tuple[float, float, float]:
