@@ -18,6 +18,7 @@ from .statevector import StateVector
 
 MAX_SPECTRUM_QUBITS = 10
 MIN_FIT_POINTS = 4  # three coefficients plus one residual degree of freedom
+MIN_MC_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ def monte_carlo_minimum_uncertainty(
     non-convex draws (a <= 0) are discarded and counted, with a warning
     flag once more than 10% are lost.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 Monte-Carlo samples")
+    if not isinstance(samples, (int, np.integer)) or samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need an integer of at least {MIN_MC_SAMPLES} Monte-Carlo samples, got {samples!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     cov = np.asarray(fit.covariance, dtype=float)

@@ -7,11 +7,15 @@ per-iteration trace CSV, and a JSON summary (plus curve/fit files in
 scan mode). Artifacts are strict JSON: a non-finite value is an error,
 never `NaN` or `Infinity` in a file.
 
-Both verbs load and check every input through `load_inputs` before
-anything else happens, so `run` writes no file unless `validate` would
-pass. That includes the scan rule: the fit window (default: the whole
-scan) must select at least 4 scan points, the minimum of the quadratic
-fit with a covariance.
+`RunConfig` checks the type of every key (an integer, a finite number,
+a string or a list of finite numbers, as its field is annotated) and
+every range. Both verbs then load and check every input through
+`load_inputs` before anything else happens, so `run` writes no file
+unless `validate` would pass. That includes the scan rule (the fit
+window, by default the whole scan, must select at least 4 scan points,
+the minimum of the quadratic fit with a covariance) and the width rule
+(no Hamiltonian, scan point or Jordan-Wigner image over 10 qubits, the
+limit of the dense spectrum every run computes).
 
 Exit codes: 0 success, 2 configuration errors, 3 malformed or missing
 input files, 4 execution/output failures.
@@ -30,7 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MIN_FIT_POINTS, fit_quadratic_minimum, monte_carlo_minimum_uncertainty
+from .analysis import (
+    MAX_SPECTRUM_QUBITS,
+    MIN_FIT_POINTS,
+    MIN_MC_SAMPLES,
+    fit_quadratic_minimum,
+    monte_carlo_minimum_uncertainty,
+)
 from .driver import FoldedResult, VqeResult, run_folded, run_vqe
 from .estimation import (
     MAX_SEED,
@@ -68,6 +78,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# What each annotated field type accepts; `| None` fields also take None.
+_VALUE_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple": (
+        lambda value: isinstance(value, (list, tuple)) and all(_is_real(v) for v in value),
+        "a list of finite numbers",
+    ),
+}
+
+
 @dataclass
 class RunConfig:
     mode: str = ""
@@ -103,17 +134,27 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
-        if not _is_int(self.seed) or not 0 <= self.seed <= MAX_SEED:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
+            # The leading name of the annotation: "int | None" -> "int".
+            accepts, kind = _VALUE_TYPES[f.type.split("[")[0].split()[0]]
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
-        if not _is_int(self.layers) or self.layers < 1:
-            raise ConfigError(f"layers must be an integer >= 1, got {self.layers!r}")
-        # A run with no evaluation has no energy to report.
-        for name in ("nm_max_evaluations", "gd_max_evaluations"):
+        # A run with no evaluation has no energy to report; the fit's
+        # Monte-Carlo uncertainties need MIN_MC_SAMPLES draws.
+        for name, minimum in (
+            ("layers", 1),
+            ("nm_max_evaluations", 1),
+            ("gd_max_evaluations", 1),
+            ("mc_samples", MIN_MC_SAMPLES),
+        ):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.bias, (int, float)) or not math.isfinite(self.bias):
-            raise ConfigError(f"bias must be a finite number, got {self.bias!r}")
+            if value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.mode in ("vqe", "folded") and not self.hamiltonian:
@@ -129,10 +170,9 @@ class RunConfig:
                 raise ConfigError("ucc mode requires a reference occupation bitstring")
         self.lambdas = tuple(float(v) for v in self.lambdas)
         if self.fit_window is not None:
-            lo, hi = self.fit_window
-            if not lo < hi:
-                raise ConfigError("fit window must satisfy lo < hi")
-            self.fit_window = (float(lo), float(hi))
+            if len(self.fit_window) != 2 or not self.fit_window[0] < self.fit_window[1]:
+                raise ConfigError(f"fit window must be [lo, hi] with lo < hi, got {self.fit_window!r}")
+            self.fit_window = (float(self.fit_window[0]), float(self.fit_window[1]))
         try:
             self.shot_policy()
             self.nelder_mead_config()
@@ -206,10 +246,10 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         try:
             loaded = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file {path} does not exist") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except (OSError, ValueError) as exc:  # missing, a directory, undecodable bytes
+            raise ConfigError(f"config file {path} cannot be read ({exc})") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config must be a flat JSON object")
         mapping.update(loaded)
@@ -281,6 +321,14 @@ def _fit_selection(points: list, fit_window: tuple[float, float] | None):
     return window, [point for point in points if window[0] <= point.label <= window[1]]
 
 
+def _check_width(n_qubits: int, source: str) -> None:
+    if n_qubits > MAX_SPECTRUM_QUBITS:
+        raise ConfigError(
+            f"{source}: {n_qubits} qubits exceeds the {MAX_SPECTRUM_QUBITS}-qubit limit "
+            "of the dense spectrum every run computes"
+        )
+
+
 def load_inputs(
     config: RunConfig,
 ) -> tuple[PauliHamiltonian | list[ScanPoint], AnsatzSpec | UccAnsatz]:
@@ -292,6 +340,7 @@ def load_inputs(
     """
     if config.mode == "scan":
         points = load_scan(config.scan)
+        _check_width(points[0].hamiltonian.n_qubits, config.scan)
         window, selected = _fit_selection(points, config.fit_window)
         if len(selected) < MIN_FIT_POINTS:
             raise ConfigError(
@@ -301,6 +350,8 @@ def load_inputs(
         return points, AnsatzSpec(points[0].hamiltonian.n_qubits, config.layers)
     if config.mode == "ucc":
         integrals = load_integrals(config.integrals)
+        # The Jordan-Wigner image has one qubit per mode.
+        _check_width(integrals.n_modes, config.integrals)
         mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
         if isinstance(mapped, ComplexPauliSum):
             raise FormatError(
@@ -314,27 +365,41 @@ def load_inputs(
             raise ConfigError(str(exc)) from None
         return mapped, ansatz
     hamiltonian = load_hamiltonian(config.hamiltonian)
+    _check_width(hamiltonian.n_qubits, config.hamiltonian)
     return hamiltonian, AnsatzSpec(hamiltonian.n_qubits, config.layers)
+
+
+def budget_report(
+    config: RunConfig,
+    loaded: PauliHamiltonian | list[ScanPoint],
+    ansatz: AnsatzSpec | UccAnsatz,
+) -> ValidationReport:
+    """Sizes and the shot budget of every operator the run will measure.
+
+    An operator or a shot count that is not finite (a lambda so large
+    that (H - lambda)^2 overflows, a precision so fine that 1/p^2 does)
+    is a config error.
+    """
+    policy = config.shot_policy()
+    try:
+        if config.mode == "scan":
+            operators = [(f"R={point.label:g}", point.hamiltonian) for point in loaded]
+        elif config.mode == "folded":
+            operators = [(f"lambda={shift:g}", shift_and_square(loaded, shift)) for shift in config.lambdas]
+        else:
+            label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
+            operators = [(label, loaded)]
+        entries = [BudgetEntry(label, h.term_count, *shot_budget(h, policy)) for label, h in operators]
+    except ValueError as exc:
+        raise ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}") from None
+    return ValidationReport(
+        config.mode, operators[0][1].n_qubits, ansatz.parameter_count, policy.describe(), entries
+    )
 
 
 def validate_config(config: RunConfig) -> ValidationReport:
     """Dry-run: load every input as `run` would and report sizes and the shot budget."""
-    loaded, ansatz = load_inputs(config)
-    policy = config.shot_policy()
-    if config.mode == "scan":
-        operators = [(f"R={point.label:g}", point.hamiltonian) for point in loaded]
-    elif config.mode == "folded":
-        operators = [(f"lambda={shift:g}", shift_and_square(loaded, shift)) for shift in config.lambdas]
-    else:
-        label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
-        operators = [(label, loaded)]
-    return ValidationReport(
-        config.mode,
-        operators[0][1].n_qubits,
-        ansatz.parameter_count,
-        policy.describe(),
-        [BudgetEntry(label, h.term_count, *shot_budget(h, policy)) for label, h in operators],
-    )
+    return budget_report(config, *load_inputs(config))
 
 
 def _write_trace_csv(path: Path, result: VqeResult) -> None:
@@ -555,11 +620,12 @@ def run_config(config: RunConfig) -> dict:
     """Load every input, then execute the run and write its artifacts.
 
     Returns the summary payload. Nothing is written until every input
-    has loaded and passed its checks.
+    has loaded and passed the checks `validate` makes.
     """
     if not config.out:
         raise ConfigError("run mode requires an output directory (--out)")
     loaded, ansatz = load_inputs(config)
+    budget_report(config, loaded, ansatz)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", config.to_flat_dict())
@@ -628,9 +694,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

@@ -143,7 +143,12 @@ class ShotPolicy:
             return 0
         if self.mode == "shots":
             return int(self.shots)
-        return max(1, math.ceil(coefficient * coefficient / (self.precision * self.precision)))
+        try:
+            return max(1, math.ceil(coefficient * coefficient / (self.precision * self.precision)))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"precision {self.precision!r} gives no finite shot count for coefficient {coefficient!r}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ With this sign choice the number operator a_j^dag a_j maps to
 reference occupation bitstring doubles as a computational basis label.
 
 Cluster operators follow t_p^r a_p^dag a_r: the first index creates
-(virtual orbital), the second annihilates (occupied orbital). The
-coupled-cluster exponential exp(T - T^dag) is evaluated exactly by
-eigendecomposition; no circuit compilation happens at this scale.
+(virtual orbital), the second annihilates (occupied orbital). T is
+linear in the amplitudes, so a `UccAnsatz` maps each excitation E_k to
+its qubit-space generator G_k = E_k - E_k^dag once, when it is built;
+each state preparation then only sums sum_k t_k G_k and evaluates
+exp(T - T^dag) exactly by eigendecomposition. No circuit compilation
+happens at this scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -63,19 +66,6 @@ class FermionOperator:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def adjoint(self) -> "FermionOperator":
-        terms = [
-            (coeff.conjugate(), tuple((mode, not dag) for mode, dag in reversed(ops)))
-            for coeff, ops in self.terms
-        ]
-        return FermionOperator(self.n_modes, terms)
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode counts differ")
-        negated = [(-c, ops) for c, ops in other.terms]
-        return FermionOperator(self.n_modes, list(self.terms) + negated)
 
 
 def _ladder_expansion(mode: int, creation: bool, n_modes: int) -> list[tuple[complex, str]]:
@@ -175,38 +165,6 @@ def build_molecular_hamiltonian(integrals: MolecularIntegrals) -> FermionOperato
     return FermionOperator(integrals.n_modes, terms)
 
 
-@dataclass(frozen=True)
-class ClusterAmplitudes:
-    """Sparse singles/doubles amplitudes with excitation cap 1 or 2."""
-
-    n_modes: int
-    singles: Mapping[tuple[int, int], float] = field(default_factory=dict)
-    doubles: Mapping[tuple[int, int, int, int], float] = field(default_factory=dict)
-    cap: int = 2
-
-    def __post_init__(self) -> None:
-        if self.cap not in (1, 2):
-            raise ValueError("excitation cap must be 1 or 2")
-        if self.cap < 2 and self.doubles:
-            raise ValueError("doubles amplitudes present but excitation cap is 1")
-        for key, value in list(self.singles.items()) + list(self.doubles.items()):
-            for idx in key:
-                if not 1 <= idx <= self.n_modes:
-                    raise ValueError(f"amplitude index {idx} out of range [1, {self.n_modes}]")
-            if not math.isfinite(value):
-                raise ValueError("non-finite amplitude")
-
-
-def build_cluster(amplitudes: ClusterAmplitudes) -> FermionOperator:
-    """The truncated cluster operator T = T1 (+ T2)."""
-    terms: list[tuple[complex, tuple[tuple[int, bool], ...]]] = []
-    for (p, r), t in amplitudes.singles.items():
-        terms.append((t, ((p, True), (r, False))))
-    for (p, q, r, s), t in amplitudes.doubles.items():
-        terms.append((t, ((p, True), (q, True), (r, False), (s, False))))
-    return FermionOperator(amplitudes.n_modes, terms)
-
-
 def reference_index(reference: str, n_modes: int) -> int:
     if len(reference) != n_modes or set(reference) - {"0", "1"}:
         raise ValueError(
@@ -215,31 +173,32 @@ def reference_index(reference: str, n_modes: int) -> int:
     return int(reference, 2)
 
 
-def ucc_prepare(amplitudes: ClusterAmplitudes, reference: str) -> StateVector:
-    """Apply exp(T - T^dag) to a computational-basis reference state.
 
-    The anti-Hermitian generator is mapped to qubit space, checked
-    (a corrupted amplitude table breaks anti-Hermiticity), and
-    exponentiated exactly via eigendecomposition.
+
+def ucc_prepare(ansatz: "UccAnsatz", parameters: np.ndarray) -> StateVector:
+    """Apply exp(sum_k theta_k G_k) to the ansatz's reference state.
+
+    The generators G_k were built when the ansatz was; each call only
+    sums them into one dense anti-Hermitian matrix and exponentiates it
+    exactly via eigendecomposition.
     """
-    n = amplitudes.n_modes
-    if n > MAX_UCC_MODES:
-        raise ValueError(f"{n} modes exceeds the {MAX_UCC_MODES}-mode guard")
-    ref = reference_index(reference, n)
-    cluster = build_cluster(amplitudes)
-    if not cluster.terms:
+    parameters = np.asarray(parameters, dtype=float)
+    if parameters.shape != (ansatz.parameter_count,):
+        raise ValueError(
+            f"expected {ansatz.parameter_count} amplitudes, got shape {parameters.shape}"
+        )
+    if not np.all(np.isfinite(parameters)):
+        raise ValueError("non-finite amplitude")
+    n, ref = ansatz.n_modes, int(ansatz.reference, 2)
+    if not np.any(parameters):
         return basis_state(n, ref)
-    generator = jw_matrix(cluster - cluster.adjoint())
-    if not np.any(generator):
-        return basis_state(n, ref)
-    defect = float(np.max(np.abs(generator + generator.conj().T)))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(generator)))):
-        raise ValueError(f"generator is not anti-Hermitian (defect {defect:.3e}); amplitude table corrupt")
+    generator = np.zeros((1 << n, 1 << n), dtype=complex)
+    for theta, (rows, cols, values) in zip(parameters, ansatz.generators):
+        generator[rows, cols] += theta * values
     # exp(A) for anti-Hermitian A via the Hermitian matrix iA.
     eigvals, eigvecs = np.linalg.eigh(1j * generator)
     unitary_column = eigvecs @ (np.exp(-1j * eigvals) * eigvecs.conj().T[:, ref])
-    amps = unitary_column / np.linalg.norm(unitary_column)
-    return StateVector(n, amps)
+    return StateVector(n, unitary_column / np.linalg.norm(unitary_column))
 
 
 @dataclass(frozen=True)
@@ -248,15 +207,32 @@ class UccAnsatz:
 
     The parameter vector holds one amplitude per excitation in the
     fixed `excitations` ordering; entries are ("s", p, r) or
-    ("d", p, q, r, s).
+    ("d", p, q, r, s), the creation indices before the annihilation
+    ones. Construction checks the mode cap and the reference and stores
+    each excitation's generator G_k = E_k - E_k^dag as the nonzero
+    (rows, cols, values) of its qubit-space matrix.
     """
 
     n_modes: int
     reference: str
     excitations: tuple[tuple, ...]
+    generators: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
+        if self.n_modes > MAX_UCC_MODES:
+            raise ValueError(f"{self.n_modes} modes exceeds the {MAX_UCC_MODES}-mode guard")
         reference_index(self.reference, self.n_modes)
+        generators = []
+        for exc in self.excitations:
+            modes = exc[1:]
+            ops = [(mode, i < len(modes) // 2) for i, mode in enumerate(modes)]
+            excitation = jw_matrix(FermionOperator(self.n_modes, [(1.0, ops)]))
+            generator = excitation - excitation.conj().T
+            rows, cols = np.nonzero(generator)
+            generators.append((rows, cols, generator[rows, cols]))
+        object.__setattr__(self, "generators", tuple(generators))
 
     @property
     def parameter_count(self) -> int:
@@ -267,7 +243,6 @@ class UccAnsatz:
         """All singles (and doubles, if cap=2) out of the occupied modes."""
         if cap not in (1, 2):
             raise ValueError("excitation cap must be 1 or 2")
-        reference_index(reference, n_modes)
         occupied = [m + 1 for m, ch in enumerate(reference) if ch == "1"]
         virtual = [m + 1 for m, ch in enumerate(reference) if ch == "0"]
         excitations: list[tuple] = []
@@ -282,24 +257,8 @@ class UccAnsatz:
                             excitations.append(("d", p, q, r, s))
         return cls(n_modes, reference, tuple(excitations))
 
-    def amplitudes(self, parameters: np.ndarray) -> ClusterAmplitudes:
-        parameters = np.asarray(parameters, dtype=float)
-        if parameters.shape != (self.parameter_count,):
-            raise ValueError(
-                f"expected {self.parameter_count} amplitudes, got shape {parameters.shape}"
-            )
-        singles: dict[tuple[int, int], float] = {}
-        doubles: dict[tuple[int, int, int, int], float] = {}
-        for value, exc in zip(parameters, self.excitations):
-            if exc[0] == "s":
-                singles[(exc[1], exc[2])] = float(value)
-            else:
-                doubles[(exc[1], exc[2], exc[3], exc[4])] = float(value)
-        return ClusterAmplitudes(self.n_modes, singles, doubles, cap=2 if doubles else 1)
-
     def prepare(self, parameters: np.ndarray) -> StateVector:
-        return ucc_prepare(self.amplitudes(parameters), self.reference)
+        return ucc_prepare(self, parameters)
 
     def reference_state(self) -> StateVector:
-        return basis_state(self.n_modes, reference_index(self.reference, self.n_modes))
-
+        return basis_state(self.n_modes, int(self.reference, 2))

@@ -25,6 +25,14 @@ class FormatError(ValueError):
     """Malformed input file; the message names the file and location."""
 
 
+def _read_text(path: Path) -> str:
+    """A missing, unreadable or undecodable file is an input error too."""
+    try:
+        return path.read_text()
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot read ({exc})") from None
+
+
 def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliHamiltonian:
     terms: list[tuple[float, PauliString]] = []
     n_qubits: int | None = None
@@ -61,7 +69,7 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliHamilton
 
 def load_hamiltonian(path: str | Path) -> PauliHamiltonian:
     path = Path(path)
-    return parse_hamiltonian_text(path.read_text(), source=str(path))
+    return parse_hamiltonian_text(_read_text(path), source=str(path))
 
 
 def format_hamiltonian_text(h: PauliHamiltonian, header: str | None = None) -> str:
@@ -109,7 +117,7 @@ def parse_scan(data, source: str = "<scan>") -> list[ScanPoint]:
 def load_scan(path: str | Path) -> list[ScanPoint]:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     return parse_scan(data, source=str(path))
@@ -139,7 +147,7 @@ def parse_integrals(data, source: str = "<integrals>") -> MolecularIntegrals:
 def load_integrals(path: str | Path) -> MolecularIntegrals:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     return parse_integrals(data, source=str(path))

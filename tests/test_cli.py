@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqesim import exact_spectrum
 from vqesim.cli import (
@@ -326,8 +328,9 @@ class TestMainEntry:
             ["--seed", "1", "--exact", "--bias", "nan"],
             ["--seed", "1", "--exact", "--nm-max-evaluations", "0"],
             ["--seed", "1", "--exact", "--gd-max-evaluations", "0"],
+            ["--seed", "1", "--exact", "--mc-samples", "500"],
         ],
-        ids=["seed", "layers", "bias", "nm_max_evaluations", "gd_max_evaluations"],
+        ids=["seed", "layers", "bias", "nm_max_evaluations", "gd_max_evaluations", "mc_samples"],
     )
     def test_bad_value_rejected_before_any_write(self, hamiltonian_file, tmp_path, capsys, flags):
         out = tmp_path / "run_out"
@@ -380,6 +383,72 @@ class TestMainEntry:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("mode", ["vqe", "scan", "ucc"])
+    def test_input_wider_than_spectrum_limit(self, tmp_path, capsys, mode, command):
+        # One qubit (mode) past MAX_SPECTRUM_QUBITS.
+        wide = tmp_path / "wide"
+        if mode == "vqe":
+            wide.write_text("0.5 ZIIIIIIIIII\n0.25 XXIIIIIIIII\n")
+            flags = ["--hamiltonian", str(wide)]
+        elif mode == "scan":
+            wide.write_text(json.dumps([{"R": r, "terms": [[0.5, "Z" + "I" * 10]]} for r in range(1, 6)]))
+            flags = ["--scan", str(wide)]
+        else:
+            wide.write_text(json.dumps({"n_modes": 11, "one_body": [[1, 1, -1.0], [2, 2, -0.5]]}))
+            flags = ["--integrals", str(wide), "--reference", "1" + "0" * 10]
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", mode, *flags, "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 2
+        assert "10-qubit limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key,value", [("nm_tolerance", "abc"), ("policy", 5), ("lambdas", "abc")]
+    )
+    def test_wrong_value_type_in_config_file(self, hamiltonian_file, tmp_path, capsys, command, key, value):
+        config_path = tmp_path / "config.json"
+        base = {"mode": "folded", "hamiltonian": str(hamiltonian_file), "seed": 1, "lambdas": [0.5]}
+        config_path.write_text(json.dumps({**base, key: value}))
+        out = tmp_path / "run_out"
+        code = main([command, "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "folded", "--lambda", "1e200", "--exact"], ["--mode", "vqe", "--precision", "1e-300"]],
+        ids=["lambda", "precision"],
+    )
+    def test_non_finite_budget_is_config_error(self, hamiltonian_file, tmp_path, capsys, command, flags):
+        out = tmp_path / "run_out"
+        code = main([command, *flags, "--hamiltonian", str(hamiltonian_file), "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "no finite operator or shot budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe")
+        code = main(["validate", "--config", str(path)])
+        assert code == 2
+        assert "cannot be read" in capsys.readouterr().err
+
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys):
+        # A directory where a file belongs: an input error, not an execution failure.
+        out = tmp_path / "run_out"
+        code = main(["run", "--mode", "vqe", "--hamiltonian", str(tmp_path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_without_out_is_config_error(self, hamiltonian_file, capsys):
         code = main(["run", "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), "--seed", "1", "--exact"])
         assert code == 2
@@ -401,3 +470,38 @@ class TestMainEntry:
         )
         assert code == 4
         assert "error" in capsys.readouterr().err
+
+
+# Strings a config plausibly holds, next to arbitrary short text.
+_WORDS = ["", "exact", "shots:100", "shots:0", "precision:0.1", "precision:nan", "precision:1e-300", "vqe", "folded",
+          "scan", "ucc", "gradient-descent", "nelder-mead", "1100", "11x0", "h.txt", "scan.json",
+          "integrals.json", "."]
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=6)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+_KEYS = sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "h.txt").write_text(TWO_QUBIT_FILE)
+        write_scan(root / "scan.json", parabola_scan(np.linspace(1.0, 5.0, 5), 3.0, 0.05, -1.0, n_qubits=1))
+        (root / "integrals.json").write_text(
+            json.dumps({"n_modes": 4, "one_body": [[1, 1, -1.8], [2, 2, -1.3], [3, 3, -0.4]]})
+        )
+        return root
+
+    @given(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_validate_reports_config_mistakes_as_exit_2(self, inputs, overrides):
+        # A valid config for every mode, with some keys replaced.
+        base = {
+            "mode": "vqe", "seed": 1, "policy": "shots:100", "lambdas": [0.5, -0.5],
+            "hamiltonian": str(inputs / "h.txt"), "scan": str(inputs / "scan.json"),
+            "integrals": str(inputs / "integrals.json"), "reference": "1100",
+        }
+        config_path = inputs / "config.json"
+        config_path.write_text(json.dumps({**base, **overrides}))
+        code = main(["validate", "--config", str(config_path)])
+        assert code in (0, 2, 3)

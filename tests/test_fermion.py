@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from vqesim import (
     AnsatzSpec,
-    ClusterAmplitudes,
     ComplexPauliSum,
     FermionOperator,
     MolecularIntegrals,
@@ -14,7 +13,6 @@ from vqesim import (
     PauliHamiltonian,
     ShotPolicy,
     UccAnsatz,
-    build_cluster,
     build_molecular_hamiltonian,
     exact_energy,
     exact_spectrum,
@@ -104,73 +102,116 @@ class TestMolecularHamiltonian:
             MolecularIntegrals(2, one_body=[(1, 3, 0.1)])
 
 
+def dense_generator(ansatz: UccAnsatz, parameters) -> np.ndarray:
+    """sum_k theta_k G_k assembled from the ansatz's stored sparse generators."""
+    dim = 1 << ansatz.n_modes
+    total = np.zeros((dim, dim), dtype=complex)
+    for theta, (rows, cols, values) in zip(parameters, ansatz.generators):
+        total[rows, cols] += theta * values
+    return total
+
+
+def excitation_matrix(excitation: tuple, n_modes: int) -> np.ndarray:
+    """E_k as a product of dense ladder matrices: creations, then annihilations."""
+    modes = excitation[1:]
+    product = np.eye(1 << n_modes, dtype=complex)
+    for i, mode in enumerate(modes):
+        product = product @ ladder_matrix(mode, i < len(modes) // 2, n_modes)
+    return product
+
+
+SINGLE = UccAnsatz(2, "10", (("s", 2, 1),))
+
+
 class TestCluster:
     def test_single_amplitude(self):
-        amps = ClusterAmplitudes(2, singles={(2, 1): 0.1}, cap=1)
-        op = build_cluster(amps)
-        assert op.terms == ((complex(0.1), ((2, True), (1, False))),)
+        excitation = ladder_matrix(2, True, 2) @ ladder_matrix(1, False, 2)
+        generator = dense_generator(SINGLE, [0.1])
+        assert np.allclose(generator, 0.1 * (excitation - excitation.conj().T), atol=1e-15)
 
     def test_empty(self):
-        assert build_cluster(ClusterAmplitudes(2)).term_count == 0
+        ansatz = UccAnsatz.from_reference(2, "11")
+        assert ansatz.parameter_count == 0 and ansatz.generators == ()
+        state = ucc_prepare(ansatz, np.zeros(0))
+        assert np.array_equal(state.amplitudes, ansatz.reference_state().amplitudes)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            ClusterAmplitudes(4, doubles={(3, 4, 1, 2): 0.1}, cap=1)
+            UccAnsatz.from_reference(4, "1100", cap=3)
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_generator_is_anti_hermitian(self, t1, t2):
-        amps = ClusterAmplitudes(3, singles={(3, 1): t1, (2, 1): t2}, cap=1)
-        cluster = build_cluster(amps)
-        dense = jw_matrix(cluster - cluster.adjoint())
+        ansatz = UccAnsatz(3, "100", (("s", 3, 1), ("s", 2, 1)))
+        for k in range(ansatz.parameter_count):
+            unit = dense_generator(ansatz, np.eye(ansatz.parameter_count)[k])
+            assert np.any(unit) and np.max(np.abs(unit + unit.conj().T)) < 1e-10
+        dense = dense_generator(ansatz, [t1, t2])
         assert np.max(np.abs(dense + dense.conj().T)) < 1e-10
 
 
 class TestUccPrepare:
     def test_zero_amplitudes_reproduce_reference(self):
-        amps = ClusterAmplitudes(2, singles={(2, 1): 0.0}, cap=1)
-        state = ucc_prepare(amps, "10")
+        state = ucc_prepare(SINGLE, np.zeros(1))
         expected = np.zeros(4)
         expected[reference_index("10", 2)] = 1.0
         assert np.array_equal(state.amplitudes, expected.astype(complex))
 
     def test_norm_for_random_tables(self):
+        ansatz = UccAnsatz(4, "1100", (("s", 3, 1), ("s", 4, 2), ("d", 3, 4, 1, 2)))
         rng = np.random.default_rng(31)
         for _ in range(100):
-            amps = ClusterAmplitudes(
-                4,
-                singles={(3, 1): rng.normal(), (4, 2): rng.normal()},
-                doubles={(3, 4, 1, 2): rng.normal()},
-            )
-            state = ucc_prepare(amps, "1100")
+            state = ucc_prepare(ansatz, rng.normal(size=3))
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     @given(st.floats(-np.pi, np.pi))
     @settings(max_examples=40, deadline=None)
     def test_two_level_rotation_closed_form(self, t):
-        amps = ClusterAmplitudes(2, singles={(2, 1): t}, cap=1)
-        state = ucc_prepare(amps, "10")
+        state = ucc_prepare(SINGLE, np.array([t]))
         # generator t(|01><10| - |10><01|) rotates |10> toward |01>
         assert abs(state.amplitudes[0b10]) == pytest.approx(abs(np.cos(t)), abs=1e-9)
         assert abs(state.amplitudes[0b01]) == pytest.approx(abs(np.sin(t)), abs=1e-9)
 
     def test_quarter_turn_orthogonal_to_reference(self):
-        amps = ClusterAmplitudes(2, singles={(2, 1): np.pi / 2}, cap=1)
-        state = ucc_prepare(amps, "10")
-        reference = np.zeros(4, dtype=complex)
-        reference[0b10] = 1.0
-        from vqesim import StateVector
-
-        assert overlap(state, StateVector(2, reference)) < 1e-9
+        state = ucc_prepare(SINGLE, np.array([np.pi / 2]))
+        assert overlap(state, SINGLE.reference_state()) < 1e-9
 
     def test_mode_guard(self):
-        amps = ClusterAmplitudes(11, singles={(2, 1): 0.1}, cap=1)
         with pytest.raises(ValueError, match="guard"):
-            ucc_prepare(amps, "1" + "0" * 10)
+            UccAnsatz(11, "1" + "0" * 10, (("s", 2, 1),))
+        with pytest.raises(ValueError, match="guard"):
+            UccAnsatz.from_reference(11, "1" + "0" * 10, cap=1)
 
     def test_bad_reference(self):
         with pytest.raises(ValueError, match="bitstring"):
-            ucc_prepare(ClusterAmplitudes(2), "12")
+            UccAnsatz(2, "12", ())
+        with pytest.raises(ValueError, match="bitstring"):
+            UccAnsatz.from_reference(4, "110")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ucc_prepare(SINGLE, np.array([bad]))
+
+    def test_wrong_parameter_count_rejected(self):
+        with pytest.raises(ValueError, match="expected 1 amplitudes"):
+            ucc_prepare(SINGLE, np.zeros(2))
+
+    def test_matches_dense_exponential_oracle(self):
+        ansatz = UccAnsatz.from_reference(4, "1100")
+        assert {exc[0] for exc in ansatz.excitations} == {"s", "d"}
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            theta = rng.normal(size=ansatz.parameter_count)
+            generator = sum(
+                t * (e - e.conj().T)
+                for t, e in zip(theta, (excitation_matrix(exc, 4) for exc in ansatz.excitations))
+            )
+            values, vectors = np.linalg.eigh(1j * generator)
+            unitary = vectors @ np.diag(np.exp(-1j * values)) @ vectors.conj().T
+            expected = unitary[:, reference_index("1100", 4)]
+            state = ucc_prepare(ansatz, theta)
+            assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
 
 def toy_integrals() -> MolecularIntegrals:
