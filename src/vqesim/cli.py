@@ -1,7 +1,12 @@
 """Command-line front end: validate inputs, run experiments, emit artifacts.
 
 Configuration is a single flat JSON document; command-line flags
-override individual keys (flags win). Every run requires an explicit
+override individual keys (flags win). The fields of `RunConfig` are the
+one list of settings: each is a config key and a `--kebab-case` flag,
+read and checked by the `_VALUE_TYPES` row of its annotation (a list
+flag is comma-separated), and the `nm_*`/`gd_*` keys fill the optimizer
+configs, whose defaults they share. The policy key alone has its own
+flags, `--shots | --precision | --exact`. Every run requires an explicit
 seed and writes byte-reproducible artifacts: the effective config, a
 per-iteration trace CSV, and a JSON summary (plus curve/fit files in
 scan mode). Artifacts are strict JSON: a non-finite value is an error,
@@ -70,8 +75,16 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-MODES = ("vqe", "folded", "scan", "ucc")
-OPTIMIZERS = ("nelder-mead", "gradient-descent")
+# The library config each optimizer name builds, and the prefix of its keys.
+_OPTIMIZER_CONFIGS = {
+    "nelder-mead": (NelderMeadConfig, "nm_"),
+    "gradient-descent": (GradientDescentConfig, "gd_"),
+}
+# The values a string key may take; its flag offers the same choices.
+_CHOICES = {
+    "mode": ("vqe", "folded", "scan", "ucc"),
+    "optimizer": tuple(_OPTIMIZER_CONFIGS),
+}
 
 
 def _is_int(value) -> bool:
@@ -87,16 +100,28 @@ def _is_real(value) -> bool:
         return False
 
 
-# What each annotated field type accepts; `| None` fields also take None.
+def number_list(text: str) -> tuple[float, ...]:
+    """Read a list flag: comma-separated numbers, "0.5,-1" -> (0.5, -1.0)."""
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+# Per annotated field type: what a config value must be, its description,
+# and how a flag's text is read. `| None` fields also take None.
 _VALUE_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_real, "a finite number"),
-    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (_is_int, "an integer", int),
+    "float": (_is_real, "a finite number", float),
+    "str": (lambda value: isinstance(value, str), "a string", str),
     "tuple": (
         lambda value: isinstance(value, (list, tuple)) and all(_is_real(v) for v in value),
         "a list of finite numbers",
+        number_list,
     ),
 }
+
+
+def _value_type(field: dataclasses.Field) -> tuple:
+    # The leading name of the annotation: "int | None" -> "int".
+    return _VALUE_TYPES[field.type.split("[")[0].split()[0]]
 
 
 @dataclass
@@ -116,30 +141,30 @@ class RunConfig:
     cluster_cap: int = 2
     mc_samples: int = 20000
     optimizer: str = "nelder-mead"
-    nm_reflection: float = 1.0
-    nm_expansion: float = 2.0
-    nm_contraction: float = 0.5
-    nm_shrink: float = 0.5
-    nm_initial_scale: float = 0.3
-    nm_tolerance: float = 1e-10
-    nm_stagnation_window: int = 300
-    nm_restart_limit: int = 5
-    nm_max_evaluations: int = 6000
-    gd_step_size: float = 0.1
-    gd_fd_step: float = 1e-3
-    gd_max_evaluations: int = 2000
+    nm_reflection: float = NelderMeadConfig.reflection
+    nm_expansion: float = NelderMeadConfig.expansion
+    nm_contraction: float = NelderMeadConfig.contraction
+    nm_shrink: float = NelderMeadConfig.shrink
+    nm_initial_scale: float = NelderMeadConfig.initial_scale
+    nm_tolerance: float = NelderMeadConfig.tolerance
+    nm_stagnation_window: int = NelderMeadConfig.stagnation_window
+    nm_restart_limit: int = NelderMeadConfig.restart_limit
+    nm_max_evaluations: int = NelderMeadConfig.max_evaluations
+    gd_step_size: float = GradientDescentConfig.step_size
+    gd_fd_step: float = GradientDescentConfig.fd_step
+    gd_max_evaluations: int = GradientDescentConfig.max_evaluations
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if value is None and f.type.endswith("| None"):
                 continue
-            # The leading name of the annotation: "int | None" -> "int".
-            accepts, kind = _VALUE_TYPES[f.type.split("[")[0].split()[0]]
+            accepts, kind, _ = _value_type(f)
             if not accepts(value):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if not 0 <= self.seed <= MAX_SEED:
@@ -155,8 +180,6 @@ class RunConfig:
             value = getattr(self, name)
             if value < minimum:
                 raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.mode in ("vqe", "folded") and not self.hamiltonian:
             raise ConfigError(f"mode {self.mode!r} requires a hamiltonian file")
         if self.mode == "folded" and not self.lambdas:
@@ -175,45 +198,19 @@ class RunConfig:
             self.fit_window = (float(self.fit_window[0]), float(self.fit_window[1]))
         try:
             self.shot_policy()
-            self.nelder_mead_config()
-            self.gradient_descent_config()
+            # Both, so that a bad key of the optimizer not chosen is an error too.
+            for optimizer in _OPTIMIZER_CONFIGS:
+                self.optimizer_config(optimizer)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def shot_policy(self) -> ShotPolicy:
         return ShotPolicy.parse(self.policy, bias=self.bias)
 
-    def nelder_mead_config(self) -> NelderMeadConfig:
-        return NelderMeadConfig(
-            reflection=self.nm_reflection,
-            expansion=self.nm_expansion,
-            contraction=self.nm_contraction,
-            shrink=self.nm_shrink,
-            initial_scale=self.nm_initial_scale,
-            tolerance=self.nm_tolerance,
-            stagnation_window=self.nm_stagnation_window,
-            restart_limit=self.nm_restart_limit,
-            max_evaluations=self.nm_max_evaluations,
-        )
-
-    def gradient_descent_config(self) -> GradientDescentConfig:
-        return GradientDescentConfig(
-            step_size=self.gd_step_size,
-            fd_step=self.gd_fd_step,
-            max_evaluations=self.gd_max_evaluations,
-        )
-
-    def optimizer_config(self):
-        if self.optimizer == "gradient-descent":
-            return self.gradient_descent_config()
-        return self.nelder_mead_config()
-
-    def to_flat_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        raw["lambdas"] = list(self.lambdas)
-        if self.fit_window is not None:
-            raw["fit_window"] = list(self.fit_window)
-        return raw
+    def optimizer_config(self, optimizer: str | None = None):
+        """The library config of `optimizer` (default: the chosen one) from its prefixed keys."""
+        cls, prefix = _OPTIMIZER_CONFIGS[optimizer or self.optimizer]
+        return cls(**{f.name: getattr(self, prefix + f.name) for f in dataclasses.fields(cls)})
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -224,20 +221,6 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**mapping)
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated reals, got {text!r}") from None
-
-
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = _parse_float_list(text)
-    if len(parts) != 2:
-        raise ConfigError(f"fit window must be 'lo,hi', got {text!r}")
-    return parts  # type: ignore[return-value]
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -253,26 +236,14 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config must be a flat JSON object")
         mapping.update(loaded)
-
-    # A flag whose dest is a config key overrides that key; the policy and
-    # list flags are translated below.
-    overrides = {
-        name: value
-        for name, value in vars(args).items()
-        if name in _CONFIG_FIELDS and value is not None
-    }
-    if args.exact:
-        overrides["policy"] = "exact"
-    if args.shots is not None:
-        overrides["policy"] = f"shots:{args.shots}"
-    if args.precision is not None:
-        overrides["policy"] = f"precision:{args.precision}"
-    if args.lambdas is not None:
-        overrides["lambdas"] = _parse_float_list(args.lambdas)
-    if args.fit_window is not None:
-        overrides["fit_window"] = _parse_window(args.fit_window)
-
-    mapping.update(overrides)
+    # Each flag given overrides its key; `--shots S` and `--precision p`
+    # spell the policy key.
+    mapping.update(
+        (name, value) for name, value in vars(args).items() if name in _CONFIG_FIELDS and value is not None
+    )
+    for kind in ("shots", "precision"):
+        if getattr(args, kind) is not None:
+            mapping["policy"] = f"{kind}:{getattr(args, kind)}"
     return config_from_mapping(mapping)
 
 
@@ -628,7 +599,7 @@ def run_config(config: RunConfig) -> dict:
     budget_report(config, loaded, ansatz)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", config.to_flat_dict())
+    _write_json(out / "config.json", dataclasses.asdict(config))
     if config.mode == "vqe":
         return _run_vqe_mode(config, loaded, ansatz, out)
     if config.mode == "folded":
@@ -639,6 +610,7 @@ def run_config(config: RunConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """`run` and `validate`, each with one `--kebab-case` flag per config key."""
     parser = argparse.ArgumentParser(
         prog="vqesim",
         description="Variational eigensolver experiments on a simulated QPU",
@@ -650,31 +622,22 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override its keys")
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--hamiltonian", help="Hamiltonian text file")
-        p.add_argument("--scan", help="scan JSON file")
-        p.add_argument("--integrals", help="molecular integrals JSON file")
-        p.add_argument("--seed", type=int, help="64-bit run seed (mandatory)")
         policy = p.add_mutually_exclusive_group()
         policy.add_argument("--shots", type=int, help="fixed shots per term")
         policy.add_argument("--precision", type=float, help="target precision p")
-        policy.add_argument("--exact", action="store_true", help="noiseless estimation")
-        p.add_argument("--layers", type=int, help="ansatz entangling layers")
-        p.add_argument("--lambda", dest="lambdas", help="comma-separated folded shifts")
-        p.add_argument("--fit-window", dest="fit_window", help="scan fit window 'lo,hi'")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--reference", help="UCC reference occupation bitstring")
-        p.add_argument("--cluster-cap", dest="cluster_cap", type=int, help="UCC excitation cap (1 or 2)")
-        p.add_argument("--mc-samples", dest="mc_samples", type=int, help="Monte-Carlo samples for fit uncertainty")
-        p.add_argument("--optimizer", choices=OPTIMIZERS)
-        p.add_argument("--bias", type=float, help="constant systematic shift on sampled estimates")
-        p.add_argument("--nm-initial-scale", dest="nm_initial_scale", type=float)
-        p.add_argument("--nm-tolerance", dest="nm_tolerance", type=float)
-        p.add_argument("--nm-stagnation-window", dest="nm_stagnation_window", type=int)
-        p.add_argument("--nm-restart-limit", dest="nm_restart_limit", type=int)
-        p.add_argument("--nm-max-evaluations", dest="nm_max_evaluations", type=int)
-        p.add_argument("--gd-step-size", dest="gd_step_size", type=float)
-        p.add_argument("--gd-max-evaluations", dest="gd_max_evaluations", type=int)
+        policy.add_argument(
+            "--exact", dest="policy", action="store_const", const="exact", help="noiseless estimation (default)"
+        )
+        for f in dataclasses.fields(RunConfig):
+            if f.name == "policy":
+                continue
+            _, kind, flag_type = _value_type(f)
+            if flag_type is number_list:
+                kind = "comma-separated finite numbers"
+            if f.default not in (None, "", ()):
+                kind += f"; default {f.default}"
+            flags = ["--" + f.name.replace("_", "-")] + (["--lambda"] if f.name == "lambdas" else [])
+            p.add_argument(*flags, dest=f.name, type=flag_type, choices=_CHOICES.get(f.name), help=kind)
     return parser
 
 

@@ -39,6 +39,8 @@ STREAM_SCAN = 2
 STREAM_MC = 3
 
 MAX_SEED = 2**64 - 1
+# The most shots one term may take: numpy draws them as a 64-bit integer.
+MAX_TERM_SHOTS = 2**63 - 1
 
 
 def derived_generator(seed: int, namespace: int, *key: int) -> np.random.Generator:
@@ -96,8 +98,8 @@ class ShotPolicy:
             if self.shots is not None or self.precision is not None:
                 raise ValueError("exact mode takes no shots or precision")
         elif self.mode == "shots":
-            if self.shots is None or self.shots < 1:
-                raise ValueError("fixed-shot mode requires shots >= 1")
+            if self.shots is None or not 1 <= self.shots <= MAX_TERM_SHOTS:
+                raise ValueError(f"fixed-shot mode requires 1 <= shots <= 2**63 - 1, got {self.shots!r}")
         elif self.mode == "precision":
             if self.precision is None or not 0.0 < self.precision <= 1.0:
                 raise ValueError("precision mode requires 0 < precision <= 1")
@@ -144,11 +146,14 @@ class ShotPolicy:
         if self.mode == "shots":
             return int(self.shots)
         try:
-            return max(1, math.ceil(coefficient * coefficient / (self.precision * self.precision)))
-        except (ZeroDivisionError, OverflowError):
+            shots = max(1, math.ceil(coefficient * coefficient / (self.precision * self.precision)))
+        except (ZeroDivisionError, OverflowError):  # 1/p^2 is not finite
+            shots = MAX_TERM_SHOTS + 1
+        if shots > MAX_TERM_SHOTS:
             raise ValueError(
-                f"precision {self.precision!r} gives no finite shot count for coefficient {coefficient!r}"
-            ) from None
+                f"precision {self.precision!r} needs more than 2**63 - 1 shots for coefficient {coefficient!r}"
+            )
+        return shots
 
 
 @dataclass(frozen=True)

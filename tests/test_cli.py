@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,10 @@ from vqesim import exact_spectrum
 from vqesim.cli import (
     ConfigError,
     RunConfig,
+    build_parser,
     config_from_mapping,
     main,
+    merge_config,
     run_config,
     validate_config,
 )
@@ -419,15 +424,22 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize(
-        "flags",
-        [["--mode", "folded", "--lambda", "1e200", "--exact"], ["--mode", "vqe", "--precision", "1e-300"]],
-        ids=["lambda", "precision"],
+        "flags,message",
+        [
+            (["--mode", "folded", "--lambda", "1e200", "--exact"], "no finite operator or shot budget"),
+            (["--mode", "vqe", "--precision", "1e-300"], "no finite operator or shot budget"),
+            # Past the 64-bit shot count numpy can draw: fixed, and from h^2/p^2 (3.6e19 for the -0.6 term).
+            (["--mode", "vqe", "--shots", "99999999999999999999"], "2**63 - 1"),
+            (["--mode", "vqe", "--precision", "1e-10"], "2**63 - 1"),
+        ],
+        ids=["lambda", "precision", "shots-int64", "precision-int64"],
     )
-    def test_non_finite_budget_is_config_error(self, hamiltonian_file, tmp_path, capsys, command, flags):
+    def test_non_finite_budget_is_config_error(self, hamiltonian_file, tmp_path, capsys, command, flags, message):
         out = tmp_path / "run_out"
         code = main([command, *flags, "--hamiltonian", str(hamiltonian_file), "--seed", "1", "--out", str(out)])
         assert code == 2
-        assert "no finite operator or shot budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
@@ -479,6 +491,21 @@ _WORDS = ["", "exact", "shots:100", "shots:0", "precision:0.1", "precision:nan",
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=6)
 _VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
 _KEYS = sorted(f.name for f in dataclasses.fields(RunConfig))
+# Every flag the parser derives from a config key, plus the policy flags and the
+# `--lambda` alias; `--out` is set by the test, so that `run` writes only there.
+_FLAG_NAMES = sorted(
+    ["--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig) if f.name not in ("policy", "out")]
+    + ["--lambda", "--shots", "--precision"]
+)
+_FLAG_TEXT = (
+    st.sampled_from(_WORDS)
+    | st.text(max_size=6)
+    | st.integers().map(str)
+    | st.floats().map(repr)
+    | st.lists(st.floats(), min_size=1, max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+)
+# The `=` form, so a value that starts with "-" stays a value.
+_FLAGS = st.just("--exact") | st.builds(lambda name, text: f"{name}={text}", st.sampled_from(_FLAG_NAMES), _FLAG_TEXT)
 
 
 class TestConfigFuzz:
@@ -492,10 +519,9 @@ class TestConfigFuzz:
         )
         return root
 
-    @given(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4))
-    @settings(max_examples=300, deadline=None)
-    def test_validate_reports_config_mistakes_as_exit_2(self, inputs, overrides):
-        # A valid config for every mode, with some keys replaced.
+    @staticmethod
+    def _config_file(inputs, overrides):
+        """A valid config for every mode, with some keys replaced."""
         base = {
             "mode": "vqe", "seed": 1, "policy": "shots:100", "lambdas": [0.5, -0.5],
             "hamiltonian": str(inputs / "h.txt"), "scan": str(inputs / "scan.json"),
@@ -503,5 +529,71 @@ class TestConfigFuzz:
         }
         config_path = inputs / "config.json"
         config_path.write_text(json.dumps({**base, **overrides}))
+        return config_path
+
+    @given(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_validate_reports_config_mistakes_as_exit_2(self, inputs, overrides):
+        config_path = self._config_file(inputs, overrides)
         code = main(["validate", "--config", str(config_path)])
         assert code in (0, 2, 3)
+
+    @given(
+        st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=2),
+        st.lists(_FLAGS, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_flags_fail_alike_under_both_verbs(self, inputs, overrides, flags):
+        out = inputs / "out"
+        shutil.rmtree(out, ignore_errors=True)  # left by an earlier failing example
+        argv = ["--config", str(self._config_file(inputs, overrides)), f"--out={out}", *flags]
+        try:
+            code = main(["validate", *argv])
+        except SystemExit as exc:  # argparse refused a flag
+            assert exc.code == 2
+            return
+        assert code in (0, 2, 3)
+        if code:
+            # A config that fails validation fails the run the same way, before any write.
+            assert main(["run", *argv]) == code
+            assert not out.exists()
+
+
+# A valid value for every config key but the policy, which has its own flags.
+_KEY_VALUES = {
+    "mode": "scan", "seed": 12345, "out": "out/dir", "hamiltonian": "other.txt", "scan": "other.json",
+    "integrals": "other-integrals.json", "layers": 3, "bias": 0.25, "lambdas": [-0.9, 0.4, 1.8],
+    "fit_window": [84.0, 100.0], "reference": "0011", "cluster_cap": 1, "mc_samples": 5000,
+    "optimizer": "gradient-descent", "nm_reflection": 1.5, "nm_expansion": 2.5, "nm_contraction": 0.25,
+    "nm_shrink": 0.75, "nm_initial_scale": 0.6, "nm_tolerance": 1e-8, "nm_stagnation_window": 60,
+    "nm_restart_limit": 3, "nm_max_evaluations": 500, "gd_step_size": 0.05, "gd_fd_step": 0.01,
+    "gd_max_evaluations": 300,
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig) if f.name != "policy"])
+def test_flag_and_config_key_give_the_same_config(tmp_path, key):
+    base = {
+        "mode": "vqe", "seed": 1, "hamiltonian": "h.txt", "scan": "s.json",
+        "integrals": "i.json", "reference": "1100", "lambdas": [0.5],
+    }
+    value = _KEY_VALUES[key]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base))
+    text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+    from_flag = merge_config(
+        build_parser().parse_args(["validate", "--config", str(config_path), f"--{key.replace('_', '-')}={text}"])
+    )
+    from_key = config_from_mapping({**base, key: value})
+    assert from_flag == from_key
+    assert from_key != config_from_mapping(base)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    joined = block.replace("\\\n", " ")  # continuation lines
+    commands = [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("vqesim ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        merge_config(build_parser().parse_args(argv))

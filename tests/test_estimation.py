@@ -50,7 +50,7 @@ class TestShotPolicy:
         with pytest.raises(ValueError):
             ShotPolicy.parse("budget:3")
 
-    @pytest.mark.parametrize("bad", [0, -5])
+    @pytest.mark.parametrize("bad", [0, -5, 2**63])
     def test_shots_validated(self, bad):
         with pytest.raises(ValueError):
             ShotPolicy.fixed(bad)
@@ -65,6 +65,13 @@ class TestShotPolicy:
         assert policy.term_shots(1.0) == 10_000
         assert policy.term_shots(0.5) == 2_500
         assert policy.term_shots(0.0) == 1
+
+    def test_precision_shot_count_bounded(self):
+        # h^2 / p^2 shots: 2**62 fits a 64-bit count, 2**64 does not.
+        policy = ShotPolicy.target_precision(2.0**-31)
+        assert policy.term_shots(1.0) == 2**62
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            policy.term_shots(2.0)
 
 
 class TestSamplePauli:
