@@ -12,6 +12,12 @@ per-iteration trace CSV, and a JSON summary (plus curve/fit files in
 scan mode). Artifacts are strict JSON: a non-finite value is an error,
 never `NaN` or `Infinity` in a file.
 
+Every run is one list of jobs, built by `plan_jobs` for both verbs: one
+minimization each, with its budget label, operator, seed and trace file
+(vqe and ucc one job, scan one per point, folded one per shift on
+(H - lambda)^2). `validate` reports the shot budget of each job; `run`
+runs them in one loop and then writes the mode's summary.
+
 `RunConfig` checks the type of every key (an integer, a finite number,
 a string or a list of finite numbers, as its field is annotated) and
 every range. Both verbs then load and check every input through
@@ -46,7 +52,7 @@ from .analysis import (
     fit_quadratic_minimum,
     monte_carlo_minimum_uncertainty,
 )
-from .driver import FoldedResult, VqeResult, run_folded, run_vqe
+from .driver import VqeResult, run_vqe
 from .estimation import (
     MAX_SEED,
     STREAM_MC,
@@ -340,40 +346,67 @@ def load_inputs(
     return hamiltonian, AnsatzSpec(hamiltonian.n_qubits, config.layers)
 
 
-def budget_report(
-    config: RunConfig,
-    loaded: PauliHamiltonian | list[ScanPoint],
-    ansatz: AnsatzSpec | UccAnsatz,
-) -> ValidationReport:
-    """Sizes and the shot budget of every operator the run will measure.
+@dataclass(frozen=True)
+class Job:
+    """One minimization of a run: what `validate` budgets and `run` executes."""
 
-    An operator or a shot count that is not finite (a lambda so large
-    that (H - lambda)^2 overflows, a precision so fine that 1/p^2 does)
-    is a config error.
+    label: str
+    operator: PauliHamiltonian
+    seed: int
+    trace: Path  # the trace CSV, relative to the output directory
+
+
+def _no_finite_budget(config: RunConfig, exc: ValueError) -> ConfigError:
+    return ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}")
+
+
+def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint]) -> list[Job]:
+    """Every minimization of the run, in the order `run` executes them.
+
+    A scan runs one job per point and a folded run one per shift, each
+    on its own derived seed; vqe and ucc run one job on the run seed.
+    A shift so large that (H - lambda)^2 overflows is a config error.
     """
+    if config.mode == "scan":
+        return [
+            Job(f"R={point.label:g}", point.hamiltonian, derive_seed(config.seed, STREAM_SCAN, index),
+                Path("traces", f"point_{index:02d}.csv"))
+            for index, point in enumerate(loaded)
+        ]
+    if config.mode == "folded":
+        try:
+            return [
+                Job(f"lambda={shift:g}", shift_and_square(loaded, shift), derive_seed(config.seed, STREAM_SCAN, index),
+                    Path(f"lambda_{index:02d}", "trace.csv"))
+                for index, shift in enumerate(config.lambdas)
+            ]
+        except ValueError as exc:
+            raise _no_finite_budget(config, exc) from None
+    label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
+    return [Job(label, loaded, config.seed, Path("trace.csv"))]
+
+
+def budget_report(config: RunConfig, jobs: list[Job], ansatz: AnsatzSpec | UccAnsatz) -> ValidationReport:
+    """Sizes and the shot budget of every job; a shot count that is not
+    finite (a precision so fine that 1/p^2 overflows) is a config error."""
     policy = config.shot_policy()
     try:
-        if config.mode == "scan":
-            operators = [(f"R={point.label:g}", point.hamiltonian) for point in loaded]
-        elif config.mode == "folded":
-            operators = [(f"lambda={shift:g}", shift_and_square(loaded, shift)) for shift in config.lambdas]
-        else:
-            label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
-            operators = [(label, loaded)]
-        entries = [BudgetEntry(label, h.term_count, *shot_budget(h, policy)) for label, h in operators]
+        entries = [BudgetEntry(job.label, job.operator.term_count, *shot_budget(job.operator, policy)) for job in jobs]
     except ValueError as exc:
-        raise ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}") from None
+        raise _no_finite_budget(config, exc) from None
     return ValidationReport(
-        config.mode, operators[0][1].n_qubits, ansatz.parameter_count, policy.describe(), entries
+        config.mode, jobs[0].operator.n_qubits, ansatz.parameter_count, policy.describe(), entries
     )
 
 
 def validate_config(config: RunConfig) -> ValidationReport:
-    """Dry-run: load every input as `run` would and report sizes and the shot budget."""
-    return budget_report(config, *load_inputs(config))
+    """Dry-run: load every input and plan every job as `run` would; report sizes and the shot budget."""
+    loaded, ansatz = load_inputs(config)
+    return budget_report(config, plan_jobs(config, loaded), ansatz)
 
 
 def _write_trace_csv(path: Path, result: VqeResult) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -413,46 +446,34 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _run_vqe_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec, out: Path) -> dict:
-    result = run_vqe(
-        hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed
-    )
-    _write_trace_csv(out / "trace.csv", result)
-    payload = _summary_payload(result, config, exact_ground_energy=result.exact_ground_energy)
+def _single_summary(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec | UccAnsatz,
+                    result: VqeResult, out: Path) -> dict:
+    """vqe and ucc: one summary.json for their one job."""
+    extra = {"exact_ground_energy": result.exact_ground_energy}
+    if config.mode == "ucc":
+        extra.update(
+            reference=config.reference,
+            reference_energy=exact_energy(ansatz.reference_state(), hamiltonian),
+            excitations=[list(exc) for exc in ansatz.excitations],
+        )
+    payload = _summary_payload(result, config, **extra)
     _write_json(out / "summary.json", payload)
     return payload
 
 
-def _run_folded_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec, out: Path) -> dict:
+def _folded_summary(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec,
+                    jobs: list[Job], results: list[VqeResult], out: Path) -> dict:
+    """Per shift: the folded objective and the plain <H> of the best state."""
     shifts = []
-    for index, shift in enumerate(config.lambdas):
-        sub = out / f"lambda_{index:02d}"
-        sub.mkdir(parents=True, exist_ok=True)
-        folded: FoldedResult = run_folded(
-            hamiltonian,
-            shift,
-            ansatz,
-            config.shot_policy(),
-            config.optimizer_config(),
-            derive_seed(config.seed, STREAM_SCAN, index),
-        )
-        _write_trace_csv(sub / "trace.csv", folded.vqe)
-        payload = _summary_payload(
-            folded.vqe,
-            config,
-            shift=shift,
-            folded_energy=folded.folded_energy,
-            recovered_eigenvalue=folded.recovered_eigenvalue,
-        )
-        _write_json(sub / "summary.json", payload)
-        shifts.append(
-            {
-                "lambda": shift,
-                "recovered_eigenvalue": folded.recovered_eigenvalue,
-                "folded_energy": folded.folded_energy,
-                "directory": sub.name,
-            }
-        )
+    for shift, job, result in zip(config.lambdas, jobs, results):
+        state = ansatz.prepare(result.best_parameters)
+        energies = {
+            "folded_energy": exact_energy(state, job.operator),
+            "recovered_eigenvalue": exact_energy(state, hamiltonian),
+        }
+        sub = out / job.trace.parent
+        _write_json(sub / "summary.json", _summary_payload(result, config, shift=shift, **energies))
+        shifts.append({"lambda": shift, "directory": sub.name, **energies})
     collective = {"mode": config.mode, "seed": config.seed, "shifts": shifts}
     _write_json(out / "summary.json", collective)
     return collective
@@ -466,43 +487,6 @@ class ScanRow:
     energy_estimate: float
     exact_ground: float
     std_error: float
-    result: VqeResult
-
-
-def scan_curve(
-    points: list[ScanPoint],
-    ansatz: AnsatzSpec,
-    policy: ShotPolicy,
-    optimizer_config,
-    seed: int,
-) -> list[ScanRow]:
-    """Run one VQE per scan point (independent derived seeds), in label order.
-
-    The curve value is re-measured at the best parameters with a fresh
-    stream label: the running best of noisy evaluations is
-    selection-biased low, a fresh estimate is not.
-    """
-    rows: list[ScanRow] = []
-    for index, point in enumerate(points):
-        point_seed = derive_seed(seed, STREAM_SCAN, index)
-        result = run_vqe(point.hamiltonian, ansatz, policy, optimizer_config, point_seed)
-        estimate = estimate_energy(
-            ansatz.prepare(result.best_parameters),
-            point.hamiltonian,
-            policy,
-            RngStream(point_seed),
-            iteration=result.trace.evaluations,
-        )
-        rows.append(
-            ScanRow(
-                label=point.label,
-                energy_estimate=estimate.value,
-                exact_ground=result.exact_ground_energy,
-                std_error=estimate.std_error,
-                result=result,
-            )
-        )
-    return rows
 
 
 def _fit_variances(std_errors: list[float]) -> list[float]:
@@ -531,13 +515,24 @@ def scan_fit(
     return fit, uncertainty, window, len(selected)
 
 
-def _run_scan_mode(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpec, out: Path) -> dict:
-    trace_dir = out / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
+def _scan_summary(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpec,
+                  jobs: list[Job], results: list[VqeResult], out: Path) -> dict:
+    """The curve and its fit.
 
-    rows = scan_curve(points, ansatz, config.shot_policy(), config.optimizer_config(), config.seed)
-    for index, row in enumerate(rows):
-        _write_trace_csv(trace_dir / f"point_{index:02d}.csv", row.result)
+    Each curve value is re-measured at the point's best parameters with
+    a fresh stream label: the running best of noisy evaluations is
+    selection-biased low, a fresh estimate is not.
+    """
+    rows = []
+    for point, job, result in zip(points, jobs, results):
+        estimate = estimate_energy(
+            ansatz.prepare(result.best_parameters),
+            job.operator,
+            config.shot_policy(),
+            RngStream(job.seed),
+            iteration=result.trace.evaluations,
+        )
+        rows.append(ScanRow(point.label, estimate.value, result.exact_ground_energy, estimate.std_error))
 
     with (out / "curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -567,46 +562,33 @@ def _run_scan_mode(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpe
     return fit_payload
 
 
-def _run_ucc_mode(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: UccAnsatz, out: Path) -> dict:
-    # Zero amplitudes: the first evaluation is the reference state.
-    x0 = np.zeros(ansatz.parameter_count)
-    result = run_vqe(
-        hamiltonian, ansatz, config.shot_policy(), config.optimizer_config(), config.seed, x0
-    )
-    _write_trace_csv(out / "trace.csv", result)
-    reference_energy = exact_energy(ansatz.reference_state(), hamiltonian)
-    payload = _summary_payload(
-        result,
-        config,
-        reference=config.reference,
-        reference_energy=reference_energy,
-        exact_ground_energy=result.exact_ground_energy,
-        excitations=[list(exc) for exc in ansatz.excitations],
-    )
-    _write_json(out / "summary.json", payload)
-    return payload
-
-
 def run_config(config: RunConfig) -> dict:
-    """Load every input, then execute the run and write its artifacts.
+    """Load every input, run every job of `plan_jobs`, then write the mode's summary.
 
-    Returns the summary payload. Nothing is written until every input
-    has loaded and passed the checks `validate` makes.
+    Returns the summary payload (the fit in scan mode). Nothing is
+    written until every input has loaded and passed the checks
+    `validate` makes.
     """
     if not config.out:
         raise ConfigError("run mode requires an output directory (--out)")
     loaded, ansatz = load_inputs(config)
-    budget_report(config, loaded, ansatz)
+    jobs = plan_jobs(config, loaded)
+    budget_report(config, jobs, ansatz)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", dataclasses.asdict(config))
-    if config.mode == "vqe":
-        return _run_vqe_mode(config, loaded, ansatz, out)
+    # UCC starts at zero amplitudes: its first evaluation is the reference state.
+    x0 = np.zeros(ansatz.parameter_count) if config.mode == "ucc" else None
+    results = []
+    for job in jobs:
+        result = run_vqe(job.operator, ansatz, config.shot_policy(), config.optimizer_config(), job.seed, x0)
+        _write_trace_csv(out / job.trace, result)
+        results.append(result)
     if config.mode == "folded":
-        return _run_folded_mode(config, loaded, ansatz, out)
+        return _folded_summary(config, loaded, ansatz, jobs, results, out)
     if config.mode == "scan":
-        return _run_scan_mode(config, loaded, ansatz, out)
-    return _run_ucc_mode(config, loaded, ansatz, out)
+        return _scan_summary(config, loaded, ansatz, jobs, results, out)
+    return _single_summary(config, loaded, ansatz, results[0], out)
 
 
 def build_parser() -> argparse.ArgumentParser:

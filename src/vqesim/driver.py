@@ -28,8 +28,8 @@ from .optimize import (
     gradient_descent,
     nelder_mead,
 )
-from .pauli import PauliHamiltonian, shift_and_square
-from .statevector import StateVector, exact_energy
+from .pauli import PauliHamiltonian
+from .statevector import exact_energy
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class VqeResult:
     @property
     def best_parameters(self) -> np.ndarray:
         return self.trace.best_parameters
-
-
-@dataclass
-class FoldedResult:
-    """Folded-spectrum run: the shifted-square objective plus the recovered eigenvalue."""
-
-    vqe: VqeResult
-    shift: float
-    folded_energy: float
-    recovered_eigenvalue: float
-    final_state: StateVector
 
 
 def random_initial_parameters(count: int, seed: int) -> np.ndarray:
@@ -164,28 +153,3 @@ def run_vqe(
         exact_ground_energy=spectrum.ground_energy(),
     )
 
-
-def run_folded(
-    hamiltonian: PauliHamiltonian,
-    shift: float,
-    ansatz,
-    policy: ShotPolicy,
-    config: OptimizerConfig | None = None,
-    seed: int = 0,
-    x0: np.ndarray | None = None,
-) -> FoldedResult:
-    """Target the eigenvalue nearest `shift` by minimizing <(H - shift)^2>.
-
-    The optimization runs entirely on the shifted-square operator; the
-    returned eigenvalue estimate is the plain <H> of the final state.
-    """
-    folded = shift_and_square(hamiltonian, shift)
-    result = run_vqe(folded, ansatz, policy, config, seed, x0)
-    final_state = ansatz.prepare(result.best_parameters)
-    return FoldedResult(
-        vqe=result,
-        shift=shift,
-        folded_energy=exact_energy(final_state, folded),
-        recovered_eigenvalue=exact_energy(final_state, hamiltonian),
-        final_state=final_state,
-    )

@@ -1,10 +1,10 @@
 """On-disk formats: Hamiltonian text files, scan lists, integral tables.
 
-Hamiltonian text: one `<coefficient> <pauli-label>` pair per line,
+Hamiltonian text: one `<finite coefficient> <pauli-label>` pair per line,
 `#` comments and blank lines ignored; the label length of the first
 term fixes the qubit count for the whole file.
 
-Scan: a JSON list of {"R": <real>, "terms": [[coeff, label], ...]}
+Scan: a JSON list of {"R": <finite real>, "terms": [[coeff, label], ...]}
 objects with strictly increasing R and a common qubit count.
 
 Integrals: JSON {"n_modes": N, "one_body": [[p, q, value], ...],
@@ -14,6 +14,7 @@ Integrals: JSON {"n_modes": N, "one_body": [[p, q, value], ...],
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +50,9 @@ def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliHamilton
         try:
             coeff = float(coeff_text)
         except ValueError:
-            raise FormatError(f"{source}:{lineno}: bad coefficient {coeff_text!r}") from None
+            coeff = math.nan
+        if not math.isfinite(coeff):
+            raise FormatError(f"{source}:{lineno}: bad coefficient {coeff_text!r}; expected a finite number")
         try:
             string = PauliString(label)
         except ValueError as exc:
@@ -96,7 +99,9 @@ def parse_scan(data, source: str = "<scan>") -> list[ScanPoint]:
         try:
             label = float(entry["R"])
         except (TypeError, ValueError):
-            raise FormatError(f"{where}: bad R value {entry['R']!r}") from None
+            label = math.nan
+        if not math.isfinite(label):
+            raise FormatError(f"{where}: bad R value {entry['R']!r}; expected a finite number")
         try:
             terms = [(float(c), PauliString(str(lbl))) for c, lbl in entry["terms"]]
             hamiltonian = PauliHamiltonian(terms[0][1].n_qubits if terms else 1, terms)

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -22,3 +24,14 @@ def all_labels(n_qubits: int) -> list[str]:
 def random_hamiltonian(rng: np.random.Generator, n_qubits: int, labels=None) -> PauliHamiltonian:
     labels = labels or all_labels(n_qubits)
     return PauliHamiltonian(n_qubits, [(rng.uniform(-1, 1), l) for l in labels])
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module, by path (scripts/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

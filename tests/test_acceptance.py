@@ -15,7 +15,6 @@ import pytest
 
 from vqesim import (
     AnsatzSpec,
-    GradientDescentConfig,
     NelderMeadConfig,
     PauliHamiltonian,
     PauliString,
@@ -28,15 +27,17 @@ from vqesim import (
     exact_energy,
     exact_spectrum,
     jordan_wigner,
-    random_initial_parameters,
-    run_folded,
     run_vqe,
     sample_pauli,
+    shift_and_square,
     tangle,
 )
-from vqesim.cli import RunConfig, scan_curve, scan_fit, validate_config
+from vqesim.cli import RunConfig, run_config, validate_config
 from vqesim.fermion import FermionOperator, MolecularIntegrals, jw_matrix
+from vqesim.formats import write_scan
 from vqesim.synthetic import parabola_scan
+
+from conftest import load_script
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -215,16 +216,16 @@ def test_folded_spectrum():
     hamiltonian = decompose(np.diag([-1.0, 0.0, 1.0, 2.0]).astype(complex))
     targets = {-0.9: -1.0, 0.4: 0.0, 1.8: 2.0}
     recovered = {}
+    ansatz = AnsatzSpec(2, 1)
     for shift, expected in targets.items():
-        folded = run_folded(
-            hamiltonian,
-            shift,
-            AnsatzSpec(2, 1),
+        result = run_vqe(
+            shift_and_square(hamiltonian, shift),
+            ansatz,
             ShotPolicy.exact(),
             NelderMeadConfig(),
             seed=17,
         )
-        recovered[shift] = folded.recovered_eigenvalue
+        recovered[shift] = exact_energy(ansatz.prepare(result.best_parameters), hamiltonian)
     ok = all(abs(recovered[s] - targets[s]) <= 1e-4 for s in targets)
     _report(
         "folded-spectrum",
@@ -234,29 +235,10 @@ def test_folded_spectrum():
 
 
 def test_noise_robustness_comparison():
-    labels = ["II", "ZI", "IZ", "ZZ", "XX", "YY"]
-    policy = ShotPolicy.fixed(100)
-    ansatz = AnsatzSpec(2, 1)
-    nm_config = NelderMeadConfig(
-        max_evaluations=500, restart_limit=5, stagnation_window=60, initial_scale=0.6
-    )
-    gd_config = GradientDescentConfig(step_size=0.1, fd_step=1e-3, max_evaluations=500)
-    nm_hits = gd_hits = 0
-    for h_index in range(10):
-        gen = np.random.default_rng(500 + h_index)
-        h = PauliHamiltonian(2, [(gen.uniform(-1, 1), l) for l in labels])
-        spectrum = exact_spectrum(h)
-        ground = spectrum.ground_energy()
-        threshold = ground + 0.05 * (spectrum.eigenvalues[-1] - ground)
-        for start in range(10):
-            x0 = random_initial_parameters(ansatz.parameter_count, 77000 + 100 * h_index + start)
-            seed = 10 * h_index + start
-            nm_result = run_vqe(h, ansatz, policy, nm_config, seed=seed, x0=x0)
-            nm_energy = exact_energy(ansatz.prepare(nm_result.best_parameters), h)
-            gd_result = run_vqe(h, ansatz, policy, gd_config, seed=seed, x0=x0)
-            gd_energy = exact_energy(ansatz.prepare(gd_result.best_parameters), h)
-            nm_hits += nm_energy <= threshold
-            gd_hits += gd_energy <= threshold
+    # 10 Hamiltonians x 10 starts at 100 shots/term and 500 evaluations.
+    rows = load_script("run_noise_comparison").compare(10, 10, 100, 500, 500)
+    nm_hits = sum(row[2] for row in rows)
+    gd_hits = sum(row[3] for row in rows)
     ok = nm_hits >= gd_hits and nm_hits > gd_hits
     _report(
         "noise-robustness (NM vs gradient descent)",
@@ -265,21 +247,29 @@ def test_noise_robustness_comparison():
     )
 
 
-def test_synthetic_dissociation_pipeline():
+def test_synthetic_dissociation_pipeline(tmp_path):
     r_star, curvature, offset, cubic = 92.6, 0.02, -2.9, 1e-5
     points = parabola_scan(
         np.linspace(84.0, 100.0, 9), r_star, curvature, offset, cubic, n_qubits=1
     )
-    ansatz = AnsatzSpec(1, 1)
-    policy = ShotPolicy.fixed(400)
-    config = NelderMeadConfig(
-        max_evaluations=350, restart_limit=5, stagnation_window=60, initial_scale=0.6
-    )
+    write_scan(tmp_path / "scan.json", points)
     hits = 0
     for rep in range(100):
-        rows = scan_curve(points, ansatz, policy, config, seed=42_000 + rep)
-        fit, uncertainty, _, _ = scan_fit(rows, None, 20_000, seed=42_000 + rep)
-        hits += abs(fit.r_min - r_star) <= 3.0 * uncertainty.sigma_r_min
+        fit = run_config(
+            RunConfig(
+                mode="scan",
+                seed=42_000 + rep,
+                scan=str(tmp_path / "scan.json"),
+                out=str(tmp_path / "out"),
+                policy="shots:400",
+                nm_max_evaluations=350,
+                nm_restart_limit=5,
+                nm_stagnation_window=60,
+                nm_initial_scale=0.6,
+                mc_samples=20_000,
+            )
+        )
+        hits += abs(fit["r_min"] - r_star) <= 3.0 * fit["sigma_r_min"]
     ok = hits >= 95
     _report(
         "synthetic-dissociation-pipeline",

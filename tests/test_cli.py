@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import re
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +484,86 @@ class TestMainEntry:
         )
         assert code == 4
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("coefficient", ["nan", "inf", "1e400"])
+    def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys, command, coefficient):
+        path = tmp_path / "h.txt"
+        path.write_text(f"0.3 II\n{coefficient} ZI\n")
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "vqe", "--hamiltonian", str(path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}:2: bad coefficient" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("r_value", [math.inf, math.nan], ids=["Infinity", "NaN"])
+    def test_non_finite_scan_r_is_input_error(self, tmp_path, capsys, command, r_value):
+        path = tmp_path / "scan.json"
+        # json.dumps spells these Infinity and NaN, which json.loads accepts.
+        path.write_text(json.dumps([{"R": r, "terms": [[0.5, "Z"]]} for r in (1, 2, 3, 4, r_value)]))
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "scan", "--scan", str(path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}[4]: bad R value" in err
+        assert not out.exists()
+
+
+class TestJobList:
+    """`validate` budgets the minimizations that `run` executes, one by one."""
+
+    @pytest.mark.parametrize("mode", ["vqe", "ucc", "folded", "scan"])
+    def test_one_budget_entry_per_trace_file(self, hamiltonian_file, scan_file, integrals_file, tmp_path, mode):
+        out = tmp_path / "out"
+        config = RunConfig(
+            mode=mode, seed=3, out=str(out), policy="shots:50", nm_max_evaluations=30, mc_samples=2000,
+            hamiltonian=str(hamiltonian_file), scan=str(scan_file), integrals=str(integrals_file),
+            reference="1100", lambdas=(-0.5, 0.7),
+        )
+        labels = [entry.label for entry in validate_config(config).entries]
+        summary = run_config(config)
+        traces = sorted(path for path in out.rglob("*.csv") if path.name != "curve.csv")
+        # Each trace names its minimization the way the budget does.
+        if mode == "scan":
+            rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()[1:]]
+            expected = [f"R={float(row[0]):g}" for row in rows]
+            assert [path.relative_to(out).as_posix() for path in traces] == [
+                f"traces/point_{i:02d}.csv" for i in range(len(rows))
+            ]
+        elif mode == "folded":
+            expected = [f"lambda={entry['lambda']:g}" for entry in summary["shifts"]]
+            assert [path.relative_to(out).as_posix() for path in traces] == [
+                f"{entry['directory']}/trace.csv" for entry in summary["shifts"]
+            ]
+        else:
+            expected = ["hamiltonian" if mode == "vqe" else "jw-hamiltonian"]
+            assert traces == [out / "trace.csv"]
+        assert labels == expected
+
+    def test_folded_run_squares_each_shift_once(self, hamiltonian_file, tmp_path, monkeypatch):
+        import vqesim.pauli
+
+        original = vqesim.pauli.shift_and_square
+        shifts = []
+
+        def counting(hamiltonian, shift):
+            shifts.append(shift)
+            return original(hamiltonian, shift)
+
+        # Every module that holds the function, under any name.
+        for name, module in list(sys.modules.items()):
+            if name == "vqesim" or name.startswith("vqesim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        config = RunConfig(
+            mode="folded", seed=4, out=str(tmp_path / "out"), hamiltonian=str(hamiltonian_file),
+            lambdas=(-0.5, 0.7), policy="exact", nm_max_evaluations=20,
+        )
+        run_config(config)
+        assert shifts == [-0.5, 0.7]
 
 
 # Strings a config plausibly holds, next to arbitrary short text.

@@ -11,8 +11,8 @@ from vqesim import (
     decompose,
     exact_energy,
     exact_spectrum,
-    run_folded,
     run_vqe,
+    shift_and_square,
 )
 
 
@@ -199,49 +199,37 @@ class TestOnePreparationPerEvaluation:
         assert result.exact_ground_energy == exact_spectrum(h).ground_energy()
 
 
+def _run_folded(hamiltonian, shift, seed):
+    """Minimize <(H - shift)^2>; return the folded and plain energies of the best state."""
+    ansatz = AnsatzSpec(2, 1)
+    folded = shift_and_square(hamiltonian, shift)
+    result = run_vqe(folded, ansatz, ShotPolicy.exact(), quick_nm(max_evaluations=6000), seed=seed)
+    state = ansatz.prepare(result.best_parameters)
+    return exact_energy(state, folded), exact_energy(state, hamiltonian), state
+
+
 class TestRunFolded:
     @pytest.mark.parametrize("shift,expected", [(0.1, 0.0), (1.9, 2.0)])
     def test_recovers_nearest_eigenvalue(self, diag_hamiltonian, shift, expected):
-        folded = run_folded(
-            diag_hamiltonian,
-            shift,
-            AnsatzSpec(2, 1),
-            ShotPolicy.exact(),
-            quick_nm(max_evaluations=6000),
-            seed=8,
-        )
-        assert folded.recovered_eigenvalue == pytest.approx(expected, abs=1e-4)
+        _, recovered_eigenvalue, _ = _run_folded(diag_hamiltonian, shift, seed=8)
+        assert recovered_eigenvalue == pytest.approx(expected, abs=1e-4)
 
     def test_midpoint_tie_settles_in_the_degenerate_pair(self, diag_hamiltonian):
         # At an exact midpoint the folded ground space is the span of the
         # two neighboring eigenvectors: the folded objective reaches the
         # shared minimum (gap/2)^2 while <H> may land anywhere between
         # the two tied eigenvalues.
-        folded = run_folded(
-            diag_hamiltonian,
-            0.5,
-            AnsatzSpec(2, 1),
-            ShotPolicy.exact(),
-            quick_nm(max_evaluations=6000),
-            seed=9,
-        )
-        assert folded.folded_energy == pytest.approx(0.25, abs=1e-4)
-        assert -1e-3 <= folded.recovered_eigenvalue <= 1.0 + 1e-3
+        folded_energy, recovered_eigenvalue, _ = _run_folded(diag_hamiltonian, 0.5, seed=9)
+        assert folded_energy == pytest.approx(0.25, abs=1e-4)
+        assert -1e-3 <= recovered_eigenvalue <= 1.0 + 1e-3
 
     def test_folded_consistency(self, diag_hamiltonian):
-        folded = run_folded(
-            diag_hamiltonian,
-            0.1,
-            AnsatzSpec(2, 1),
-            ShotPolicy.exact(),
-            quick_nm(max_evaluations=6000),
-            seed=10,
-        )
-        state = folded.final_state
+        shift = 0.1
+        folded_energy, recovered_eigenvalue, state = _run_folded(diag_hamiltonian, shift, seed=10)
         m = np.diag([-1.0, 0.0, 1.0, 2.0]).astype(complex)
-        energy = folded.recovered_eigenvalue
+        energy = recovered_eigenvalue
         residual = np.linalg.norm(m @ state.amplitudes - energy * state.amplitudes)
         if residual < 1e-4:
-            assert folded.folded_energy == pytest.approx(
-                (folded.recovered_eigenvalue - folded.shift) ** 2, abs=1e-6
+            assert folded_energy == pytest.approx(
+                (recovered_eigenvalue - shift) ** 2, abs=1e-6
             )
