@@ -38,7 +38,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +67,8 @@ from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
 from .formats import (
     FormatError,
     ScanPoint,
+    _is_int,
+    _is_real,
     load_hamiltonian,
     load_integrals,
     load_scan,
@@ -91,19 +92,6 @@ _CHOICES = {
     "mode": ("vqe", "folded", "scan", "ucc"),
     "optimizer": tuple(_OPTIMIZER_CONFIGS),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def number_list(text: str) -> tuple[float, ...]:

@@ -1,18 +1,20 @@
 """Shot-based estimation of Pauli expectations and Hamiltonian energies.
 
-Each Pauli term is measured in its own short experiment: one prepared
+Each Pauli term is measured in its own short experiment: the prepared
 state is rotated into the term's joint eigenbasis (Hadamard for X
-factors, Rz(-pi/2) then Hadamard for Y), and a bitstring is drawn per
-shot from the Born probabilities; the shot score is the product of the
-+-1 eigenvalues at the non-identity positions. Estimating one term
-with coefficient h to precision p therefore costs ceil(h^2/p^2) shots,
-and the per-evaluation budget is the sum of that rule over terms.
+factors, Rz(-pi/2) then Hadamard for Y) and every shot scores +1 or -1,
+the product of the eigenvalues at the non-identity positions. Only the
+number k of +1 outcomes among s shots carries information, and it is
+Binomial(s, (1 + <P>)/2), so each term is one binomial draw: mean
+(2k - s)/s, per-shot variance 1 - <P>^2. Estimating one term with
+coefficient h to precision p therefore costs ceil(h^2/p^2) shots, and
+the per-evaluation budget is the sum of that rule over terms.
 
 On hardware every term needs a fresh preparation. On a noiseless
 statevector a re-preparation returns the same amplitudes, so the state
-is prepared once per evaluation and each term samples it on its own RNG
-stream; that is statistically the same as re-preparing, and the term
-estimates stay independent.
+is prepared once per evaluation and each term draws its count on its
+own RNG stream; that is statistically the same as re-preparing, and the
+term estimates stay independent.
 
 Randomness is fully deterministic: a 64-bit seed plus a (term index,
 iteration index) stream label select an independent generator, so term
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .pauli import PauliHamiltonian, PauliString
-from .statevector import HADAMARD, StateVector, apply_gate, exact_energy, rz
+from .statevector import StateVector, exact_energy, exact_expectation
 
 # SeedSequence spawn-key namespaces; keeps sampling streams disjoint
 # from parameter-init, scan-point and Monte-Carlo streams.
@@ -166,41 +167,17 @@ class EnergyEstimate:
     total_shots: int
 
 
-@lru_cache(maxsize=8192)
-def _eigenvalue_signs(n_qubits: int, support: tuple[int, ...]) -> np.ndarray:
-    """Per-basis-state +-1 score: parity of the bits on the support qubits."""
-    signs = np.ones(1 << n_qubits, dtype=float)
-    idx = np.arange(1 << n_qubits)
-    for q in support:
-        bit = (idx >> (n_qubits - 1 - q)) & 1
-        signs *= 1.0 - 2.0 * bit
-    signs.flags.writeable = False
-    return signs
-
-
-def measurement_probabilities(state: StateVector, p: PauliString) -> np.ndarray:
-    """Born probabilities after rotating into the joint eigenbasis of p."""
-    amps = state.amplitudes
-    n = state.n_qubits
-    y_rotation = rz(-np.pi / 2.0)
-    for q, ch in enumerate(p.label):
-        if ch == "X":
-            amps = apply_gate(amps, HADAMARD, q, n)
-        elif ch == "Y":
-            amps = apply_gate(amps, y_rotation, q, n)
-            amps = apply_gate(amps, HADAMARD, q, n)
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
-
-
 def sample_pauli(
     state: StateVector, p: PauliString, shots: int, rng: RngStream
 ) -> tuple[float, float]:
-    """Shot-sampled estimate of <psi|P|psi>.
+    """Shot-sampled estimate of <psi|P|psi> from one binomial count.
 
-    Returns (mean, std_error) with std_error the sample standard
-    deviation over shots divided by sqrt(shots) (0.0 for a single
-    shot). Identity strings return (1.0, 0.0) without sampling.
+    The count of +1 outcomes is drawn as k ~ Binomial(shots, (1 + <P>)/2)
+    on the stream's generator. Returns (mean, std_error): the mean
+    (2k - shots)/shots of the +-1 outcomes, and their sample standard
+    deviation (ddof=1) divided by sqrt(shots), which for +-1 outcomes is
+    sqrt((1 - mean^2)/(shots - 1)) (0.0 for a single shot). Identity
+    strings return (1.0, 0.0) without sampling.
     """
     if p.n_qubits != state.n_qubits:
         raise ValueError(
@@ -210,15 +187,13 @@ def sample_pauli(
         raise ValueError("shots must be >= 1")
     if p.is_identity:
         return 1.0, 0.0
-    probs = measurement_probabilities(state, p)
-    support = tuple(q for q, ch in enumerate(p.label) if ch != "I")
-    signs = _eigenvalue_signs(state.n_qubits, support)
-    draws = rng.generator().choice(len(probs), size=shots, p=probs)
-    outcomes = signs[draws]
-    mean = float(outcomes.mean())
+    # Clipped: rounding can push <P> a hair outside [-1, 1].
+    p_plus = min(max((1.0 + exact_expectation(state, p)) / 2.0, 0.0), 1.0)
+    plus_count = int(rng.generator().binomial(shots, p_plus))
+    mean = (2 * plus_count - shots) / shots
     if shots == 1:
         return mean, 0.0
-    return mean, float(outcomes.std(ddof=1) / math.sqrt(shots))
+    return mean, math.sqrt((1.0 - mean * mean) / (shots - 1))
 
 
 def estimate_energy(

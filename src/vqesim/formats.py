@@ -9,6 +9,11 @@ objects with strictly increasing R and a common qubit count.
 
 Integrals: JSON {"n_modes": N, "one_body": [[p, q, value], ...],
 "two_body": [[p, q, r, s, value], ...]} with 1-based indices.
+
+JSON values are taken as they are typed: R, coefficients and integral
+values must be finite JSON numbers, `n_modes` and indices JSON
+integers. A boolean, a string or a fractional index is an error, never
+read as the number it resembles.
 """
 
 from __future__ import annotations
@@ -24,6 +29,21 @@ from .pauli import PauliHamiltonian, PauliString
 
 class FormatError(ValueError):
     """Malformed input file; the message names the file and location."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number: an int or float that is not a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _read_text(path: Path) -> str:
@@ -96,14 +116,15 @@ def parse_scan(data, source: str = "<scan>") -> list[ScanPoint]:
         where = f"{source}[{index}]"
         if not isinstance(entry, dict) or "R" not in entry or "terms" not in entry:
             raise FormatError(f"{where}: each point needs 'R' and 'terms'")
-        try:
-            label = float(entry["R"])
-        except (TypeError, ValueError):
-            label = math.nan
-        if not math.isfinite(label):
+        if not _is_real(entry["R"]):
             raise FormatError(f"{where}: bad R value {entry['R']!r}; expected a finite number")
+        label = float(entry["R"])
         try:
-            terms = [(float(c), PauliString(str(lbl))) for c, lbl in entry["terms"]]
+            terms = []
+            for coeff, text in entry["terms"]:
+                if not _is_real(coeff):
+                    raise ValueError(f"bad coefficient {coeff!r}; expected a finite number")
+                terms.append((float(coeff), PauliString(str(text))))
             hamiltonian = PauliHamiltonian(terms[0][1].n_qubits if terms else 1, terms)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from None
@@ -136,15 +157,32 @@ def write_scan(path: str | Path, points: list[ScanPoint]) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _integral_entries(data: dict, key: str, n_indices: int, source: str) -> list[tuple]:
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{source}: {key} must be a JSON list")
+    for index, entry in enumerate(entries):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == n_indices + 1
+            and all(_is_int(i) for i in entry[:-1])
+            and _is_real(entry[-1])
+        ):
+            raise FormatError(
+                f"{source}: {key}[{index}] is {entry!r}; expected {n_indices} integer indices and a finite value"
+            )
+    return [tuple(entry) for entry in entries]
+
+
 def parse_integrals(data, source: str = "<integrals>") -> MolecularIntegrals:
     if not isinstance(data, dict) or "n_modes" not in data:
         raise FormatError(f"{source}: expected a JSON object with 'n_modes'")
+    if not _is_int(data["n_modes"]):
+        raise FormatError(f"{source}: n_modes is {data['n_modes']!r}; expected an integer")
+    one_body = _integral_entries(data, "one_body", 2, source)
+    two_body = _integral_entries(data, "two_body", 4, source)
     try:
-        return MolecularIntegrals(
-            int(data["n_modes"]),
-            [tuple(entry) for entry in data.get("one_body", [])],
-            [tuple(entry) for entry in data.get("two_body", [])],
-        )
+        return MolecularIntegrals(data["n_modes"], one_body, two_body)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{source}: {exc}") from None
 

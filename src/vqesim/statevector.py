@@ -17,8 +17,6 @@ from .pauli import PauliHamiltonian, PauliString, basis_action
 
 MAX_QUBITS = 12
 
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 def ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)

@@ -510,6 +510,59 @@ class TestMainEntry:
         assert "input error" in err and f"{path}[4]: bad R value" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "point,value,message",
+        [
+            ("R", True, "[0]: bad R value True"),
+            ("R", "2.5", "[0]: bad R value '2.5'"),
+            ("coefficient", True, "[0]: bad coefficient True"),
+            ("coefficient", "2.5", "[0]: bad coefficient '2.5'"),
+        ],
+        ids=["R-true", "R-string", "coefficient-true", "coefficient-string"],
+    )
+    def test_scan_value_must_be_a_json_number(self, tmp_path, capsys, command, point, value, message):
+        points = [{"R": r, "terms": [[0.5, "Z"]]} for r in (0.5, 2, 3, 4, 5)]
+        if point == "R":
+            points[0]["R"] = value
+        else:
+            points[0]["terms"] = [[value, "Z"]]
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(points))
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "scan", "--scan", str(path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}{message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("n_modes", 4.9, "n_modes is 4.9"),
+            ("n_modes", True, "n_modes is True"),
+            ("one_body", [[1.7, True, "0.5"]], "one_body[0] is [1.7, True, '0.5']"),
+            ("one_body", [[1, 1, True]], "one_body[0] is [1, 1, True]"),
+            ("two_body", [[2, 1, 1, 2.9, False]], "two_body[0] is [2, 1, 1, 2.9, False]"),
+        ],
+        ids=["n_modes-float", "n_modes-true", "one_body-mixed", "one_body-value-true", "two_body-float-index"],
+    )
+    def test_integrals_must_be_json_numbers(self, tmp_path, capsys, command, key, value, message):
+        payload = {"n_modes": 4, "one_body": [[1, 1, -1.8], [2, 2, -1.3]], "two_body": [[1, 2, 2, 1, 0.6]]}
+        payload[key] = value
+        path = tmp_path / "integrals.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "run_out"
+        code = main(
+            [command, "--mode", "ucc", "--integrals", str(path), "--reference", "1100", "--seed", "1", "--exact",
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}: {message}" in err
+        assert not out.exists()
+
 
 class TestJobList:
     """`validate` budgets the minimizations that `run` executes, one by one."""
@@ -517,8 +570,12 @@ class TestJobList:
     @pytest.mark.parametrize("mode", ["vqe", "ucc", "folded", "scan"])
     def test_one_budget_entry_per_trace_file(self, hamiltonian_file, scan_file, integrals_file, tmp_path, mode):
         out = tmp_path / "out"
+        # A 5-point shots:50 scan fits a non-convex parabola on about a
+        # quarter of seeds (exit 4, no minimum); the noiseless scan always
+        # fits, so this case does not hang on the shot draw.
+        policy = "exact" if mode == "scan" else "shots:50"
         config = RunConfig(
-            mode=mode, seed=3, out=str(out), policy="shots:50", nm_max_evaluations=30, mc_samples=2000,
+            mode=mode, seed=3, out=str(out), policy=policy, nm_max_evaluations=30, mc_samples=2000,
             hamiltonian=str(hamiltonian_file), scan=str(scan_file), integrals=str(integrals_file),
             reference="1100", lambdas=(-0.5, 0.7),
         )

@@ -13,6 +13,14 @@ generators built once per ansatz instead of mapping a fresh cluster
 operator per evaluation: the summation order changed, the `exact_energy`
 column of 16 of the 40 trace rows moved by at most 1.3e-15, and every
 other column, `summary.json` and `config.json` stayed byte-identical.
+
+The six shot-mode digests (the two trace-record digests, the vqe trace
+and summary, and the shot-mode folded, scan and ucc trees) were re-pinned
+together when each term's estimate became one binomial count of +1
+outcomes instead of a shots-long array of sampled basis states. The
+stream labels are unchanged, so the draw is the one cause. The --exact
+cases, which draw nothing, were pinned before that change and kept
+their bytes through it.
 """
 
 import hashlib
@@ -28,15 +36,22 @@ from vqesim.synthetic import parabola_scan
 
 TWO_QUBIT_FILE = "0.3 II\n-0.6 ZI\n0.4 IZ\n-0.2 ZZ\n0.5 XX\n"
 
-TRACE_RECORDS_SHA256 = "91cf553a5fcc4f69bae8618c8d691d1b0983da72a4090d1cf63a76e6ada108a8"
-CLI_TRACE_CSV_SHA256 = "6b1b2062ec199fb4771e94988bf07844843ff3e641d477cf88500ac57bcb2236"
-CLI_SUMMARY_JSON_SHA256 = "b9b3c571dad7ce81e0d4b45cca591f9fb391e759e0ba4b49efc74049834e80e0"
-GD_TRACE_RECORDS_SHA256 = "7a708e8cd6e3afce33292362d2411674f6f844cfa8d38e0399885fe8bd6fb7ba"
+TRACE_RECORDS_SHA256 = "93a6e78dd425c0e7f0b4ca2a672aa7eb025eee879baf465a906228c0aa0de503"
+CLI_TRACE_CSV_SHA256 = "243de6eca872d7dd09ab8f1410af21798d7d583300385da35295cb63633921b6"
+CLI_SUMMARY_JSON_SHA256 = "01bc649e99da3358d985d2c73c10ba431c20ce74ef3e3a11c86fb57d5ccaba02"
+GD_TRACE_RECORDS_SHA256 = "dd1db45065d7f4b5e69eb0ac72438b4d49c11dc906bd8a4bbb39c0266a9c9585"
 # sha256 over every artifact of one run, config.json included (see _tree_digest).
 CLI_MODE_SHA256 = {
-    "folded": "8d4a79be987f502823807826b6e4e4818865f31eb4e38a26f57cdc17261e5135",
-    "scan": "44f6c303e07e85f295671cbec18084af69918f23431be1e4b0e8376d9b807736",
-    "ucc": "62c12e439c8ca9a30b544dd9bffe4b13f153d33805446550e6cfe17ee87ca483",
+    "folded": "25dae20b81f2805de4e1dc2f3f42484dcb2b17032454ebaeb9499c8feef34de5",
+    "scan": "c85ebb59e96ce0c93b9c1367ea6d38c54a079cdf84a5aef85eb451476b831120",
+    "ucc": "0777ca6434e80e4453048157dad5ecce7783a5923e85f0196a2f3d82767064e0",
+}
+# The same digest for the noiseless (--exact) runs, which draw no shots.
+CLI_EXACT_MODE_SHA256 = {
+    "vqe": "356e03ee8a16603a02b5a46282373f288ea9425e7e456b57b2dbbc0b48afe1a1",
+    "folded": "618628119396bca30cad3b808c30be4cbd3a7bfa7da97060ac992bff6fc81b2a",
+    "scan": "e2ee108230dfba43e70a1f53de9b4f60db960f65ff27ebd40f90a9cae7900850",
+    "ucc": "eb84e73bda2d0f45e6ecb8f09e2f8b81b9e0798abcdb766145749a234e20e7d6",
 }
 
 INTEGRALS = {
@@ -109,6 +124,10 @@ def _tree_digest(root) -> str:
         ("folded", ["--hamiltonian", "h.txt", "--lambda=-0.5,0.7", "--shots", "100", "--nm-max-evaluations", "80"]),
         ("scan", ["--scan", "scan.json", "--shots", "100", "--nm-max-evaluations", "60", "--mc-samples", "2000"]),
         ("ucc", ["--integrals", "integrals.json", "--reference", "1100", "--shots", "200", "--nm-max-evaluations", "40"]),
+        ("vqe", ["--hamiltonian", "h.txt", "--exact", "--nm-max-evaluations", "120"]),
+        ("folded", ["--hamiltonian", "h.txt", "--lambda=-0.5,0.7", "--exact", "--nm-max-evaluations", "80"]),
+        ("scan", ["--scan", "scan.json", "--exact", "--nm-max-evaluations", "60", "--mc-samples", "2000"]),
+        ("ucc", ["--integrals", "integrals.json", "--reference", "1100", "--exact", "--nm-max-evaluations", "40"]),
     ],
 )
 def test_cli_mode_artifact_digests(tmp_path, monkeypatch, mode, flags):
@@ -119,7 +138,8 @@ def test_cli_mode_artifact_digests(tmp_path, monkeypatch, mode, flags):
     (tmp_path / "integrals.json").write_text(json.dumps(INTEGRALS))
     code = main(["run", "--mode", mode, *flags, "--seed", "31", "--out", "out"])
     assert code == 0
-    assert _tree_digest(tmp_path / "out") == CLI_MODE_SHA256[mode]
+    pinned = CLI_EXACT_MODE_SHA256 if "--exact" in flags else CLI_MODE_SHA256
+    assert _tree_digest(tmp_path / "out") == pinned[mode]
 
 
 def test_cli_vqe_artifact_digests(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vqesim import (
     sample_pauli,
     shot_budget,
 )
+from vqesim.estimation import MAX_TERM_SHOTS
 
 
 def plus() -> StateVector:
@@ -138,6 +140,77 @@ class TestSamplePauli:
             stds.append(np.std(estimates))
         ratio = stds[0] / stds[1]
         assert ratio == pytest.approx(10.0, rel=0.25)
+
+
+def z_eigen_mix(expectation: float) -> StateVector:
+    """One qubit with <Z> = expectation."""
+    theta = math.acos(expectation)
+    return StateVector(1, np.array([math.cos(theta / 2), math.sin(theta / 2)]))
+
+
+def binomial_pmf(shots: int, p: float) -> np.ndarray:
+    logs = [
+        math.lgamma(shots + 1) - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
+        + k * math.log(p) + (shots - k) * math.log1p(-p)
+        for k in range(shots + 1)
+    ]
+    return np.exp(logs)
+
+
+def chi_square_critical(dof: int, z: float = 3.09) -> float:
+    """Wilson-Hilferty upper quantile of chi-square; z = 3.09 is p = 0.001."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+class TestCountLaw:
+    """Each term's +1 count is one Binomial(shots, (1 + <P>)/2) draw."""
+
+    @pytest.mark.parametrize("shots,expectation", [(10, 0.3), (100, -0.8), (1000, 0.95)])
+    def test_counts_follow_the_binomial_law(self, shots, expectation):
+        state = z_eigen_mix(expectation)
+        streams = 4000
+        counts = np.zeros(shots + 1)
+        for label in range(streams):
+            mean, _ = sample_pauli(state, PauliString("Z"), shots, RngStream(13).labeled(label % 50, label // 50))
+            counts[round(shots * (1.0 + mean) / 2.0)] += 1
+        expected = streams * binomial_pmf(shots, (1.0 + expectation) / 2.0)
+        # Pool neighbouring counts until every bin expects at least 5.
+        observed_bins, expected_bins = [], []
+        o_acc = e_acc = 0.0
+        for o, e in zip(counts, expected):
+            o_acc, e_acc = o_acc + o, e_acc + e
+            if e_acc >= 5.0:
+                observed_bins.append(o_acc)
+                expected_bins.append(e_acc)
+                o_acc = e_acc = 0.0
+        observed_bins[-1] += o_acc
+        expected_bins[-1] += e_acc
+        observed_bins, expected_bins = np.array(observed_bins), np.array(expected_bins)
+        statistic = float(np.sum((observed_bins - expected_bins) ** 2 / expected_bins))
+        assert len(observed_bins) >= 3
+        assert statistic < chi_square_critical(len(observed_bins) - 1)
+
+    @pytest.mark.parametrize("shots", [2, 7, 100])
+    def test_std_error_is_the_ddof1_figure(self, shots):
+        state = z_eigen_mix(0.2)
+        for label in range(20):
+            mean, err = sample_pauli(state, PauliString("Z"), shots, RngStream(4).labeled(label, 0))
+            plus = round(shots * (1.0 + mean) / 2.0)
+            outcomes = np.array([1.0] * plus + [-1.0] * (shots - plus))
+            assert mean == pytest.approx(outcomes.mean(), abs=1e-15)
+            assert err == pytest.approx(outcomes.std(ddof=1) / math.sqrt(shots), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("shots", [10**12, MAX_TERM_SHOTS])
+    def test_huge_shot_counts_need_no_shot_array(self, shots):
+        state = random_state(np.random.default_rng(21), 2)
+        p = PauliString("XY")
+        truth = exact_expectation(state, p)
+        start = time.perf_counter()
+        mean, err = sample_pauli(state, p, shots, RngStream(8))
+        assert time.perf_counter() - start < 1.0
+        assert abs(mean - truth) <= 5.0 * math.sqrt((1.0 - truth * truth) / shots)
+        assert err == pytest.approx(math.sqrt((1.0 - mean * mean) / (shots - 1)))
 
 
 class TestEstimateEnergy:
