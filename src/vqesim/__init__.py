@@ -23,7 +23,6 @@ from .estimation import (
     RngStream,
     ShotPolicy,
     estimate_energy,
-    sample_pauli,
     shot_budget,
 )
 from .fermion import (
@@ -103,7 +102,6 @@ __all__ = [
     "random_initial_parameters",
     "reconstruct",
     "run_vqe",
-    "sample_pauli",
     "shift_and_square",
     "shot_budget",
     "tangle",

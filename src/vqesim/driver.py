@@ -2,10 +2,11 @@
 
 Every objective evaluation is one optimization step j: the ansatz is
 prepared once, and that state feeds both the shot-based estimate and
-the noiseless diagnostics of its trace record (exact energy, tangle on
-two qubits, overlap with the exact ground space). Repeated evaluation
-of the same parameters draws fresh noise, as on real hardware, because
-the evaluation index is part of the RNG stream label.
+the noiseless diagnostics of its trace record: the exact energy, which
+the estimate computes from the same term expectations, the tangle on
+two qubits, and the overlap with the exact ground space. Repeated
+evaluation of the same parameters draws fresh noise, as on real
+hardware, because the evaluation index labels the RNG stream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .optimize import (
     nelder_mead,
 )
 from .pauli import PauliHamiltonian
-from .statevector import exact_energy
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def run_vqe(
                 parameters=np.array(params, dtype=float),
                 energy_estimate=estimate.value,
                 std_error=estimate.std_error,
-                exact_energy=exact_energy(state, hamiltonian),
+                exact_energy=estimate.exact_value,
                 tangle=tangle(state) if hamiltonian.n_qubits == 2 else None,
                 overlap=ground_space_overlap(spectrum, state),
                 restart=restart_pending,

@@ -5,21 +5,22 @@ state is rotated into the term's joint eigenbasis (Hadamard for X
 factors, Rz(-pi/2) then Hadamard for Y) and every shot scores +1 or -1,
 the product of the eigenvalues at the non-identity positions. Only the
 number k of +1 outcomes among s shots carries information, and it is
-Binomial(s, (1 + <P>)/2), so each term is one binomial draw: mean
+Binomial(s, (1 + <P>)/2), so each term is one binomial count: mean
 (2k - s)/s, per-shot variance 1 - <P>^2. Estimating one term with
 coefficient h to precision p therefore costs ceil(h^2/p^2) shots, and
 the per-evaluation budget is the sum of that rule over terms.
 
 On hardware every term needs a fresh preparation. On a noiseless
 statevector a re-preparation returns the same amplitudes, so the state
-is prepared once per evaluation and each term draws its count on its
-own RNG stream; that is statistically the same as re-preparing, and the
-term estimates stay independent.
+is prepared once per evaluation and every term's count is drawn from
+it; that is statistically the same as re-preparing, and the term
+estimates stay independent.
 
-Randomness is fully deterministic: a 64-bit seed plus a (term index,
-iteration index) stream label select an independent generator, so term
-estimates may be computed in any order (or concurrently) without
-changing results.
+Randomness is fully deterministic: a 64-bit seed plus the evaluation's
+iteration index select one generator, and one vectorised binomial draw
+on it gives every term's count, in term order. The noiseless <H> of the
+same pass comes with the estimate, so the trace's diagnostics need not
+compute it again.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString
-from .statevector import StateVector, exact_energy, exact_expectation
+from .pauli import PauliHamiltonian
+from .statevector import StateVector, exact_expectation
 
 # SeedSequence spawn-key namespaces; keeps sampling streams disjoint
 # from parameter-init, scan-point and Monte-Carlo streams.
@@ -58,26 +59,17 @@ def derive_seed(seed: int, namespace: int, *key: int) -> int:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Seed plus (term index, iteration index) label for one sample stream.
+    """The run seed that every evaluation's sampling generator derives from.
 
-    Identical (seed, label) pairs reproduce identical sample sequences.
+    Evaluation j draws on derived_generator(seed, STREAM_SAMPLING, j), so
+    identical (seed, iteration) pairs reproduce identical counts.
     """
 
     seed: int
-    label: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must fit in 64 unsigned bits")
-        t, i = self.label
-        if t < 0 or i < 0:
-            raise ValueError("stream label indices must be non-negative")
-
-    def labeled(self, term_index: int, iteration_index: int) -> "RngStream":
-        return RngStream(self.seed, (term_index, iteration_index))
-
-    def generator(self) -> np.random.Generator:
-        return derived_generator(self.seed, STREAM_SAMPLING, *self.label)
 
 
 @dataclass(frozen=True)
@@ -159,41 +151,17 @@ class ShotPolicy:
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """One estimated <H>: value, combined standard error, shot bookkeeping."""
+    """One estimated <H>: value, combined standard error, shot bookkeeping.
+
+    `exact_value` is the noiseless <H> of the same state, computed from
+    the same term expectations the counts were drawn with.
+    """
 
     value: float
     std_error: float
     term_shots: tuple[int, ...]
     total_shots: int
-
-
-def sample_pauli(
-    state: StateVector, p: PauliString, shots: int, rng: RngStream
-) -> tuple[float, float]:
-    """Shot-sampled estimate of <psi|P|psi> from one binomial count.
-
-    The count of +1 outcomes is drawn as k ~ Binomial(shots, (1 + <P>)/2)
-    on the stream's generator. Returns (mean, std_error): the mean
-    (2k - shots)/shots of the +-1 outcomes, and their sample standard
-    deviation (ddof=1) divided by sqrt(shots), which for +-1 outcomes is
-    sqrt((1 - mean^2)/(shots - 1)) (0.0 for a single shot). Identity
-    strings return (1.0, 0.0) without sampling.
-    """
-    if p.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"operator acts on {p.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if p.is_identity:
-        return 1.0, 0.0
-    # Clipped: rounding can push <P> a hair outside [-1, 1].
-    p_plus = min(max((1.0 + exact_expectation(state, p)) / 2.0, 0.0), 1.0)
-    plus_count = int(rng.generator().binomial(shots, p_plus))
-    mean = (2 * plus_count - shots) / shots
-    if shots == 1:
-        return mean, 0.0
-    return mean, math.sqrt((1.0 - mean * mean) / (shots - 1))
+    exact_value: float
 
 
 def estimate_energy(
@@ -203,37 +171,53 @@ def estimate_energy(
     rng: RngStream,
     iteration: int = 0,
 ) -> EnergyEstimate:
-    """Estimate <H> for a prepared state under a shot policy.
+    """Estimate <H> for a prepared state under a shot policy, in one pass.
 
-    The one state is measured per Hamiltonian term, each term on its own
-    (term index, iteration) RNG stream. On a noiseless statevector that
-    is statistically the same as re-preparing the state for every term,
-    so the term estimates are independent and their errors combine in
-    quadrature. Exact mode delegates to the noiseless expectation.
+    Every term's noiseless expectation is computed once, in term order;
+    their weighted sum is `exact_value`, and in exact mode it is also the
+    estimate. Otherwise each non-identity term's +1 count is
+    k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)), all drawn at once on the
+    evaluation's generator derived_generator(seed, STREAM_SAMPLING,
+    iteration); on a noiseless statevector that is statistically the same
+    as re-preparing the state for every term, so the term estimates are
+    independent. A term's mean is (2k - s)/s and its standard error the
+    ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0
+    for one shot); the errors combine in quadrature. Identity terms add
+    their coefficient and take no shots.
     """
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError(
             f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
         )
+    terms = hamiltonian.terms
+    expectations = [exact_expectation(state, p) for _, p in terms]
+    exact_value = float(sum(c * e for (c, _), e in zip(terms, expectations)))
     if policy.mode == "exact":
-        value = exact_energy(state, hamiltonian)
-        return EnergyEstimate(value, 0.0, (0,) * hamiltonian.term_count, 0)
+        return EnergyEstimate(exact_value, 0.0, (0,) * hamiltonian.term_count, 0, exact_value)
+
+    shots_used = [0 if p.is_identity else policy.term_shots(c) for c, p in terms]
+    shots_vec = np.array(shots_used, dtype=np.int64)
+    # Clipped: rounding can push <P> a hair outside [-1, 1].
+    p_plus = np.clip((1.0 + np.array(expectations)) / 2.0, 0.0, 1.0)
+    sampled = shots_vec > 0
+    generator = derived_generator(rng.seed, STREAM_SAMPLING, iteration)
+    plus_counts = iter(generator.binomial(shots_vec[sampled], p_plus[sampled]).tolist())
 
     value = 0.0
     variance = 0.0
-    shots_used: list[int] = []
-    for index, (coeff, string) in enumerate(hamiltonian.terms):
-        if string.is_identity:
+    for (coeff, _), shots in zip(terms, shots_used):
+        if not shots:  # identity term
             value += coeff
-            shots_used.append(0)
             continue
-        shots = policy.term_shots(coeff)
-        mean, err = sample_pauli(state, string, shots, rng.labeled(index, iteration))
+        # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
+        mean = (2 * next(plus_counts) - shots) / shots
         value += coeff * mean
-        variance += (coeff * err) ** 2
-        shots_used.append(shots)
+        if shots > 1:
+            variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
     value += policy.bias
-    return EnergyEstimate(value, math.sqrt(variance), tuple(shots_used), sum(shots_used))
+    return EnergyEstimate(
+        value, math.sqrt(variance), tuple(shots_used), sum(shots_used), exact_value
+    )
 
 
 def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[tuple[int, ...], int]:

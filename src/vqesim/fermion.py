@@ -22,6 +22,7 @@ happens at this scale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -126,29 +127,31 @@ class MolecularIntegrals:
         one_body: Iterable[tuple[int, int, float]] = (),
         two_body: Iterable[tuple[int, int, int, int, float]] = (),
     ):
+        def integer(value, what: str) -> int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{what} must be an integer, got {value!r}")
+            return int(value)
+
+        n_modes = integer(n_modes, "n_modes")
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
 
-        def check(indices: tuple[int, ...], value: float) -> None:
+        def entry(indices: tuple, value) -> tuple:
+            indices = tuple(integer(idx, "orbital index") for idx in indices)
             for idx in indices:
                 if not 1 <= idx <= n_modes:
                     raise ValueError(f"orbital index {idx} out of range [1, {n_modes}]")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"integral value must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError("non-finite integral value")
+            return (*indices, float(value))
 
-        one = []
-        for p, q, v in one_body:
-            p, q, v = int(p), int(q), float(v)
-            check((p, q), v)
-            one.append((p, q, v))
-        two = []
-        for p, q, r, s, v in two_body:
-            p, q, r, s, v = int(p), int(q), int(r), int(s), float(v)
-            check((p, q, r, s), v)
-            two.append((p, q, r, s, v))
+        one = tuple(entry((p, q), v) for p, q, v in one_body)
+        two = tuple(entry((p, q, r, s), v) for p, q, r, s, v in two_body)
         object.__setattr__(self, "n_modes", n_modes)
-        object.__setattr__(self, "one_body", tuple(one))
-        object.__setattr__(self, "two_body", tuple(two))
+        object.__setattr__(self, "one_body", one)
+        object.__setattr__(self, "two_body", two)
 
 
 def build_molecular_hamiltonian(integrals: MolecularIntegrals) -> FermionOperator:

@@ -71,18 +71,21 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int, n_qubits: int) ->
     return np.einsum("ts,asb->atb", gate, block).reshape(-1)
 
 
-@lru_cache(maxsize=512)
-def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
+@lru_cache(maxsize=MAX_QUBITS)
+def _cnot_ladder(n_qubits: int) -> np.ndarray:
+    """One gather for CNOT(0,1), CNOT(1,2), ..., CNOT(n-2,n-1) in that order.
+
+    Gathering with the composed permutation moves the same amplitudes as
+    the gate-by-gate ladder, so the result is bit-identical.
+    """
     idx = np.arange(1 << n_qubits)
-    cmask = 1 << (n_qubits - 1 - control)
-    tmask = 1 << (n_qubits - 1 - target)
-    perm = np.where(idx & cmask, idx ^ tmask, idx)
+    perm = idx
+    for control in range(n_qubits - 1):
+        cmask = 1 << (n_qubits - 1 - control)
+        tmask = cmask >> 1
+        perm = perm[np.where(idx & cmask, idx ^ tmask, idx)]
     perm.flags.writeable = False
     return perm
-
-
-def apply_cnot(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    return amps[_cnot_permutation(n_qubits, control, target)]
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,7 @@ def prepare(spec: AnsatzSpec, params: np.ndarray) -> StateVector:
             amps = apply_gate(amps, ry(b), q, n)
             amps = apply_gate(amps, rz(c), q, n)
         if layer < spec.layer_count:
-            for q in range(n - 1):
-                amps = apply_cnot(amps, q, q + 1, n)
+            amps = amps[_cnot_ladder(n)]
     return StateVector(n, amps)
 
 

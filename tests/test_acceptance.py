@@ -17,18 +17,17 @@ from vqesim import (
     AnsatzSpec,
     NelderMeadConfig,
     PauliHamiltonian,
-    PauliString,
     RngStream,
     ShotPolicy,
     StateVector,
     UccAnsatz,
     build_molecular_hamiltonian,
     decompose,
+    estimate_energy,
     exact_energy,
     exact_spectrum,
     jordan_wigner,
     run_vqe,
-    sample_pauli,
     shift_and_square,
     tangle,
 )
@@ -114,12 +113,12 @@ def test_variational_bound(exact_benchmark, noisy_benchmark):
 
 def test_shot_noise_scaling():
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    z = PauliString("Z")
+    z = PauliHamiltonian(1, [(1.0, "Z")])
     shot_grid = (100, 1_000, 10_000, 100_000)
     log_std = []
     for shots in shot_grid:
         estimates = [
-            sample_pauli(plus, z, shots, RngStream(seed).labeled(0, shots))[0]
+            estimate_energy(plus, z, ShotPolicy.fixed(shots), RngStream(seed), iteration=shots).value
             for seed in range(200)
         ]
         log_std.append(math.log(float(np.std(estimates))))

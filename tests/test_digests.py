@@ -21,6 +21,14 @@ outcomes instead of a shots-long array of sampled basis states. The
 stream labels are unchanged, so the draw is the one cause. The --exact
 cases, which draw nothing, were pinned before that change and kept
 their bytes through it.
+
+The same six were re-pinned together again when sampling moved from one
+RNG stream per (term, iteration) to one stream per evaluation: every
+term's count now comes from one vectorised binomial draw on the
+generator derived from (seed, iteration). The inputs, the arguments and
+the count law are unchanged, so the stream is the one cause. Every
+exact value is computed as before, and the --exact digests kept their
+bytes.
 """
 
 import hashlib
@@ -36,15 +44,15 @@ from vqesim.synthetic import parabola_scan
 
 TWO_QUBIT_FILE = "0.3 II\n-0.6 ZI\n0.4 IZ\n-0.2 ZZ\n0.5 XX\n"
 
-TRACE_RECORDS_SHA256 = "93a6e78dd425c0e7f0b4ca2a672aa7eb025eee879baf465a906228c0aa0de503"
-CLI_TRACE_CSV_SHA256 = "243de6eca872d7dd09ab8f1410af21798d7d583300385da35295cb63633921b6"
-CLI_SUMMARY_JSON_SHA256 = "01bc649e99da3358d985d2c73c10ba431c20ce74ef3e3a11c86fb57d5ccaba02"
-GD_TRACE_RECORDS_SHA256 = "dd1db45065d7f4b5e69eb0ac72438b4d49c11dc906bd8a4bbb39c0266a9c9585"
+TRACE_RECORDS_SHA256 = "b95061e8faebafcdbdb6ccf503585da12902356a28f64356347f9dfceadccabd"
+CLI_TRACE_CSV_SHA256 = "d0a7c4cfdf20bdce927932a30e2bb1683d18591a9a0055002ccb07523afe0e5c"
+CLI_SUMMARY_JSON_SHA256 = "2b24d2a984fb78ba0056b96ed69ae57c5265fec7cae478b773c59344cf148d37"
+GD_TRACE_RECORDS_SHA256 = "00d59da0022f6eb535dda338c03fd15c42353032d2a0163867935abefe4342b0"
 # sha256 over every artifact of one run, config.json included (see _tree_digest).
 CLI_MODE_SHA256 = {
-    "folded": "25dae20b81f2805de4e1dc2f3f42484dcb2b17032454ebaeb9499c8feef34de5",
-    "scan": "c85ebb59e96ce0c93b9c1367ea6d38c54a079cdf84a5aef85eb451476b831120",
-    "ucc": "0777ca6434e80e4453048157dad5ecce7783a5923e85f0196a2f3d82767064e0",
+    "folded": "78f7680229b079252555f0b2154d6a332f7a99a538087569c3148c850d7b61c3",
+    "scan": "18ee14a41a7050c1e7c89232a4b3adbd57d2a619eabc092c1df47325055f2aac",
+    "ucc": "e43c0fd200c8c3bd22b3f139f150aed54c8c34ef6b1638973d80124eba0208e6",
 }
 # The same digest for the noiseless (--exact) runs, which draw no shots.
 CLI_EXACT_MODE_SHA256 = {

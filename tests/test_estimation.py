@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_hamiltonian, random_state
 from vqesim import (
     AnsatzSpec,
+    NelderMeadConfig,
     PauliHamiltonian,
     PauliString,
     RngStream,
@@ -16,9 +17,11 @@ from vqesim import (
     estimate_energy,
     exact_energy,
     exact_expectation,
-    sample_pauli,
+    init_zero,
+    run_vqe,
     shot_budget,
 )
+from vqesim import estimation, statevector
 from vqesim.estimation import MAX_TERM_SHOTS
 
 
@@ -26,20 +29,35 @@ def plus() -> StateVector:
     return StateVector(1, np.array([1, 1]) / np.sqrt(2))
 
 
+def sample_term(state: StateVector, label: str, shots: int, seed: int, iteration: int = 0):
+    """(mean, std error) of one term: <H> for H = 1.0 * label at `shots` shots."""
+    h = PauliHamiltonian(state.n_qubits, [(1.0, label)])
+    estimate = estimate_energy(state, h, ShotPolicy.fixed(shots), RngStream(seed), iteration)
+    return estimate.value, estimate.std_error
+
+
 class TestRngStream:
+    """Each (seed, iteration) pair selects one evaluation's sampling stream."""
+
     def test_same_label_reproduces(self):
-        a = RngStream(9).labeled(3, 7).generator().random(5)
-        b = RngStream(9).labeled(3, 7).generator().random(5)
-        assert np.array_equal(a, b)
+        h = random_hamiltonian(np.random.default_rng(1), 2)
+        state = random_state(np.random.default_rng(2), 2)
+        a = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=7)
+        b = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=7)
+        assert a == b
 
     def test_labels_decorrelate(self):
-        a = RngStream(9).labeled(0, 0).generator().random(5)
-        b = RngStream(9).labeled(0, 1).generator().random(5)
-        assert not np.array_equal(a, b)
+        h = random_hamiltonian(np.random.default_rng(1), 2)
+        state = random_state(np.random.default_rng(2), 2)
+        a = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=0)
+        b = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=1)
+        assert a.value != b.value
 
     def test_negative_label_rejected(self):
         with pytest.raises(ValueError):
-            RngStream(9).labeled(-1, 0)
+            sample_term(plus(), "Z", 10, 9, iteration=-1)
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            RngStream(2**64)
 
 
 class TestShotPolicy:
@@ -77,34 +95,35 @@ class TestShotPolicy:
 
 
 class TestSamplePauli:
-    def test_deterministic_outcome(self):
-        from vqesim import init_zero
+    """One coefficient-1 term: its estimate is the term's sampled mean."""
 
-        mean, err = sample_pauli(init_zero(1), PauliString("Z"), 500, RngStream(1))
+    def test_deterministic_outcome(self):
+        mean, err = sample_term(init_zero(1), "Z", 500, 1)
         assert mean == 1.0 and err == 0.0
 
     def test_identity_bypasses_sampling(self):
         state = random_state(np.random.default_rng(0), 2)
-        assert sample_pauli(state, PauliString("II"), 3, RngStream(1)) == (1.0, 0.0)
+        assert sample_term(state, "II", 3, 1) == (1.0, 0.0)
 
     def test_plus_z_within_binomial_band(self):
         shots = 10_000
-        mean, err = sample_pauli(plus(), PauliString("Z"), shots, RngStream(5).labeled(0, 0))
+        mean, err = sample_term(plus(), "Z", shots, 5)
         assert abs(mean) <= 5.0 / math.sqrt(shots)
         assert err == pytest.approx(1.0 / math.sqrt(shots), rel=0.05)
 
     def test_shots_guard(self):
         with pytest.raises(ValueError):
-            sample_pauli(plus(), PauliString("Z"), 0, RngStream(1))
+            sample_term(plus(), "Z", 0, 1)
 
     def test_mismatch(self):
+        h = PauliHamiltonian(2, [(1.0, "ZZ")])
         with pytest.raises(ValueError):
-            sample_pauli(plus(), PauliString("ZZ"), 5, RngStream(1))
+            estimate_energy(plus(), h, ShotPolicy.fixed(5), RngStream(1))
 
     def test_reproducible(self):
         state = random_state(np.random.default_rng(2), 2)
-        a = sample_pauli(state, PauliString("XY"), 200, RngStream(3).labeled(1, 4))
-        b = sample_pauli(state, PauliString("XY"), 200, RngStream(3).labeled(1, 4))
+        a = sample_term(state, "XY", 200, 3, iteration=4)
+        b = sample_term(state, "XY", 200, 3, iteration=4)
         assert a == b
 
     @given(st.integers(0, 10_000))
@@ -113,17 +132,16 @@ class TestSamplePauli:
         rng = np.random.default_rng(seed)
         state = random_state(rng, 2)
         label = "".join(rng.choice(list("IXYZ"), size=2))
-        mean, _ = sample_pauli(state, PauliString(label), 50, RngStream(seed))
+        mean, _ = sample_term(state, label, 50, seed)
         assert -1.0 <= mean <= 1.0
 
     def test_unbiased_over_seeds(self):
         state = random_state(np.random.default_rng(8), 1)
-        p = PauliString("X")
-        truth = exact_expectation(state, p)
+        truth = exact_expectation(state, PauliString("X"))
         shots = 64
         means, errs = [], []
         for seed in range(1000):
-            m, e = sample_pauli(state, p, shots, RngStream(seed))
+            m, e = sample_term(state, "X", shots, seed)
             means.append(m)
             errs.append(e)
         grand = np.mean(means)
@@ -133,10 +151,7 @@ class TestSamplePauli:
     def test_error_scales_as_inverse_sqrt_shots(self):
         stds = []
         for shots in (100, 10_000):
-            estimates = [
-                sample_pauli(plus(), PauliString("Z"), shots, RngStream(seed))[0]
-                for seed in range(120)
-            ]
+            estimates = [sample_term(plus(), "Z", shots, seed)[0] for seed in range(120)]
             stds.append(np.std(estimates))
         ratio = stds[0] / stds[1]
         assert ratio == pytest.approx(10.0, rel=0.25)
@@ -164,7 +179,10 @@ def chi_square_critical(dof: int, z: float = 3.09) -> float:
 
 
 class TestCountLaw:
-    """Each term's +1 count is one Binomial(shots, (1 + <P>)/2) draw."""
+    """Each term's +1 count is one Binomial(shots, (1 + <P>)/2) draw.
+
+    Every stream label is an evaluation's iteration index.
+    """
 
     @pytest.mark.parametrize("shots,expectation", [(10, 0.3), (100, -0.8), (1000, 0.95)])
     def test_counts_follow_the_binomial_law(self, shots, expectation):
@@ -172,7 +190,7 @@ class TestCountLaw:
         streams = 4000
         counts = np.zeros(shots + 1)
         for label in range(streams):
-            mean, _ = sample_pauli(state, PauliString("Z"), shots, RngStream(13).labeled(label % 50, label // 50))
+            mean, _ = sample_term(state, "Z", shots, 13, iteration=label)
             counts[round(shots * (1.0 + mean) / 2.0)] += 1
         expected = streams * binomial_pmf(shots, (1.0 + expectation) / 2.0)
         # Pool neighbouring counts until every bin expects at least 5.
@@ -195,7 +213,7 @@ class TestCountLaw:
     def test_std_error_is_the_ddof1_figure(self, shots):
         state = z_eigen_mix(0.2)
         for label in range(20):
-            mean, err = sample_pauli(state, PauliString("Z"), shots, RngStream(4).labeled(label, 0))
+            mean, err = sample_term(state, "Z", shots, 4, iteration=label)
             plus = round(shots * (1.0 + mean) / 2.0)
             outcomes = np.array([1.0] * plus + [-1.0] * (shots - plus))
             assert mean == pytest.approx(outcomes.mean(), abs=1e-15)
@@ -207,7 +225,7 @@ class TestCountLaw:
         p = PauliString("XY")
         truth = exact_expectation(state, p)
         start = time.perf_counter()
-        mean, err = sample_pauli(state, p, shots, RngStream(8))
+        mean, err = sample_term(state, "XY", shots, 8)
         assert time.perf_counter() - start < 1.0
         assert abs(mean - truth) <= 5.0 * math.sqrt((1.0 - truth * truth) / shots)
         assert err == pytest.approx(math.sqrt((1.0 - mean * mean) / (shots - 1)))
@@ -292,6 +310,69 @@ class TestEstimateEnergy:
         assert shifted.value == pytest.approx(plain.value + 0.25)
         exact = estimate_energy(spec.prepare(np.zeros(6)), h, ShotPolicy.exact(), RngStream(1))
         assert exact.value == pytest.approx(1.0)
+
+
+class TestOnePass:
+    """One evaluation computes each term's expectation once and draws once."""
+
+    POLICIES = [ShotPolicy.exact(), ShotPolicy.fixed(100), ShotPolicy.target_precision(0.05)]
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_value_is_exact_energy_bit_for_bit(self, policy, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        h = random_hamiltonian(rng, n)
+        state = random_state(rng, n)
+        estimate = estimate_energy(state, h, policy, RngStream(seed), iteration=seed)
+        assert estimate.exact_value == exact_energy(state, h)
+        if policy.mode == "exact":
+            assert estimate.value == estimate.exact_value
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+    def test_one_generator_and_one_expectation_per_term(self, monkeypatch, policy):
+        calls = {"derived_generator": 0, "exact_expectation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimation, "derived_generator", counted("derived_generator", estimation.derived_generator))
+        monkeypatch.setattr(estimation, "exact_expectation", counted("exact_expectation", estimation.exact_expectation))
+        h = random_hamiltonian(np.random.default_rng(3), 2)
+        estimate_energy(random_state(np.random.default_rng(4), 2), h, policy, RngStream(5), iteration=2)
+        assert calls["exact_expectation"] == h.term_count
+        assert calls["derived_generator"] == (0 if policy.mode == "exact" else 1)
+
+    def test_run_vqe_computes_each_expectation_once_per_evaluation(self, monkeypatch):
+        count = 0
+
+        def counted(state, p):
+            nonlocal count
+            count += 1
+            return exact_expectation(state, p)
+
+        # Both names: the estimator's import and the one exact_energy uses.
+        monkeypatch.setattr(estimation, "exact_expectation", counted)
+        monkeypatch.setattr(statevector, "exact_expectation", counted)
+        h = random_hamiltonian(np.random.default_rng(6), 2)
+        result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), NelderMeadConfig(max_evaluations=20), seed=1)
+        assert count == result.trace.evaluations * h.term_count
+
+    def test_precision_std_error_matches_spread(self):
+        # Unequal per-term shots under the precision rule: 324, 36, 100 and 16.
+        h = PauliHamiltonian(2, [(0.9, "ZI"), (0.3, "XX"), (-0.5, "IZ"), (0.2, "YY"), (0.4, "II")])
+        policy = ShotPolicy.target_precision(0.05)
+        state = random_state(np.random.default_rng(10), 2)
+        estimates = [estimate_energy(state, h, policy, RngStream(12), iteration=j) for j in range(2000)]
+        assert estimates[0].term_shots == (324, 36, 100, 16, 0)
+        values = np.array([e.value for e in estimates])
+        reported = math.sqrt(np.mean([e.std_error**2 for e in estimates]))
+        # The sample std of 2000 values is good to about 1/sqrt(4000) = 1.6%.
+        assert np.std(values, ddof=1) == pytest.approx(reported, rel=0.08)
+        assert abs(values.mean() - exact_energy(state, h)) < 5.0 * reported / math.sqrt(len(values))
 
 
 class TestShotBudget:

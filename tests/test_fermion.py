@@ -101,6 +101,34 @@ class TestMolecularHamiltonian:
         with pytest.raises(ValueError, match="out of range"):
             MolecularIntegrals(2, one_body=[(1, 3, 0.1)])
 
+    @pytest.mark.parametrize(
+        "n_modes,one_body",
+        [
+            (2.9, [(1.7, True, "0.5")]),
+            (2.0, []),
+            (True, []),
+            (2, [(1.7, 1, 0.5)]),
+            (2, [(True, 1, 0.5)]),
+            (2, [(1, 1, "0.5")]),
+            (2, [(1, 1, False)]),
+            (2, [(1, 1, 1j)]),
+        ],
+    )
+    def test_non_integer_index_or_non_real_value_rejected(self, n_modes, one_body):
+        with pytest.raises(ValueError, match="integer|real number"):
+            MolecularIntegrals(n_modes, one_body)
+
+    def test_two_body_entries_checked_alike(self):
+        with pytest.raises(ValueError, match="integer"):
+            MolecularIntegrals(2, two_body=[(2, 1, 1, 2.9, 0.5)])
+        with pytest.raises(ValueError, match="real number"):
+            MolecularIntegrals(2, two_body=[(2, 1, 1, 2, False)])
+
+    def test_numpy_scalars_accepted(self):
+        integrals = MolecularIntegrals(np.int64(2), [(np.int32(1), np.int64(2), np.float32(0.5))])
+        assert integrals.n_modes == 2 and type(integrals.n_modes) is int
+        assert integrals.one_body == ((1, 2, 0.5),)
+
 
 def dense_generator(ansatz: UccAnsatz, parameters) -> np.ndarray:
     """sum_k theta_k G_k assembled from the ansatz's stored sparse generators."""

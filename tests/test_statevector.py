@@ -14,6 +14,7 @@ from vqesim import (
     prepare,
     reconstruct,
 )
+from vqesim.statevector import apply_gate, ry, rz
 
 
 def bell() -> StateVector:
@@ -82,6 +83,22 @@ class TestAnsatz:
         a = prepare(spec, params).amplitudes
         b = prepare(spec, params).amplitudes
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (3, 2), (8, 1), (10, 2)])
+    def test_composed_ladder_matches_gate_by_gate(self, n, layers):
+        spec = AnsatzSpec(n, layers)
+        params = np.random.default_rng(n).uniform(-np.pi, np.pi, spec.parameter_count)
+        idx = np.arange(1 << n)
+        amps = init_zero(n).amplitudes
+        for layer in range(layers + 1):
+            for q in range(n):
+                a, b, c = params[3 * (layer * n + q): 3 * (layer * n + q) + 3]
+                amps = apply_gate(apply_gate(apply_gate(amps, rz(a), q, n), ry(b), q, n), rz(c), q, n)
+            if layer < layers:
+                for q in range(n - 1):  # one gather per CNOT(q, q + 1)
+                    control, target = 1 << (n - 1 - q), 1 << (n - 2 - q)
+                    amps = amps[np.where(idx & control, idx ^ target, idx)]
+        assert prepare(spec, params).amplitudes.tobytes() == amps.tobytes()
 
 
 class TestExactExpectation:
