@@ -16,6 +16,7 @@ import numpy as np
 from .pauli import PauliHamiltonian, basis_action, reconstruct
 from .statevector import StateVector
 
+# The widest dense 2^n x 2^n eigendecomposition: spectra and UCC preparation.
 MAX_SPECTRUM_QUBITS = 10
 MIN_FIT_POINTS = 4  # three coefficients plus one residual degree of freedom
 MIN_MC_SAMPLES = 1000

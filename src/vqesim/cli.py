@@ -12,15 +12,18 @@ per-iteration trace CSV, and a JSON summary (plus curve/fit files in
 scan mode). Artifacts are strict JSON: a non-finite value is an error,
 never `NaN` or `Infinity` in a file.
 
-Every run is one list of jobs, built by `plan_jobs` for both verbs: one
-minimization each, with its budget label, operator, seed and trace file
-(vqe and ucc one job, scan one per point, folded one per shift on
-(H - lambda)^2). `validate` reports the shot budget of each job; `run`
-runs them in one loop and then writes the mode's summary.
+Every run is one checked plan, built by `validate_config`: the loaded
+inputs, the ansatz, the shot policy, the optimizer config and the jobs
+of `plan_jobs`, one minimization each (vqe and ucc one, scan one per
+point, folded one per shift on (H - lambda)^2) with its label,
+operator, seed, trace file and per-term shots from `shot_budget`, the
+estimator's own allocation. `validate` prints the plan and `run`
+executes it in one loop, so the printed budget is what each evaluation
+spends.
 
 `RunConfig` checks the type of every key (an integer, a finite number,
 a string or a list of finite numbers, as its field is annotated) and
-every range. Both verbs then load and check every input through
+every range. The plan then loads and checks every input through
 `load_inputs` before anything else happens, so `run` writes no file
 unless `validate` would pass. That includes the scan rule (the fit
 window, by default the whole scan, must select at least 4 scan points,
@@ -241,45 +244,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return config_from_mapping(mapping)
 
 
-@dataclass
-class BudgetEntry:
-    label: str
-    term_count: int
-    per_term_shots: tuple[int, ...]
-    total_shots: int
-
-
-@dataclass
-class ValidationReport:
-    mode: str
-    n_qubits: int
-    parameter_count: int
-    policy: str
-    entries: list[BudgetEntry]
-
-    @property
-    def shots_per_evaluation(self) -> int:
-        return self.entries[0].total_shots if self.entries else 0
-
-    def lines(self) -> list[str]:
-        out = [
-            f"mode: {self.mode}",
-            f"n_qubits: {self.n_qubits}",
-            f"parameters: {self.parameter_count}",
-            f"policy: {self.policy}",
-        ]
-        for entry in self.entries:
-            out.append(
-                f"{entry.label}: {entry.term_count} terms, "
-                f"{entry.total_shots} shots/evaluation"
-            )
-            if entry.per_term_shots and self.policy != "exact":
-                out.append(
-                    "  per-term shots: " + " ".join(str(s) for s in entry.per_term_shots)
-                )
-        return out
-
-
 def _fit_selection(points: list, fit_window: tuple[float, float] | None):
     """The fit window (default: the whole scan) and the points inside it."""
     window = fit_window or (points[0].label, points[-1].label)
@@ -336,61 +300,83 @@ def load_inputs(
 
 @dataclass(frozen=True)
 class Job:
-    """One minimization of a run: what `validate` budgets and `run` executes."""
+    """One minimization of a run, with the shots each of its evaluations spends per term."""
 
     label: str
     operator: PauliHamiltonian
     seed: int
     trace: Path  # the trace CSV, relative to the output directory
+    term_shots: tuple[int, ...]
 
 
-def _no_finite_budget(config: RunConfig, exc: ValueError) -> ConfigError:
-    return ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}")
-
-
-def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint]) -> list[Job]:
-    """Every minimization of the run, in the order `run` executes them.
+def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], policy: ShotPolicy) -> list[Job]:
+    """Every minimization of the run, in the order `run` executes them, priced by `shot_budget`.
 
     A scan runs one job per point and a folded run one per shift, each
     on its own derived seed; vqe and ucc run one job on the run seed.
-    A shift so large that (H - lambda)^2 overflows is a config error.
+    A shift so large that (H - lambda)^2 overflows, or a precision so
+    fine that a term's shots do, is a config error.
     """
-    if config.mode == "scan":
-        return [
-            Job(f"R={point.label:g}", point.hamiltonian, derive_seed(config.seed, STREAM_SCAN, index),
-                Path("traces", f"point_{index:02d}.csv"))
-            for index, point in enumerate(loaded)
-        ]
-    if config.mode == "folded":
-        try:
-            return [
-                Job(f"lambda={shift:g}", shift_and_square(loaded, shift), derive_seed(config.seed, STREAM_SCAN, index),
-                    Path(f"lambda_{index:02d}", "trace.csv"))
+    try:
+        if config.mode == "scan":
+            minimizations = [
+                (f"R={point.label:g}", point.hamiltonian, derive_seed(config.seed, STREAM_SCAN, index),
+                 Path("traces", f"point_{index:02d}.csv"))
+                for index, point in enumerate(loaded)
+            ]
+        elif config.mode == "folded":
+            minimizations = [
+                (f"lambda={shift:g}", shift_and_square(loaded, shift), derive_seed(config.seed, STREAM_SCAN, index),
+                 Path(f"lambda_{index:02d}", "trace.csv"))
                 for index, shift in enumerate(config.lambdas)
             ]
-        except ValueError as exc:
-            raise _no_finite_budget(config, exc) from None
-    label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
-    return [Job(label, loaded, config.seed, Path("trace.csv"))]
-
-
-def budget_report(config: RunConfig, jobs: list[Job], ansatz: AnsatzSpec | UccAnsatz) -> ValidationReport:
-    """Sizes and the shot budget of every job; a shot count that is not
-    finite (a precision so fine that 1/p^2 overflows) is a config error."""
-    policy = config.shot_policy()
-    try:
-        entries = [BudgetEntry(job.label, job.operator.term_count, *shot_budget(job.operator, policy)) for job in jobs]
+        else:
+            label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
+            minimizations = [(label, loaded, config.seed, Path("trace.csv"))]
+        return [Job(label, operator, seed, trace, shot_budget(operator, policy)[0])
+                for label, operator, seed, trace in minimizations]
     except ValueError as exc:
-        raise _no_finite_budget(config, exc) from None
-    return ValidationReport(
-        config.mode, jobs[0].operator.n_qubits, ansatz.parameter_count, policy.describe(), entries
-    )
+        raise ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}") from None
 
 
-def validate_config(config: RunConfig) -> ValidationReport:
-    """Dry-run: load every input and plan every job as `run` would; report sizes and the shot budget."""
+@dataclass(frozen=True)
+class RunPlan:
+    """One checked run: its inputs, ansatz, policy, optimizer and priced jobs.
+
+    `validate` prints it and `run` executes it, so the budget printed is
+    what each evaluation spends.
+    """
+
+    config: RunConfig
+    loaded: PauliHamiltonian | list[ScanPoint]  # the scan points in scan mode
+    ansatz: AnsatzSpec | UccAnsatz
+    policy: ShotPolicy
+    optimizer: NelderMeadConfig | GradientDescentConfig
+    jobs: list[Job]
+
+    @property
+    def shots_per_evaluation(self) -> int:
+        return sum(self.jobs[0].term_shots)
+
+    def lines(self) -> list[str]:
+        out = [
+            f"mode: {self.config.mode}",
+            f"n_qubits: {self.jobs[0].operator.n_qubits}",
+            f"parameters: {self.ansatz.parameter_count}",
+            f"policy: {self.policy.describe()}",
+        ]
+        for job in self.jobs:
+            out.append(f"{job.label}: {job.operator.term_count} terms, {sum(job.term_shots)} shots/evaluation")
+            if job.term_shots and self.policy.mode != "exact":
+                out.append("  per-term shots: " + " ".join(str(s) for s in job.term_shots))
+        return out
+
+
+def validate_config(config: RunConfig) -> RunPlan:
+    """Dry-run: load and check every input and price every job; the plan `run` executes."""
     loaded, ansatz = load_inputs(config)
-    return budget_report(config, plan_jobs(config, loaded), ansatz)
+    policy = config.shot_policy()
+    return RunPlan(config, loaded, ansatz, policy, config.optimizer_config(), plan_jobs(config, loaded, policy))
 
 
 def _write_trace_csv(path: Path, result: VqeResult) -> None:
@@ -434,14 +420,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _single_summary(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec | UccAnsatz,
-                    result: VqeResult, out: Path) -> dict:
+def _single_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     """vqe and ucc: one summary.json for their one job."""
+    config, ansatz, result = plan.config, plan.ansatz, results[0]
     extra = {"exact_ground_energy": result.exact_ground_energy}
     if config.mode == "ucc":
         extra.update(
             reference=config.reference,
-            reference_energy=exact_energy(ansatz.reference_state(), hamiltonian),
+            reference_energy=exact_energy(ansatz.reference_state(), plan.loaded),
             excitations=[list(exc) for exc in ansatz.excitations],
         )
     payload = _summary_payload(result, config, **extra)
@@ -449,15 +435,15 @@ def _single_summary(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: An
     return payload
 
 
-def _folded_summary(config: RunConfig, hamiltonian: PauliHamiltonian, ansatz: AnsatzSpec,
-                    jobs: list[Job], results: list[VqeResult], out: Path) -> dict:
+def _folded_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     """Per shift: the folded objective and the plain <H> of the best state."""
+    config = plan.config
     shifts = []
-    for shift, job, result in zip(config.lambdas, jobs, results):
-        state = ansatz.prepare(result.best_parameters)
+    for shift, job, result in zip(config.lambdas, plan.jobs, results):
+        state = plan.ansatz.prepare(result.best_parameters)
         energies = {
             "folded_energy": exact_energy(state, job.operator),
-            "recovered_eigenvalue": exact_energy(state, hamiltonian),
+            "recovered_eigenvalue": exact_energy(state, plan.loaded),
         }
         sub = out / job.trace.parent
         _write_json(sub / "summary.json", _summary_payload(result, config, shift=shift, **energies))
@@ -503,20 +489,20 @@ def scan_fit(
     return fit, uncertainty, window, len(selected)
 
 
-def _scan_summary(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpec,
-                  jobs: list[Job], results: list[VqeResult], out: Path) -> dict:
+def _scan_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     """The curve and its fit.
 
     Each curve value is re-measured at the point's best parameters with
     a fresh stream label: the running best of noisy evaluations is
     selection-biased low, a fresh estimate is not.
     """
+    config = plan.config
     rows = []
-    for point, job, result in zip(points, jobs, results):
+    for point, job, result in zip(plan.loaded, plan.jobs, results):
         estimate = estimate_energy(
-            ansatz.prepare(result.best_parameters),
+            plan.ansatz.prepare(result.best_parameters),
             job.operator,
-            config.shot_policy(),
+            plan.policy,
             RngStream(job.seed),
             iteration=result.trace.evaluations,
         )
@@ -551,7 +537,7 @@ def _scan_summary(config: RunConfig, points: list[ScanPoint], ansatz: AnsatzSpec
 
 
 def run_config(config: RunConfig) -> dict:
-    """Load every input, run every job of `plan_jobs`, then write the mode's summary.
+    """Run the plan `validate_config` checks and prices, then write the mode's summary.
 
     Returns the summary payload (the fit in scan mode). Nothing is
     written until every input has loaded and passed the checks
@@ -559,24 +545,19 @@ def run_config(config: RunConfig) -> dict:
     """
     if not config.out:
         raise ConfigError("run mode requires an output directory (--out)")
-    loaded, ansatz = load_inputs(config)
-    jobs = plan_jobs(config, loaded)
-    budget_report(config, jobs, ansatz)
+    plan = validate_config(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", dataclasses.asdict(config))
     # UCC starts at zero amplitudes: its first evaluation is the reference state.
-    x0 = np.zeros(ansatz.parameter_count) if config.mode == "ucc" else None
+    x0 = np.zeros(plan.ansatz.parameter_count) if config.mode == "ucc" else None
     results = []
-    for job in jobs:
-        result = run_vqe(job.operator, ansatz, config.shot_policy(), config.optimizer_config(), job.seed, x0)
+    for job in plan.jobs:
+        result = run_vqe(job.operator, plan.ansatz, plan.policy, plan.optimizer, job.seed, x0)
         _write_trace_csv(out / job.trace, result)
         results.append(result)
-    if config.mode == "folded":
-        return _folded_summary(config, loaded, ansatz, jobs, results, out)
-    if config.mode == "scan":
-        return _scan_summary(config, loaded, ansatz, jobs, results, out)
-    return _single_summary(config, loaded, ansatz, results[0], out)
+    summary = {"folded": _folded_summary, "scan": _scan_summary}.get(config.mode, _single_summary)
+    return summary(plan, results, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,8 +598,7 @@ def main(argv=None) -> int:
     try:
         config = merge_config(args)
         if args.command == "validate":
-            report = validate_config(config)
-            for line in report.lines():
+            for line in validate_config(config).lines():
                 print(line)
         else:
             summary = run_config(config)

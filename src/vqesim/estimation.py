@@ -7,8 +7,11 @@ the product of the eigenvalues at the non-identity positions. Only the
 number k of +1 outcomes among s shots carries information, and it is
 Binomial(s, (1 + <P>)/2), so each term is one binomial count: mean
 (2k - s)/s, per-shot variance 1 - <P>^2. Estimating one term with
-coefficient h to precision p therefore costs ceil(h^2/p^2) shots, and
-the per-evaluation budget is the sum of that rule over terms.
+coefficient h to precision p therefore costs ceil(h^2/p^2) shots. An
+identity term is a constant and is never measured, so the per-evaluation
+budget is the sum of that rule over the measured terms. `shot_budget`
+alone applies the rule: the estimator draws exactly the shots it
+allocates, and the CLI prices a run with the same call.
 
 On hardware every term needs a fresh preparation. On a noiseless
 statevector a re-preparation returns the same amplitudes, so the state
@@ -26,6 +29,7 @@ compute it again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +76,11 @@ class RngStream:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+def _is_number(value, kind: type) -> bool:
+    # bool is an Integral too, but True is not a shot count.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ShotPolicy:
     """How energies are estimated: noiseless, fixed shots, or target precision.
@@ -91,11 +100,11 @@ class ShotPolicy:
             if self.shots is not None or self.precision is not None:
                 raise ValueError("exact mode takes no shots or precision")
         elif self.mode == "shots":
-            if self.shots is None or not 1 <= self.shots <= MAX_TERM_SHOTS:
-                raise ValueError(f"fixed-shot mode requires 1 <= shots <= 2**63 - 1, got {self.shots!r}")
+            if not _is_number(self.shots, numbers.Integral) or not 1 <= self.shots <= MAX_TERM_SHOTS:
+                raise ValueError(f"fixed-shot mode requires an integer 1 <= shots <= 2**63 - 1, got {self.shots!r}")
         elif self.mode == "precision":
-            if self.precision is None or not 0.0 < self.precision <= 1.0:
-                raise ValueError("precision mode requires 0 < precision <= 1")
+            if not _is_number(self.precision, numbers.Real) or not 0.0 < self.precision <= 1.0:
+                raise ValueError(f"precision mode requires a number 0 < precision <= 1, got {self.precision!r}")
         else:
             raise ValueError(f"unknown shot policy mode {self.mode!r}")
         if not math.isfinite(self.bias):
@@ -107,11 +116,11 @@ class ShotPolicy:
 
     @classmethod
     def fixed(cls, shots: int, bias: float = 0.0) -> "ShotPolicy":
-        return cls("shots", shots=int(shots), bias=bias)
+        return cls("shots", shots=shots, bias=bias)
 
     @classmethod
     def target_precision(cls, precision: float, bias: float = 0.0) -> "ShotPolicy":
-        return cls("precision", precision=float(precision), bias=bias)
+        return cls("precision", precision=precision, bias=bias)
 
     @classmethod
     def parse(cls, text: str, bias: float = 0.0) -> "ShotPolicy":
@@ -130,7 +139,7 @@ class ShotPolicy:
             return "exact"
         if self.mode == "shots":
             return f"shots:{self.shots}"
-        return f"precision:{self.precision!r}"
+        return f"precision:{float(self.precision)!r}"
 
     def term_shots(self, coefficient: float) -> int:
         """Shots allocated to one term under this policy's cost rule."""
@@ -153,15 +162,34 @@ class ShotPolicy:
 class EnergyEstimate:
     """One estimated <H>: value, combined standard error, shot bookkeeping.
 
-    `exact_value` is the noiseless <H> of the same state, computed from
-    the same term expectations the counts were drawn with.
+    `term_shots` are the shots drawn per term, in term order, as
+    `shot_budget` allocates them. `exact_value` is the noiseless <H> of
+    the same state, computed from the same term expectations the counts
+    were drawn with.
     """
 
     value: float
     std_error: float
     term_shots: tuple[int, ...]
-    total_shots: int
     exact_value: float
+
+    @property
+    def total_shots(self) -> int:
+        return sum(self.term_shots)
+
+
+def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[tuple[int, ...], int]:
+    """Per-term and total shots of one energy evaluation: what it measures.
+
+    The one place the cost rule meets a Hamiltonian: every measured term
+    gets `policy.term_shots` of its coefficient, an identity term (a
+    constant, never measured) gets 0, and in exact mode every term gets
+    0. A shot count past MAX_TERM_SHOTS raises ValueError.
+    """
+    if policy.mode == "exact":
+        return (0,) * hamiltonian.term_count, 0
+    per_term = tuple(0 if p.is_identity else policy.term_shots(c) for c, p in hamiltonian.terms)
+    return per_term, sum(per_term)
 
 
 def estimate_energy(
@@ -175,15 +203,15 @@ def estimate_energy(
 
     Every term's noiseless expectation is computed once, in term order;
     their weighted sum is `exact_value`, and in exact mode it is also the
-    estimate. Otherwise each non-identity term's +1 count is
-    k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)), all drawn at once on the
-    evaluation's generator derived_generator(seed, STREAM_SAMPLING,
-    iteration); on a noiseless statevector that is statistically the same
-    as re-preparing the state for every term, so the term estimates are
-    independent. A term's mean is (2k - s)/s and its standard error the
-    ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0
-    for one shot); the errors combine in quadrature. Identity terms add
-    their coefficient and take no shots.
+    estimate. Otherwise each term takes its `shot_budget` shots s, and a
+    measured term's +1 count is k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
+    all drawn at once on the evaluation's generator
+    derived_generator(seed, STREAM_SAMPLING, iteration); on a noiseless
+    statevector that is statistically the same as re-preparing the state
+    for every term, so the term estimates are independent. A term's mean
+    is (2k - s)/s and its standard error the ddof=1 figure of its +-1
+    outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0 for one shot); the errors
+    combine in quadrature. Identity terms add their coefficient.
     """
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError(
@@ -192,10 +220,10 @@ def estimate_energy(
     terms = hamiltonian.terms
     expectations = [exact_expectation(state, p) for _, p in terms]
     exact_value = float(sum(c * e for (c, _), e in zip(terms, expectations)))
+    shots_used, _ = shot_budget(hamiltonian, policy)
     if policy.mode == "exact":
-        return EnergyEstimate(exact_value, 0.0, (0,) * hamiltonian.term_count, 0, exact_value)
+        return EnergyEstimate(exact_value, 0.0, shots_used, exact_value)
 
-    shots_used = [0 if p.is_identity else policy.term_shots(c) for c, p in terms]
     shots_vec = np.array(shots_used, dtype=np.int64)
     # Clipped: rounding can push <P> a hair outside [-1, 1].
     p_plus = np.clip((1.0 + np.array(expectations)) / 2.0, 0.0, 1.0)
@@ -215,17 +243,4 @@ def estimate_energy(
         if shots > 1:
             variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
     value += policy.bias
-    return EnergyEstimate(
-        value, math.sqrt(variance), tuple(shots_used), sum(shots_used), exact_value
-    )
-
-
-def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[tuple[int, ...], int]:
-    """Per-term and total shots one energy evaluation would allocate.
-
-    Applies the cost rule literally to every term (identity terms are
-    skipped at runtime but still counted here, matching the worst-case
-    budget formula).
-    """
-    per_term = tuple(policy.term_shots(c) for c, _ in hamiltonian.terms)
-    return per_term, sum(per_term)
+    return EnergyEstimate(value, math.sqrt(variance), shots_used, exact_value)

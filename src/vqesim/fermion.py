@@ -28,11 +28,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .analysis import MAX_SPECTRUM_QUBITS
 from .pauli import ComplexPauliSum, PauliHamiltonian, PauliString, multiply, reconstruct
-from .statevector import StateVector, basis_state
-
-MAX_UCC_MODES = 10
-MAX_JW_MODES = 12
+from .statevector import MAX_QUBITS, StateVector, basis_state
 
 FermionTerm = tuple[complex, tuple[tuple[int, bool], ...]]
 
@@ -87,8 +85,8 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
     fermionic input equals its conjugate transpose); otherwise the
     complex-coefficient sum is returned as a ComplexPauliSum.
     """
-    if op.n_modes > MAX_JW_MODES:
-        raise ValueError(f"mapping over {op.n_modes} modes exceeds the {MAX_JW_MODES}-mode guard")
+    if op.n_modes > MAX_QUBITS:
+        raise ValueError(f"mapping over {op.n_modes} modes exceeds the {MAX_QUBITS}-mode guard")
     acc = ComplexPauliSum(op.n_modes)
     identity = "I" * op.n_modes
     for coeff, ops in op.terms:
@@ -224,8 +222,9 @@ class UccAnsatz:
     )
 
     def __post_init__(self) -> None:
-        if self.n_modes > MAX_UCC_MODES:
-            raise ValueError(f"{self.n_modes} modes exceeds the {MAX_UCC_MODES}-mode guard")
+        # Each preparation is one dense 2^n x 2^n eigendecomposition, as a spectrum is.
+        if self.n_modes > MAX_SPECTRUM_QUBITS:
+            raise ValueError(f"{self.n_modes} modes exceeds the {MAX_SPECTRUM_QUBITS}-mode guard")
         reference_index(self.reference, self.n_modes)
         generators = []
         for exc in self.excitations:

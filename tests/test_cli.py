@@ -101,12 +101,12 @@ class TestValidate:
         config = RunConfig(
             mode="vqe", seed=1, hamiltonian=str(hamiltonian_file), policy="precision:0.1"
         )
-        report = validate_config(config)
-        assert report.n_qubits == 2
-        assert report.parameter_count == 12
-        # ceil(h^2/p^2) per term: II 9, ZI 36, IZ 16, ZZ 4, XX 25
-        assert report.entries[0].per_term_shots == (9, 36, 16, 4, 25)
-        assert report.shots_per_evaluation == 90
+        plan = validate_config(config)
+        assert plan.jobs[0].operator.n_qubits == 2
+        assert plan.ansatz.parameter_count == 12
+        # ceil(h^2/p^2) per measured term: ZI 36, IZ 16, ZZ 4, XX 25; II is never measured
+        assert plan.jobs[0].term_shots == (0, 36, 16, 4, 25)
+        assert plan.shots_per_evaluation == 81
 
     def test_unit_coefficient_cost_model(self, tmp_path):
         path = tmp_path / "single.txt"
@@ -118,25 +118,26 @@ class TestValidate:
         config = RunConfig(
             mode="vqe", seed=1, hamiltonian=str(hamiltonian_file), policy="precision:0.05"
         )
-        report = validate_config(config)
+        plan = validate_config(config)
         h = load_hamiltonian(hamiltonian_file)
         h_max = max(abs(c) for c, _ in h.terms)
         bound = h.term_count * int(np.ceil(h_max * h_max / 0.05**2))
-        assert report.shots_per_evaluation <= bound
+        assert plan.shots_per_evaluation <= bound
 
     def test_scan_reports_per_point(self, scan_file):
         config = RunConfig(mode="scan", seed=1, scan=str(scan_file), policy="shots:100")
-        report = validate_config(config)
-        assert len(report.entries) == 5
-        assert all(e.total_shots == 300 for e in report.entries)
+        plan = validate_config(config)
+        assert len(plan.jobs) == 5
+        # I, X and Z per point; the identity term takes no shots.
+        assert all(sum(job.term_shots) == 200 for job in plan.jobs)
 
     def test_ucc_reports_parameters(self, integrals_file):
         config = RunConfig(
             mode="ucc", seed=1, integrals=str(integrals_file), reference="1100"
         )
-        report = validate_config(config)
-        assert report.parameter_count == 5
-        assert report.n_qubits == 4
+        plan = validate_config(config)
+        assert plan.ansatz.parameter_count == 5
+        assert plan.jobs[0].operator.n_qubits == 4
 
 
 class TestRunModes:
@@ -579,7 +580,7 @@ class TestJobList:
             hamiltonian=str(hamiltonian_file), scan=str(scan_file), integrals=str(integrals_file),
             reference="1100", lambdas=(-0.5, 0.7),
         )
-        labels = [entry.label for entry in validate_config(config).entries]
+        labels = [job.label for job in validate_config(config).jobs]
         summary = run_config(config)
         traces = sorted(path for path in out.rglob("*.csv") if path.name != "curve.csv")
         # Each trace names its minimization the way the budget does.
@@ -598,6 +599,52 @@ class TestJobList:
             expected = ["hamiltonian" if mode == "vqe" else "jw-hamiltonian"]
             assert traces == [out / "trace.csv"]
         assert labels == expected
+
+    @pytest.mark.parametrize("policy", ["shots:50", "precision:0.1"])
+    @pytest.mark.parametrize("mode", ["vqe", "ucc", "folded", "scan"])
+    def test_budget_is_what_the_run_spends(
+        self, hamiltonian_file, scan_file, integrals_file, tmp_path, monkeypatch, mode, policy
+    ):
+        import vqesim.cli
+        import vqesim.driver
+
+        original = vqesim.driver.estimate_energy
+        calls = []
+
+        def recording(state, hamiltonian, *args, **kwargs):
+            estimate = original(state, hamiltonian, *args, **kwargs)
+            calls.append((hamiltonian, estimate))
+            return estimate
+
+        # The optimizer's evaluations, and the scan curve's fresh estimates.
+        monkeypatch.setattr(vqesim.driver, "estimate_energy", recording)
+        monkeypatch.setattr(vqesim.cli, "estimate_energy", recording)
+        out = tmp_path / "out"
+        config = RunConfig(
+            mode=mode, seed=3, out=str(out), policy=policy, nm_max_evaluations=30, mc_samples=2000,
+            hamiltonian=str(hamiltonian_file), scan=str(scan_file), integrals=str(integrals_file),
+            reference="1100", lambdas=(-0.5, 0.7),
+        )
+        plan = validate_config(config)
+        # Every input holds an identity term, which is never measured.
+        assert all(any(p.is_identity for _, p in job.operator.terms) for job in plan.jobs)
+        try:
+            run_config(config)
+        except ValueError as exc:
+            # A noisy 5-point scan may fit a non-convex parabola and exit with
+            # no minimum; every estimate was recorded before the fit ran.
+            assert mode == "scan" and "not convex" in str(exc)
+        traces = [path for path in out.rglob("*.csv") if path.name != "curve.csv"]
+        evaluations = sum(len(path.read_text().splitlines()) - 1 for path in traces)
+        assert len(calls) == evaluations + (len(plan.jobs) if mode == "scan" else 0)
+        # The operators measured, in first-use order, are the plan's jobs in order.
+        operators = list({id(h): h for h, _ in calls}.values())
+        assert [h.terms for h in operators] == [job.operator.terms for job in plan.jobs]
+        job_of = {id(h): job for h, job in zip(operators, plan.jobs)}
+        for hamiltonian, estimate in calls:
+            job = job_of[id(hamiltonian)]
+            assert estimate.term_shots == job.term_shots
+            assert estimate.total_shots == sum(job.term_shots) > 0
 
     def test_folded_run_squares_each_shift_once(self, hamiltonian_file, tmp_path, monkeypatch):
         import vqesim.pauli

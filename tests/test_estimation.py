@@ -70,15 +70,19 @@ class TestShotPolicy:
         with pytest.raises(ValueError):
             ShotPolicy.parse("budget:3")
 
-    @pytest.mark.parametrize("bad", [0, -5, 2**63])
+    @pytest.mark.parametrize("bad", [0, -5, 2**63, 2.7, 100.0, True, "100", None])
     def test_shots_validated(self, bad):
         with pytest.raises(ValueError):
             ShotPolicy.fixed(bad)
+        with pytest.raises(ValueError):
+            ShotPolicy("shots", shots=bad)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, True, "0.1", None])
     def test_precision_validated(self, bad):
         with pytest.raises(ValueError):
             ShotPolicy.target_precision(bad)
+        with pytest.raises(ValueError):
+            ShotPolicy("precision", precision=bad)
 
     def test_precision_shot_rule(self):
         policy = ShotPolicy.target_precision(0.01)
@@ -379,7 +383,8 @@ class TestShotBudget:
     def test_literal_rule_over_all_terms(self):
         h = PauliHamiltonian(2, [(1.0, "II"), (0.5, "ZZ")])
         per_term, total = shot_budget(h, ShotPolicy.target_precision(0.1))
-        assert per_term == (100, 25) and total == 125
+        # The identity term is a constant: never measured, never charged.
+        assert per_term == (0, 25) and total == 25
 
     def test_fixed_mode(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
@@ -388,3 +393,12 @@ class TestShotBudget:
     def test_exact_mode(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
         assert shot_budget(h, ShotPolicy.exact()) == ((0,), 0)
+
+    @pytest.mark.parametrize(
+        "policy", [ShotPolicy.exact(), ShotPolicy.fixed(30), ShotPolicy.target_precision(0.2)], ids=ShotPolicy.describe
+    )
+    def test_estimate_draws_the_budget(self, policy):
+        h = PauliHamiltonian(2, [(0.3, "II"), (-0.6, "ZI"), (0.5, "XX")])
+        estimate = estimate_energy(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, policy, RngStream(4))
+        per_term, total = shot_budget(h, policy)
+        assert estimate.term_shots == per_term and estimate.total_shots == total
