@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, basis_action, reconstruct
+from .pauli import PauliHamiltonian, _is_int, basis_action, reconstruct
 from .statevector import StateVector
 
 # The widest dense 2^n x 2^n eigendecomposition: spectra and UCC preparation.
@@ -163,7 +163,7 @@ class MinimumUncertainty:
 
 
 def monte_carlo_minimum_uncertainty(
-    fit: QuadraticFit, samples: int, rng: np.random.Generator | int
+    fit: QuadraticFit, samples: int, rng: np.random.Generator
 ) -> MinimumUncertainty:
     """Propagate fit covariance to (R_min, E_min) by Gaussian sampling.
 
@@ -171,10 +171,8 @@ def monte_carlo_minimum_uncertainty(
     non-convex draws (a <= 0) are discarded and counted, with a warning
     flag once more than 10% are lost.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < MIN_MC_SAMPLES:
+    if not _is_int(samples) or samples < MIN_MC_SAMPLES:
         raise ValueError(f"need an integer of at least {MIN_MC_SAMPLES} Monte-Carlo samples, got {samples!r}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     cov = np.asarray(fit.covariance, dtype=float)
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
     scale = max(1.0, float(np.max(np.abs(eigvals))))

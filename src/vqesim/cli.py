@@ -67,17 +67,9 @@ from .estimation import (
     shot_budget,
 )
 from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
-from .formats import (
-    FormatError,
-    ScanPoint,
-    _is_int,
-    _is_real,
-    load_hamiltonian,
-    load_integrals,
-    load_scan,
-)
+from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
 from .optimize import GradientDescentConfig, NelderMeadConfig
-from .pauli import ComplexPauliSum, PauliHamiltonian, shift_and_square
+from .pauli import ComplexPauliSum, PauliHamiltonian, _is_int, _is_real, shift_and_square
 from .statevector import AnsatzSpec, exact_energy
 
 
@@ -164,6 +156,8 @@ class RunConfig:
             accepts, kind, _ = _value_type(f)
             if not accepts(value):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if isinstance(value, np.generic):  # a numpy scalar: config.json stays strict JSON
+                setattr(self, f.name, value.item())
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         # A run with no evaluation has no energy to report; the fit's
@@ -333,7 +327,7 @@ def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], pol
         else:
             label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
             minimizations = [(label, loaded, config.seed, Path("trace.csv"))]
-        return [Job(label, operator, seed, trace, shot_budget(operator, policy)[0])
+        return [Job(label, operator, seed, trace, shot_budget(operator, policy))
                 for label, operator, seed, trace in minimizations]
     except ValueError as exc:
         raise ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}") from None
@@ -353,10 +347,6 @@ class RunPlan:
     policy: ShotPolicy
     optimizer: NelderMeadConfig | GradientDescentConfig
     jobs: list[Job]
-
-    @property
-    def shots_per_evaluation(self) -> int:
-        return sum(self.jobs[0].term_shots)
 
     def lines(self) -> list[str]:
         out = [

@@ -9,8 +9,8 @@ Binomial(s, (1 + <P>)/2), so each term is one binomial count: mean
 (2k - s)/s, per-shot variance 1 - <P>^2. Estimating one term with
 coefficient h to precision p therefore costs ceil(h^2/p^2) shots. An
 identity term is a constant and is never measured, so the per-evaluation
-budget is the sum of that rule over the measured terms. `shot_budget`
-alone applies the rule: the estimator draws exactly the shots it
+budget is the sum of that rule over the measured terms. `shot_budget` is
+the rule's only home: the estimator draws exactly the shots it
 allocates, and the CLI prices a run with the same call.
 
 On hardware every term needs a fresh preparation. On a noiseless
@@ -29,12 +29,11 @@ compute it again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian
+from .pauli import PauliHamiltonian, _is_int, _is_real
 from .statevector import StateVector, exact_expectation
 
 # SeedSequence spawn-key namespaces; keeps sampling streams disjoint
@@ -76,11 +75,6 @@ class RngStream:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def _is_number(value, kind: type) -> bool:
-    # bool is an Integral too, but True is not a shot count.
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ShotPolicy:
     """How energies are estimated: noiseless, fixed shots, or target precision.
@@ -100,14 +94,14 @@ class ShotPolicy:
             if self.shots is not None or self.precision is not None:
                 raise ValueError("exact mode takes no shots or precision")
         elif self.mode == "shots":
-            if not _is_number(self.shots, numbers.Integral) or not 1 <= self.shots <= MAX_TERM_SHOTS:
+            if not _is_int(self.shots) or not 1 <= self.shots <= MAX_TERM_SHOTS:
                 raise ValueError(f"fixed-shot mode requires an integer 1 <= shots <= 2**63 - 1, got {self.shots!r}")
         elif self.mode == "precision":
-            if not _is_number(self.precision, numbers.Real) or not 0.0 < self.precision <= 1.0:
+            if not _is_real(self.precision) or not 0.0 < self.precision <= 1.0:
                 raise ValueError(f"precision mode requires a number 0 < precision <= 1, got {self.precision!r}")
         else:
             raise ValueError(f"unknown shot policy mode {self.mode!r}")
-        if not math.isfinite(self.bias):
+        if not _is_real(self.bias):
             raise ValueError("bias must be finite")
 
     @classmethod
@@ -124,15 +118,18 @@ class ShotPolicy:
 
     @classmethod
     def parse(cls, text: str, bias: float = 0.0) -> "ShotPolicy":
-        """Parse the run-config form: 'exact' | 'shots:<S>' | 'precision:<p>'."""
+        """Parse the run-config form: 'exact' | 'shots:<integer>' | 'precision:<number>'."""
         text = text.strip()
         if text == "exact":
             return cls.exact()
-        if text.startswith("shots:"):
-            return cls.fixed(int(text.split(":", 1)[1]), bias=bias)
-        if text.startswith("precision:"):
-            return cls.target_precision(float(text.split(":", 1)[1]), bias=bias)
-        raise ValueError(f"unrecognized shot policy {text!r}")
+        kind, _, number = text.partition(":")
+        try:
+            value = {"shots": int, "precision": float}[kind](number)
+        except (KeyError, ValueError):  # an unknown form, or a number that does not read
+            raise ValueError(
+                f"unrecognized shot policy {text!r}; expected exact, shots:<integer> or precision:<number>"
+            ) from None
+        return cls(kind, bias=bias, **{kind: value})
 
     def describe(self) -> str:
         if self.mode == "exact":
@@ -140,22 +137,6 @@ class ShotPolicy:
         if self.mode == "shots":
             return f"shots:{self.shots}"
         return f"precision:{float(self.precision)!r}"
-
-    def term_shots(self, coefficient: float) -> int:
-        """Shots allocated to one term under this policy's cost rule."""
-        if self.mode == "exact":
-            return 0
-        if self.mode == "shots":
-            return int(self.shots)
-        try:
-            shots = max(1, math.ceil(coefficient * coefficient / (self.precision * self.precision)))
-        except (ZeroDivisionError, OverflowError):  # 1/p^2 is not finite
-            shots = MAX_TERM_SHOTS + 1
-        if shots > MAX_TERM_SHOTS:
-            raise ValueError(
-                f"precision {self.precision!r} needs more than 2**63 - 1 shots for coefficient {coefficient!r}"
-            )
-        return shots
 
 
 @dataclass(frozen=True)
@@ -178,18 +159,32 @@ class EnergyEstimate:
         return sum(self.term_shots)
 
 
-def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[tuple[int, ...], int]:
-    """Per-term and total shots of one energy evaluation: what it measures.
+def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[int, ...]:
+    """Shots per term of one evaluation, in term order: the cost rule's only home.
 
-    The one place the cost rule meets a Hamiltonian: every measured term
-    gets `policy.term_shots` of its coefficient, an identity term (a
-    constant, never measured) gets 0, and in exact mode every term gets
-    0. A shot count past MAX_TERM_SHOTS raises ValueError.
+    Exact mode and identity terms (constants, never measured) take 0; a
+    measured term takes the fixed count, or max(1, ceil(h^2/p^2)) for
+    coefficient h at precision p. A count past MAX_TERM_SHOTS raises
+    ValueError.
     """
     if policy.mode == "exact":
-        return (0,) * hamiltonian.term_count, 0
-    per_term = tuple(0 if p.is_identity else policy.term_shots(c) for c, p in hamiltonian.terms)
-    return per_term, sum(per_term)
+        return (0,) * hamiltonian.term_count
+    if policy.mode == "shots":
+        # A Python int: with a numpy count the estimator's 2k - s overflows near MAX_TERM_SHOTS.
+        return tuple(0 if p.is_identity else int(policy.shots) for _, p in hamiltonian.terms)
+    p2 = policy.precision * policy.precision
+    per_term = []
+    for coefficient, p in hamiltonian.terms:
+        try:
+            shots = 0 if p.is_identity else max(1, math.ceil(coefficient * coefficient / p2))
+        except (ZeroDivisionError, OverflowError):  # 1/p^2 is not finite
+            shots = MAX_TERM_SHOTS + 1
+        if shots > MAX_TERM_SHOTS:
+            raise ValueError(
+                f"precision {policy.precision!r} needs more than 2**63 - 1 shots for coefficient {coefficient!r}"
+            )
+        per_term.append(shots)
+    return tuple(per_term)
 
 
 def estimate_energy(
@@ -220,7 +215,7 @@ def estimate_energy(
     terms = hamiltonian.terms
     expectations = [exact_expectation(state, p) for _, p in terms]
     exact_value = float(sum(c * e for (c, _), e in zip(terms, expectations)))
-    shots_used, _ = shot_budget(hamiltonian, policy)
+    shots_used = shot_budget(hamiltonian, policy)
     if policy.mode == "exact":
         return EnergyEstimate(exact_value, 0.0, shots_used, exact_value)
 

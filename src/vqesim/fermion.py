@@ -22,14 +22,13 @@ happens at this scale.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .analysis import MAX_SPECTRUM_QUBITS
-from .pauli import ComplexPauliSum, PauliHamiltonian, PauliString, multiply, reconstruct
+from .pauli import IMAG_TOL, ComplexPauliSum, PauliHamiltonian, PauliString, _is_int, _is_real, multiply, reconstruct
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 FermionTerm = tuple[complex, tuple[tuple[int, bool], ...]]
@@ -47,19 +46,27 @@ class FermionOperator:
     terms: tuple[FermionTerm, ...]
 
     def __init__(self, n_modes: int, terms: Iterable[tuple[complex, Iterable[tuple[int, bool]]]] = ()):
+        if not _is_int(n_modes):
+            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         normalized: list[FermionTerm] = []
         for coeff, ops in terms:
-            ops = tuple((int(mode), bool(dag)) for mode, dag in ops)
-            for mode, _ in ops:
+            ops = tuple(ops)
+            for mode, dag in ops:
+                if not _is_int(mode) or not isinstance(dag, (bool, np.bool_)):
+                    raise ValueError(f"each factor is an integer mode and a bool creation flag, got {(mode, dag)!r}")
                 if not 1 <= mode <= n_modes:
                     raise ValueError(f"mode index {mode} out of range [1, {n_modes}]")
+            # A float or complex may still be inf or nan; that has its own message.
+            if not _is_real(coeff) and not isinstance(coeff, (float, complex, np.inexact)):
+                raise ValueError(f"coefficient must be a number, got {coeff!r}")
+            ops = tuple((int(mode), bool(dag)) for mode, dag in ops)
             coeff = complex(coeff)
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise ValueError("non-finite coefficient")
             normalized.append((coeff, ops))
-        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "n_modes", int(n_modes))
         object.__setattr__(self, "terms", tuple(normalized))
 
     @property
@@ -81,7 +88,7 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
     """Map a fermionic operator to qubit form.
 
     Returns a PauliHamiltonian when the image is Hermitian (imaginary
-    coefficient residue below 1e-10, which holds exactly when the
+    coefficient residue at most IMAG_TOL, which holds exactly when the
     fermionic input equals its conjugate transpose); otherwise the
     complex-coefficient sum is returned as a ComplexPauliSum.
     """
@@ -101,8 +108,8 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
             expansion = new_expansion
         for c, label in expansion:
             acc.add(label, c)
-    if acc.imag_residue() <= 1e-10:
-        return acc.to_hamiltonian(imag_tol=1e-10)
+    if acc.imag_residue() <= IMAG_TOL:
+        return acc.to_hamiltonian()
     return acc
 
 
@@ -125,29 +132,28 @@ class MolecularIntegrals:
         one_body: Iterable[tuple[int, int, float]] = (),
         two_body: Iterable[tuple[int, int, int, int, float]] = (),
     ):
-        def integer(value, what: str) -> int:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{what} must be an integer, got {value!r}")
-            return int(value)
-
-        n_modes = integer(n_modes, "n_modes")
+        if not _is_int(n_modes):
+            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
         if n_modes < 1:
             raise ValueError("n_modes must be >= 1")
 
         def entry(indices: tuple, value) -> tuple:
-            indices = tuple(integer(idx, "orbital index") for idx in indices)
+            for idx in indices:
+                if not _is_int(idx):
+                    raise ValueError(f"orbital index must be an integer, got {idx!r}")
             for idx in indices:
                 if not 1 <= idx <= n_modes:
                     raise ValueError(f"orbital index {idx} out of range [1, {n_modes}]")
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            # A float may still be inf or nan; that has its own message.
+            if not _is_real(value) and not isinstance(value, (float, np.floating)):
                 raise ValueError(f"integral value must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError("non-finite integral value")
-            return (*indices, float(value))
+            return (*map(int, indices), float(value))
 
         one = tuple(entry((p, q), v) for p, q, v in one_body)
         two = tuple(entry((p, q, r, s), v) for p, q, r, s, v in two_body)
-        object.__setattr__(self, "n_modes", n_modes)
+        object.__setattr__(self, "n_modes", int(n_modes))
         object.__setattr__(self, "one_body", one)
         object.__setattr__(self, "two_body", two)
 

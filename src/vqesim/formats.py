@@ -24,26 +24,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fermion import MolecularIntegrals
-from .pauli import PauliHamiltonian, PauliString
+from .pauli import PauliHamiltonian, PauliString, _is_int, _is_real
 
 
 class FormatError(ValueError):
     """Malformed input file; the message names the file and location."""
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite JSON number: an int or float that is not a bool."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 def _read_text(path: Path) -> str:
@@ -52,6 +37,13 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except (OSError, ValueError) as exc:
         raise FormatError(f"{path}: cannot read ({exc})") from None
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def parse_hamiltonian_text(text: str, source: str = "<string>") -> PauliHamiltonian:
@@ -142,11 +134,7 @@ def parse_scan(data, source: str = "<scan>") -> list[ScanPoint]:
 
 def load_scan(path: str | Path) -> list[ScanPoint]:
     path = Path(path)
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_scan(data, source=str(path))
+    return parse_scan(_read_json(path), source=str(path))
 
 
 def write_scan(path: str | Path, points: list[ScanPoint]) -> None:
@@ -189,8 +177,4 @@ def parse_integrals(data, source: str = "<integrals>") -> MolecularIntegrals:
 
 def load_integrals(path: str | Path) -> MolecularIntegrals:
     path = Path(path)
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_integrals(data, source=str(path))
+    return parse_integrals(_read_json(path), source=str(path))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -28,6 +29,8 @@ PAULI_CHARS = "IXYZ"
 # Hard cap for the full 4^n-basis decomposition; the dense oracle path
 # is exponential and meant for desk-scale inputs only.
 MAX_DECOMPOSE_QUBITS = 8
+IMAG_TOL = 1e-10  # the largest imaginary part a Hermitian Pauli sum's coefficient may keep
+PRUNE = 1e-12  # coefficients smaller than this are dropped
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -43,6 +46,21 @@ _MULT = {
     ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
     ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
 }
+
+
+def _is_int(value) -> bool:
+    """An integer as typed: a Python or numpy int, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number as typed: a Python or numpy int or float, never a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,8 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString | str]] = ()):
+        if not _is_int(n_qubits):
+            raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         merged: dict[str, float] = {}
@@ -152,11 +172,14 @@ class PauliHamiltonian:
                 raise ValueError(
                     f"term {string.label!r} has {string.n_qubits} qubits, expected {n_qubits}"
                 )
+            # A float may still be inf or nan; that has its own message.
+            if not _is_real(coeff) and not isinstance(coeff, (float, np.floating)):
+                raise ValueError(f"coefficient for term {string.label!r} must be a real number, got {coeff!r}")
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient for term {string.label!r}")
             merged[string.label] = merged.get(string.label, 0.0) + coeff
-        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "n_qubits", int(n_qubits))
         object.__setattr__(
             self,
             "terms",
@@ -210,14 +233,14 @@ class ComplexPauliSum:
             return 0.0
         return max(abs(c.imag) for c in self._coeffs.values())
 
-    def to_hamiltonian(self, imag_tol: float = 1e-10, prune: float = 1e-12) -> PauliHamiltonian:
+    def to_hamiltonian(self) -> PauliHamiltonian:
         residue = self.imag_residue()
-        if residue > imag_tol:
+        if residue > IMAG_TOL:
             raise ValueError(
-                f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e}; sum is not Hermitian"
+                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.1e}; sum is not Hermitian"
             )
         terms = [
-            (c.real, lbl) for lbl, c in self._coeffs.items() if abs(c.real) >= prune
+            (c.real, lbl) for lbl, c in self._coeffs.items() if abs(c.real) >= PRUNE
         ]
         return PauliHamiltonian(self.n_qubits, terms)
 
@@ -229,7 +252,7 @@ def _require_power_of_two(dim: int) -> int:
     return n
 
 
-def decompose(m: np.ndarray, prune: float = 1e-12) -> PauliHamiltonian:
+def decompose(m: np.ndarray, prune: float = PRUNE) -> PauliHamiltonian:
     """Expand a Hermitian matrix in the Pauli basis.
 
     Coefficient of string P is Tr(P m) / 2^n. Raises if the dimension
@@ -286,7 +309,7 @@ def reconstruct(h: PauliHamiltonian | ComplexPauliSum) -> np.ndarray:
     return m
 
 
-def shift_and_square(h: PauliHamiltonian, shift: float, prune: float = 1e-12) -> PauliHamiltonian:
+def shift_and_square(h: PauliHamiltonian, shift: float) -> PauliHamiltonian:
     """Pauli expansion of (H - shift)^2.
 
     Pairwise term products with phase tracking, merged; the result has
@@ -301,4 +324,4 @@ def shift_and_square(h: PauliHamiltonian, shift: float, prune: float = 1e-12) ->
     for c, p in h.terms:
         acc.add(p.label, -2.0 * shift * c)
     acc.add("I" * h.n_qubits, shift * shift)
-    return acc.to_hamiltonian(imag_tol=1e-10, prune=prune)
+    return acc.to_hamiltonian()

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, basis_action
+from .pauli import PauliHamiltonian, PauliString, _is_int, basis_action
 
 MAX_QUBITS = 12
 
@@ -65,7 +65,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 gate to one qubit of a raw amplitude array."""
     block = amps.reshape(1 << qubit, 2, -1)
     return np.einsum("ts,asb->atb", gate, block).reshape(-1)
@@ -105,6 +105,9 @@ class AnsatzSpec:
     layer_count: int
 
     def __post_init__(self) -> None:
+        for name in ("n_qubits", "layer_count"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
         if self.layer_count < 1:
@@ -130,9 +133,9 @@ def prepare(spec: AnsatzSpec, params: np.ndarray) -> StateVector:
     for layer in range(spec.layer_count + 1):
         for q in range(n):
             a, b, c = params[3 * (layer * n + q): 3 * (layer * n + q) + 3]
-            amps = apply_gate(amps, rz(a), q, n)
-            amps = apply_gate(amps, ry(b), q, n)
-            amps = apply_gate(amps, rz(c), q, n)
+            amps = apply_gate(amps, rz(a), q)
+            amps = apply_gate(amps, ry(b), q)
+            amps = apply_gate(amps, rz(c), q)
         if layer < spec.layer_count:
             amps = amps[_cnot_ladder(n)]
     return StateVector(n, amps)

@@ -131,9 +131,9 @@ def test_cost_model(tmp_path):
     path = tmp_path / "single.txt"
     path.write_text("1.0 Z\n")
     config = RunConfig(mode="vqe", seed=1, hamiltonian=str(path), policy="precision:0.01")
-    report = validate_config(config)
-    ok = report.shots_per_evaluation == 10_000
-    _report("cost-model", ok, f"validate reports {report.shots_per_evaluation} shots/evaluation")
+    shots = sum(validate_config(config).jobs[0].term_shots)
+    ok = shots == 10_000
+    _report("cost-model", ok, f"validate reports {shots} shots/evaluation")
 
 
 def test_jordan_wigner_algebra():

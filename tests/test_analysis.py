@@ -206,7 +206,7 @@ class TestQuadraticFit:
 class TestMonteCarlo:
     def test_zero_covariance(self):
         fit = QuadraticFit(1.0, -2.0, 3.0, np.zeros((3, 3)))
-        unc = monte_carlo_minimum_uncertainty(fit, 2000, 0)
+        unc = monte_carlo_minimum_uncertainty(fit, 2000, np.random.default_rng(0))
         assert unc.sigma_r_min == 0.0 and unc.sigma_e_min == 0.0
         assert unc.discarded_fraction == 0.0 and not unc.warning
 
@@ -215,22 +215,22 @@ class TestMonteCarlo:
         a, sigma_b = 2.0, 0.01
         cov = np.diag([0.0, sigma_b**2, 0.0])
         fit = QuadraticFit(a, -4.0, 1.0, cov)
-        unc = monte_carlo_minimum_uncertainty(fit, 200_000, 1)
+        unc = monte_carlo_minimum_uncertainty(fit, 200_000, np.random.default_rng(1))
         assert unc.sigma_r_min == pytest.approx(sigma_b / (2 * a), rel=0.02)
 
     def test_sample_floor(self):
         fit = QuadraticFit(1.0, 0.0, 0.0, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="1000"):
-            monte_carlo_minimum_uncertainty(fit, 10, 0)
+            monte_carlo_minimum_uncertainty(fit, 10, np.random.default_rng(0))
 
     def test_discard_fraction_and_warning(self):
         # curvature barely positive relative to its spread: many draws non-convex
         fit = QuadraticFit(0.1, -0.2, 0.0, np.diag([1.0, 0.0, 0.0]))
-        unc = monte_carlo_minimum_uncertainty(fit, 20_000, 2)
+        unc = monte_carlo_minimum_uncertainty(fit, 20_000, np.random.default_rng(2))
         assert unc.discarded_fraction > 0.10
         assert unc.warning
 
     def test_non_psd_covariance_rejected(self):
         fit = QuadraticFit(1.0, 0.0, 0.0, np.diag([-1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="positive semidefinite"):
-            monte_carlo_minimum_uncertainty(fit, 2000, 0)
+            monte_carlo_minimum_uncertainty(fit, 2000, np.random.default_rng(0))

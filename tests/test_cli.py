@@ -91,6 +91,15 @@ class TestRunConfig:
                 {"mode": "vqe", "seed": 1, "hamiltonian": str(hamiltonian_file), field: value}
             )
 
+    def test_numpy_scalars_stored_as_json_numbers(self, hamiltonian_file):
+        config = RunConfig(
+            mode="vqe", seed=np.uint64(2**64 - 1), hamiltonian=str(hamiltonian_file),
+            layers=np.int64(2), bias=np.float32(0.5),
+        )
+        assert (config.seed, config.layers, config.bias) == (2**64 - 1, 2, 0.5)
+        assert [type(v) for v in (config.seed, config.layers, config.bias)] == [int, int, float]
+        json.dumps(dataclasses.asdict(config), allow_nan=False)
+
     def test_fit_window_ordering(self, scan_file):
         with pytest.raises(ConfigError, match="lo < hi"):
             RunConfig(mode="scan", seed=1, scan=str(scan_file), fit_window=(5.0, 1.0))
@@ -106,13 +115,13 @@ class TestValidate:
         assert plan.ansatz.parameter_count == 12
         # ceil(h^2/p^2) per measured term: ZI 36, IZ 16, ZZ 4, XX 25; II is never measured
         assert plan.jobs[0].term_shots == (0, 36, 16, 4, 25)
-        assert plan.shots_per_evaluation == 81
+        assert sum(plan.jobs[0].term_shots) == 81
 
     def test_unit_coefficient_cost_model(self, tmp_path):
         path = tmp_path / "single.txt"
         path.write_text("1.0 Z\n")
         config = RunConfig(mode="vqe", seed=1, hamiltonian=str(path), policy="precision:0.01")
-        assert validate_config(config).shots_per_evaluation == 10_000
+        assert sum(validate_config(config).jobs[0].term_shots) == 10_000
 
     def test_budget_bounded_by_max_term(self, hamiltonian_file):
         config = RunConfig(
@@ -122,7 +131,7 @@ class TestValidate:
         h = load_hamiltonian(hamiltonian_file)
         h_max = max(abs(c) for c, _ in h.terms)
         bound = h.term_count * int(np.ceil(h_max * h_max / 0.05**2))
-        assert plan.shots_per_evaluation <= bound
+        assert sum(plan.jobs[0].term_shots) <= bound
 
     def test_scan_reports_per_point(self, scan_file):
         config = RunConfig(mode="scan", seed=1, scan=str(scan_file), policy="shots:100")
@@ -443,6 +452,19 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("policy", ["shots:1e3", "precision:abc"])
+    def test_unreadable_policy_names_the_forms(self, hamiltonian_file, tmp_path, capsys, command, policy):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mode": "vqe", "hamiltonian": str(hamiltonian_file), "seed": 1, "policy": policy}))
+        out = tmp_path / "run_out"
+        code = main([command, "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(policy) in err
+        assert all(form in err for form in ("exact", "shots:<integer>", "precision:<number>"))
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])

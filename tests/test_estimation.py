@@ -36,6 +36,12 @@ def sample_term(state: StateVector, label: str, shots: int, seed: int, iteration
     return estimate.value, estimate.std_error
 
 
+def term_budget(policy: ShotPolicy, coefficient: float) -> int:
+    """The shots `shot_budget` gives one measured term of this coefficient."""
+    (shots,) = shot_budget(PauliHamiltonian(1, [(coefficient, "Z")]), policy)
+    return shots
+
+
 class TestRngStream:
     """Each (seed, iteration) pair selects one evaluation's sampling stream."""
 
@@ -70,6 +76,14 @@ class TestShotPolicy:
         with pytest.raises(ValueError):
             ShotPolicy.parse("budget:3")
 
+    @pytest.mark.parametrize("text", ["shots:1e3", "shots:", "shots", "precision:abc", "budget:3"])
+    def test_parse_error_names_the_forms(self, text):
+        with pytest.raises(ValueError) as info:
+            ShotPolicy.parse(text)
+        message = str(info.value)
+        assert repr(text) in message
+        assert all(form in message for form in ("exact", "shots:<integer>", "precision:<number>"))
+
     @pytest.mark.parametrize("bad", [0, -5, 2**63, 2.7, 100.0, True, "100", None])
     def test_shots_validated(self, bad):
         with pytest.raises(ValueError):
@@ -86,16 +100,16 @@ class TestShotPolicy:
 
     def test_precision_shot_rule(self):
         policy = ShotPolicy.target_precision(0.01)
-        assert policy.term_shots(1.0) == 10_000
-        assert policy.term_shots(0.5) == 2_500
-        assert policy.term_shots(0.0) == 1
+        assert term_budget(policy, 1.0) == 10_000
+        assert term_budget(policy, 0.5) == 2_500
+        assert term_budget(policy, 0.0) == 1
 
     def test_precision_shot_count_bounded(self):
         # h^2 / p^2 shots: 2**62 fits a 64-bit count, 2**64 does not.
         policy = ShotPolicy.target_precision(2.0**-31)
-        assert policy.term_shots(1.0) == 2**62
+        assert term_budget(policy, 1.0) == 2**62
         with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
-            policy.term_shots(2.0)
+            term_budget(policy, 2.0)
 
 
 class TestSamplePauli:
@@ -382,17 +396,19 @@ class TestOnePass:
 class TestShotBudget:
     def test_literal_rule_over_all_terms(self):
         h = PauliHamiltonian(2, [(1.0, "II"), (0.5, "ZZ")])
-        per_term, total = shot_budget(h, ShotPolicy.target_precision(0.1))
+        per_term = shot_budget(h, ShotPolicy.target_precision(0.1))
         # The identity term is a constant: never measured, never charged.
-        assert per_term == (0, 25) and total == 25
+        assert per_term == (0, 25) and sum(per_term) == 25
 
     def test_fixed_mode(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
-        assert shot_budget(h, ShotPolicy.fixed(77)) == ((77,), 77)
+        per_term = shot_budget(h, ShotPolicy.fixed(77))
+        assert per_term == (77,) and sum(per_term) == 77
 
     def test_exact_mode(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
-        assert shot_budget(h, ShotPolicy.exact()) == ((0,), 0)
+        per_term = shot_budget(h, ShotPolicy.exact())
+        assert per_term == (0,) and sum(per_term) == 0
 
     @pytest.mark.parametrize(
         "policy", [ShotPolicy.exact(), ShotPolicy.fixed(30), ShotPolicy.target_precision(0.2)], ids=ShotPolicy.describe
@@ -400,5 +416,12 @@ class TestShotBudget:
     def test_estimate_draws_the_budget(self, policy):
         h = PauliHamiltonian(2, [(0.3, "II"), (-0.6, "ZI"), (0.5, "XX")])
         estimate = estimate_energy(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, policy, RngStream(4))
-        per_term, total = shot_budget(h, policy)
-        assert estimate.term_shots == per_term and estimate.total_shots == total
+        per_term = shot_budget(h, policy)
+        assert estimate.term_shots == per_term and estimate.total_shots == sum(per_term)
+
+    def test_numpy_integer_shots_stay_exact(self):
+        # 2k - s for counts near 2**63 fits only in Python ints.
+        policy = ShotPolicy.fixed(np.int64(MAX_TERM_SHOTS))
+        estimate = estimate_energy(plus(), PauliHamiltonian(1, [(1.0, "X")]), policy, RngStream(3))
+        assert estimate.term_shots == (MAX_TERM_SHOTS,) and type(estimate.term_shots[0]) is int
+        assert -1.0 <= estimate.value <= 1.0

@@ -49,6 +49,28 @@ class TestJordanWigner:
         with pytest.raises(ValueError, match="out of range"):
             FermionOperator(2, [(1.0, ((3, False),))])
 
+    @pytest.mark.parametrize(
+        "n_modes,term,message",
+        [
+            (2, (1.0, [(1.7, "no")]), "integer mode and a bool creation flag"),
+            (2, (1.0, [(True, False)]), "integer mode"),
+            (2, (1.0, [(1, "no")]), "bool creation flag"),
+            (2, (1.0, [(1, 1)]), "bool creation flag"),
+            (2, (True, [(1, False)]), "coefficient must be a number"),
+            (2, ("1.0", [(1, False)]), "coefficient must be a number"),
+            (2.0, (1.0, [(1, False)]), "n_modes must be an integer"),
+        ],
+    )
+    def test_values_taken_as_typed(self, n_modes, term, message):
+        with pytest.raises(ValueError, match=message):
+            FermionOperator(n_modes, [term])
+
+    def test_numpy_scalars_and_complex_coefficients_accepted(self):
+        op = FermionOperator(np.int64(2), [(np.float64(0.5), [(np.int32(2), np.True_)]), (0.5j, [(1, False)])])
+        assert op.terms == ((0.5 + 0j, ((2, True),)), (0.5j, ((1, False),)))
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            FermionOperator(1, [(float("inf"), [(1, True)])])
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
     def test_canonical_anticommutation(self, n_modes):
         create = {j: ladder_matrix(j, True, n_modes) for j in range(1, n_modes + 1)}

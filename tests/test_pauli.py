@@ -122,6 +122,20 @@ class TestHamiltonianContainer:
         with pytest.raises(ValueError):
             PauliHamiltonian(1, [(float("nan"), "Z")])
 
+    @pytest.mark.parametrize("coeff", [True, "2.5", None, 1j])
+    def test_coefficient_must_be_a_real_number(self, coeff):
+        with pytest.raises(ValueError, match="must be a real number"):
+            PauliHamiltonian(1, [(coeff, "Z")])
+
+    @pytest.mark.parametrize("n_qubits", [True, 1.0])
+    def test_qubit_count_must_be_an_integer(self, n_qubits):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PauliHamiltonian(n_qubits, [(1.0, "Z")])
+
+    def test_numpy_scalars_accepted(self):
+        h = PauliHamiltonian(np.int64(1), [(np.float32(0.5), "Z"), (np.int64(2), "X")])
+        assert type(h.n_qubits) is int and h.terms == ((0.5, PauliString("Z")), (2.0, PauliString("X")))
+
     def test_empty_allowed(self):
         h = PauliHamiltonian(1, [])
         assert h.term_count == 0

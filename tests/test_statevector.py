@@ -53,6 +53,11 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             AnsatzSpec(2, 0)
 
+    @pytest.mark.parametrize("n_qubits,layers", [(2, True), (2, 1.5), (2.0, 1), (True, 1)])
+    def test_counts_must_be_integers(self, n_qubits, layers):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AnsatzSpec(n_qubits, layers)
+
     def test_zero_parameters_give_zero_state(self):
         spec = AnsatzSpec(2, 1)
         state = prepare(spec, np.zeros(spec.parameter_count))
@@ -93,7 +98,7 @@ class TestAnsatz:
         for layer in range(layers + 1):
             for q in range(n):
                 a, b, c = params[3 * (layer * n + q): 3 * (layer * n + q) + 3]
-                amps = apply_gate(apply_gate(apply_gate(amps, rz(a), q, n), ry(b), q, n), rz(c), q, n)
+                amps = apply_gate(apply_gate(apply_gate(amps, rz(a), q), ry(b), q), rz(c), q)
             if layer < layers:
                 for q in range(n - 1):  # one gather per CNOT(q, q + 1)
                     control, target = 1 << (n - 1 - q), 1 << (n - 2 - q)
