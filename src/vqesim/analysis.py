@@ -10,6 +10,7 @@ energy curve into a minimum location with uncertainties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ MIN_MC_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns (real for a real matrix)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -32,25 +33,33 @@ class Spectrum:
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
+    @cached_property
     def ground_space(self) -> np.ndarray:
         """Columns spanning the (possibly degenerate) lowest eigenspace.
 
         Eigenvalues within 1e-8 * max(1, max |eigenvalue|) of the lowest
-        count as degenerate with it.
+        count as degenerate with it. Found once per spectrum and read-only.
         """
         scale = max(1.0, float(np.max(np.abs(self.eigenvalues))))
         mask = self.eigenvalues <= self.eigenvalues[0] + 1e-8 * scale
-        return self.eigenvectors[:, mask]
+        basis = self.eigenvectors[:, mask]
+        basis.flags.writeable = False
+        return basis
 
 
 def exact_spectrum(h: PauliHamiltonian) -> Spectrum:
-    """Dense diagonalization of the reconstructed Hamiltonian."""
+    """Dense diagonalization of the reconstructed Hamiltonian.
+
+    A real matrix (every term has an even number of Y factors) takes the
+    real `eigh`, about 5x faster, and gives float64 eigenvectors.
+    """
     if h.n_qubits > MAX_SPECTRUM_QUBITS:
         raise ValueError(
             f"dense spectrum over {h.n_qubits} qubits exceeds the "
             f"{MAX_SPECTRUM_QUBITS}-qubit guard"
         )
-    values, vectors = np.linalg.eigh(reconstruct(h))
+    m = reconstruct(h)
+    values, vectors = np.linalg.eigh(m if m.imag.any() else m.real)
     return Spectrum(values, vectors)
 
 
@@ -68,7 +77,7 @@ def ground_space_overlap(spectrum: Spectrum, state: StateVector) -> float:
     degeneracy it measures distance to the subspace rather than to an
     arbitrary eigenvector choice.
     """
-    basis = spectrum.ground_space()
+    basis = spectrum.ground_space
     amplitudes = basis.conj().T @ state.amplitudes
     return min(1.0, float(np.linalg.norm(amplitudes)))
 

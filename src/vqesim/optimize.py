@@ -12,11 +12,14 @@ are dominated by noise, which is the point of the comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .pauli import _is_int, _is_real
 
 REASON_TOLERANCE = "tolerance"
 REASON_BUDGET = "evaluation_budget"
@@ -27,6 +30,16 @@ Objective = Callable[[np.ndarray], float]
 
 class ObjectiveValueError(RuntimeError):
     """Objective returned a non-finite value; carries the offending point."""
+
+
+def _check_types(config) -> None:
+    """Each `int` field holds an integer and each `float` field a finite number, as typed."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not _is_real(value):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -42,6 +55,7 @@ class NelderMeadConfig:
     max_evaluations: int = 6000
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.reflection <= 0:
             raise ValueError("reflection coefficient must be > 0")
         if self.expansion <= 1:
@@ -69,6 +83,7 @@ class GradientDescentConfig:
     max_evaluations: int = 2000
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.step_size <= 0:
             raise ValueError("step size must be > 0")
         if self.fd_step <= 0:

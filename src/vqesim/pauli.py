@@ -210,9 +210,11 @@ class ComplexPauliSum:
     """
 
     def __init__(self, n_qubits: int):
+        if not _is_int(n_qubits):
+            raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        self.n_qubits = n_qubits
+        self.n_qubits = int(n_qubits)
         self._coeffs: dict[str, complex] = {}
 
     def add(self, label: str, coeff: complex) -> None:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_hamiltonian, random_state
 from vqesim import (
     PauliHamiltonian,
     QuadraticFit,
+    Spectrum,
     StateVector,
     exact_spectrum,
     fit_quadratic_minimum,
@@ -69,6 +70,60 @@ class TestSpectrum:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
             exact_spectrum(PauliHamiltonian(11, [(1.0, "Z" * 11)]))
+
+
+@st.composite
+def real_hamiltonians(draw) -> PauliHamiltonian:
+    """1-6 qubits, every term with an even number of Y factors.
+
+    Half of them take coefficients from {-1, -1/2, 1/2, 1}, which often
+    leaves the ground space degenerate.
+    """
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8))
+    # An odd Y count loses its first Y to a Z.
+    labels = [lbl.replace("Y", "Z", 1) if lbl.count("Y") % 2 else lbl for lbl in labels]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        coeffs = rng.choice([-1.0, -0.5, 0.5, 1.0], size=len(labels))
+    else:
+        coeffs = rng.uniform(-1.0, 1.0, size=len(labels))
+    return PauliHamiltonian(n, zip(coeffs.tolist(), labels))
+
+
+class TestRealSpectrum:
+    @given(real_hamiltonians(), st.integers(0, 2**32 - 1))
+    @example(PauliHamiltonian(2, [(1.0, "ZZ")]), 0)
+    @example(PauliHamiltonian(3, [(2.0, "III")]), 1)
+    @example(PauliHamiltonian(2, [(1.0, "XX"), (1.0, "YY")]), 2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_complex_eigh(self, h, state_seed):
+        real = exact_spectrum(h)
+        assert real.eigenvectors.dtype == np.float64
+        forced = Spectrum(*np.linalg.eigh(reconstruct(h)))
+        assert forced.eigenvectors.dtype == np.complex128
+        scale = max(1.0, float(np.max(np.abs(forced.eigenvalues))))
+        assert np.max(np.abs(real.eigenvalues - forced.eigenvalues)) <= 1e-12 * scale
+        b_real, b_forced = real.ground_space, forced.ground_space
+        assert b_real.shape == b_forced.shape
+        projector_gap = b_real @ b_real.conj().T - b_forced @ b_forced.conj().T
+        assert np.max(np.abs(projector_gap)) <= 1e-10
+        rng = np.random.default_rng(state_seed)
+        for _ in range(3):
+            state = random_state(rng, h.n_qubits)
+            assert abs(ground_space_overlap(real, state) - ground_space_overlap(forced, state)) <= 1e-12
+
+    def test_eigenvector_dtype_follows_the_matrix(self):
+        real = PauliHamiltonian(2, [(0.5, "ZI"), (-0.3, "XX"), (0.2, "YY")])
+        assert exact_spectrum(real).eigenvectors.dtype == np.float64
+        odd_y = PauliHamiltonian(2, [(0.5, "ZI"), (0.7, "XY")])
+        assert exact_spectrum(odd_y).eigenvectors.dtype == np.complex128
+
+    def test_ground_space_found_once(self):
+        spec = exact_spectrum(PauliHamiltonian(2, [(1.0, "ZZ")]))
+        assert spec.ground_space is spec.ground_space
+        assert not spec.ground_space.flags.writeable
+        assert spec.ground_space.shape == (4, 2)
 
 
 class TestTangle:

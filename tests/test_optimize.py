@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,25 @@ class TestNelderMeadConfig:
     def test_validity_ranges(self, kwargs):
         with pytest.raises(ValueError):
             NelderMeadConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_evaluations": 2.5}, "max_evaluations must be an integer, got 2.5"),
+            ({"stagnation_window": True}, "stagnation_window must be an integer, got True"),
+            ({"restart_limit": "3"}, "restart_limit must be an integer, got '3'"),
+            ({"tolerance": float("nan")}, "tolerance must be a finite number, got nan"),
+            ({"initial_scale": float("inf")}, "initial_scale must be a finite number, got inf"),
+            ({"reflection": True}, "reflection must be a finite number, got True"),
+        ],
+    )
+    def test_types_and_finiteness(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NelderMeadConfig(**kwargs)
+
+    def test_numbers_as_typed_accepted(self):
+        config = NelderMeadConfig(reflection=1, max_evaluations=np.int64(5), tolerance=np.float64(0.0))
+        assert nelder_mead(sphere, np.array([1.0]), config).evaluations == 5
 
 
 class TestNelderMead:
@@ -168,3 +189,16 @@ class TestGradientDescent:
             GradientDescentConfig(step_size=0.0)
         with pytest.raises(ValueError):
             GradientDescentConfig(fd_step=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"step_size": float("inf")}, "step_size must be a finite number, got inf"),
+            ({"fd_step": float("nan")}, "fd_step must be a finite number, got nan"),
+            ({"max_evaluations": True}, "max_evaluations must be an integer, got True"),
+            ({"max_evaluations": 10.0}, "max_evaluations must be an integer, got 10.0"),
+        ],
+    )
+    def test_config_types_and_finiteness(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradientDescentConfig(**kwargs)

@@ -227,6 +227,11 @@ class TestShiftAndSquare:
 
 
 class TestComplexPauliSum:
+    @pytest.mark.parametrize("n_qubits", [2.0, True])
+    def test_qubit_count_must_be_an_integer(self, n_qubits):
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {n_qubits!r}"):
+            ComplexPauliSum(n_qubits)
+
     def test_rejects_imaginary_residue(self):
         acc = ComplexPauliSum(1)
         acc.add("X", 0.5j)
