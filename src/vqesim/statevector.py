@@ -2,8 +2,11 @@
 
 States are immutable; every operation returns a new StateVector with
 unit norm. Rotation conventions are Ry(t) = exp(-i t Y / 2) and
-Rz(t) = exp(-i t Z / 2). Global phase is never compared anywhere in
-the package; use analysis.overlap for state comparisons.
+Rz(t) = exp(-i t Z / 2). The ansatz applies each Rz(a), Ry(b), Rz(c)
+triple as one fused gate, Rz(c) Ry(b) Rz(a) in closed form:
+[[e^{-i(a+c)/2} cos(b/2), -e^{i(a-c)/2} sin(b/2)],
+ [e^{-i(a-c)/2} sin(b/2), e^{i(a+c)/2} cos(b/2)]]. Global phase is
+never compared; use analysis.overlap for state comparisons.
 """
 
 from __future__ import annotations
@@ -16,17 +19,10 @@ import numpy as np
 from .pauli import PauliHamiltonian, PauliString, _is_int, basis_action
 
 MAX_QUBITS = 12
-
-
-def ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
-    )
+# Entry k (00, 01, 10, 11) of the fused gate is exp(a _PHASE_A[k] + c _PHASE_C[k]) times
+# entry k of Ry(b), cos(b/2) _COS[k] + sin(b/2) _SIN[k].
+_PHASE_A, _PHASE_C = 0.5j * np.array([-1, 1, -1, 1]), 0.5j * np.array([-1, -1, 1, 1])
+_COS, _SIN = np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, -1.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,30 +33,33 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        dim = _dimension(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
+        if amps.shape != (dim,):
+            raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _dimension(n_qubits: int) -> int:
+    """2^n_qubits, once n_qubits is checked to be an integer in [1, MAX_QUBITS]."""
+    if not _is_int(n_qubits) or not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}")
+    return 1 << int(n_qubits)
+
+
 def init_zero(n_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
-    if not 0 <= index < (1 << n_qubits):
+    dim = _dimension(n_qubits)
+    if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)
 
@@ -69,6 +68,14 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 gate to one qubit of a raw amplitude array."""
     block = amps.reshape(1 << qubit, 2, -1)
     return np.einsum("ts,asb->atb", gate, block).reshape(-1)
+
+
+def euler_gates(angles: np.ndarray) -> np.ndarray:
+    """Rz(c) Ry(b) Rz(a) in closed form for each (a, b, c) on the last axis: (..., 2, 2)."""
+    a, half_b, c = angles[..., 0, None], angles[..., 1, None] / 2.0, angles[..., 2, None]
+    phase = np.exp(a * _PHASE_A + c * _PHASE_C)
+    ry_entries = np.cos(half_b) * _COS + np.sin(half_b) * _SIN
+    return (phase * ry_entries).reshape(*angles.shape[:-1], 2, 2)
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -96,9 +103,10 @@ class AnsatzSpec:
     qubit and then a CNOT ladder (control i, target i+1); one more
     rotation layer closes the circuit. Parameters are consumed in
     circuit order: for rotation layer l and qubit q, the triple is
-    params[3*(l*n + q) + (0, 1, 2)] = (first Rz angle, Ry angle, last
-    Rz angle). One layer on two qubits can reach any two-qubit pure
-    state.
+    params[3*(l*n + q) + (0, 1, 2)] = (a, b, c) = (first Rz angle, Ry
+    angle, last Rz angle), applied as the one fused gate
+    Rz(c) Ry(b) Rz(a) of `euler_gates`. One layer on two qubits can
+    reach any two-qubit pure state.
     """
 
     n_qubits: int
@@ -122,20 +130,19 @@ class AnsatzSpec:
 
 
 def prepare(spec: AnsatzSpec, params: np.ndarray) -> StateVector:
-    """Run the ansatz circuit on |0...0> with the given angles."""
+    """Run the ansatz on |0...0>: every fused gate built at once, then applied one by one."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.parameter_count,):
         raise ValueError(
             f"expected {spec.parameter_count} parameters, got shape {params.shape}"
         )
     n = spec.n_qubits
-    amps = init_zero(n).amplitudes
+    gates = euler_gates(params.reshape(spec.layer_count + 1, n, 3))
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
     for layer in range(spec.layer_count + 1):
         for q in range(n):
-            a, b, c = params[3 * (layer * n + q): 3 * (layer * n + q) + 3]
-            amps = apply_gate(amps, rz(a), q)
-            amps = apply_gate(amps, ry(b), q)
-            amps = apply_gate(amps, rz(c), q)
+            amps = apply_gate(amps, gates[layer, q], q)
         if layer < spec.layer_count:
             amps = amps[_cnot_ladder(n)]
     return StateVector(n, amps)

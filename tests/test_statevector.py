@@ -14,7 +14,36 @@ from vqesim import (
     prepare,
     reconstruct,
 )
-from vqesim.statevector import apply_gate, ry, rz
+from vqesim.statevector import MAX_QUBITS, apply_gate, basis_state, euler_gates
+
+
+def ry(theta: float) -> np.ndarray:
+    """Reference Ry(t) = exp(-i t Y / 2), one gate per angle."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rz(theta: float) -> np.ndarray:
+    """Reference Rz(t) = exp(-i t Z / 2), one gate per angle."""
+    return np.array(
+        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
+    )
+
+
+def ladder_circuit(spec: AnsatzSpec, params: np.ndarray, rotation) -> np.ndarray:
+    """The ansatz with one gather per CNOT(q, q + 1); rotation(amps, (a, b, c), layer, q)."""
+    n = spec.n_qubits
+    idx = np.arange(1 << n)
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    for layer in range(spec.layer_count + 1):
+        for q in range(n):
+            amps = rotation(amps, params[3 * (layer * n + q): 3 * (layer * n + q) + 3], layer, q)
+        if layer < spec.layer_count:
+            for q in range(n - 1):
+                control, target = 1 << (n - 1 - q), 1 << (n - 2 - q)
+                amps = amps[np.where(idx & control, idx ^ target, idx)]
+    return amps
 
 
 def bell() -> StateVector:
@@ -28,10 +57,20 @@ class TestInitZero:
     def test_two_qubits(self):
         assert np.array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
 
-    @pytest.mark.parametrize("n", [0, 13, -1])
+    @pytest.mark.parametrize("n", [0, 13, -1, True, 2.0])
     def test_range_guard(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_qubits must be an integer in"):
             init_zero(n)
+
+
+class TestBasisState:
+    def test_index_placed(self):
+        assert np.array_equal(basis_state(2, 0b10).amplitudes, [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, True])
+    def test_shares_the_width_rule(self, n):
+        with pytest.raises(ValueError, match="n_qubits must be an integer in"):
+            basis_state(n, 0)
 
 
 class TestStateVector:
@@ -42,6 +81,21 @@ class TestStateVector:
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0], [complex(np.nan, 0.0), 0.0]])
+    def test_non_finite_norm_rejected(self, amps):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(1, np.array(amps))
+
+    @pytest.mark.parametrize("n,dim", [(True, 2), (0, 1), (1.0, 2), (MAX_QUBITS + 1, 1 << (MAX_QUBITS + 1))])
+    def test_width_must_be_an_integer_in_range(self, n, dim):
+        amps = np.zeros(dim)
+        amps[0] = 1.0
+        with pytest.raises(ValueError, match="n_qubits must be an integer in"):
+            StateVector(n, amps)
+
+    def test_numpy_integer_width_accepted(self):
+        assert StateVector(np.int64(1), np.array([0.0, 1.0])).n_qubits == 1
 
 
 class TestAnsatz:
@@ -93,17 +147,37 @@ class TestAnsatz:
     def test_composed_ladder_matches_gate_by_gate(self, n, layers):
         spec = AnsatzSpec(n, layers)
         params = np.random.default_rng(n).uniform(-np.pi, np.pi, spec.parameter_count)
-        idx = np.arange(1 << n)
-        amps = init_zero(n).amplitudes
-        for layer in range(layers + 1):
-            for q in range(n):
-                a, b, c = params[3 * (layer * n + q): 3 * (layer * n + q) + 3]
-                amps = apply_gate(apply_gate(apply_gate(amps, rz(a), q), ry(b), q), rz(c), q)
-            if layer < layers:
-                for q in range(n - 1):  # one gather per CNOT(q, q + 1)
-                    control, target = 1 << (n - 1 - q), 1 << (n - 2 - q)
-                    amps = amps[np.where(idx & control, idx ^ target, idx)]
+        gates = euler_gates(params.reshape(layers + 1, n, 3))
+        amps = ladder_circuit(spec, params, lambda amps, _, layer, q: apply_gate(amps, gates[layer, q], q))
         assert prepare(spec, params).amplitudes.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (3, 2), (8, 1), (10, 2)])
+    def test_fused_matches_unfused_rotations(self, n, layers):
+        """Fusing each Rz-Ry-Rz triple moves every amplitude by at most 1e-14."""
+
+        def unfused(amps, angles, _layer, q):
+            a, b, c = angles
+            return apply_gate(apply_gate(apply_gate(amps, rz(a), q), ry(b), q), rz(c), q)
+
+        spec = AnsatzSpec(n, layers)
+        rng = np.random.default_rng([n, layers])
+        for _ in range(20):
+            params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
+            reference = ladder_circuit(spec, params, unfused)
+            assert np.max(np.abs(prepare(spec, params).amplitudes - reference)) <= 1e-14
+
+
+_SPECIAL_ANGLES = st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi])
+_ANGLES = st.one_of(_SPECIAL_ANGLES, st.floats(-2 * np.pi, 2 * np.pi))
+
+
+class TestEulerGates:
+    @given(_ANGLES, _ANGLES, _ANGLES)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_product(self, a, b, c):
+        gate = euler_gates(np.array([a, b, c]))
+        assert gate.shape == (2, 2)
+        assert np.max(np.abs(gate - rz(c) @ ry(b) @ rz(a))) <= 1e-15
 
 
 class TestExactExpectation:
