@@ -40,7 +40,7 @@ def compare(hamiltonians: int, starts: int, shots: int, budget: int, seed: int) 
     nm_config = NelderMeadConfig(
         max_evaluations=budget, restart_limit=5, stagnation_window=60, initial_scale=0.6
     )
-    gd_config = GradientDescentConfig(step_size=0.1, fd_step=1e-3, max_evaluations=budget)
+    gd_config = GradientDescentConfig(step_size=0.1, max_evaluations=budget)
     rows = []
     for h_index in range(hamiltonians):
         gen = np.random.default_rng(seed + h_index)

@@ -123,24 +123,18 @@ class RunConfig:
     integrals: str | None = None
     layers: int = 1
     policy: str = "exact"
-    bias: float = 0.0
     lambdas: tuple[float, ...] = ()
     fit_window: tuple[float, float] | None = None
     reference: str | None = None
     cluster_cap: int = 2
     mc_samples: int = 20000
     optimizer: str = "nelder-mead"
-    nm_reflection: float = NelderMeadConfig.reflection
-    nm_expansion: float = NelderMeadConfig.expansion
-    nm_contraction: float = NelderMeadConfig.contraction
-    nm_shrink: float = NelderMeadConfig.shrink
     nm_initial_scale: float = NelderMeadConfig.initial_scale
     nm_tolerance: float = NelderMeadConfig.tolerance
     nm_stagnation_window: int = NelderMeadConfig.stagnation_window
     nm_restart_limit: int = NelderMeadConfig.restart_limit
     nm_max_evaluations: int = NelderMeadConfig.max_evaluations
     gd_step_size: float = GradientDescentConfig.step_size
-    gd_fd_step: float = GradientDescentConfig.fd_step
     gd_max_evaluations: int = GradientDescentConfig.max_evaluations
 
     def __post_init__(self) -> None:
@@ -196,7 +190,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def shot_policy(self) -> ShotPolicy:
-        return ShotPolicy.parse(self.policy, bias=self.bias)
+        return ShotPolicy.parse(self.policy)
 
     def optimizer_config(self, optimizer: str | None = None):
         """The library config of `optimizer` (default: the chosen one) from its prefixed keys."""

@@ -77,17 +77,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class ShotPolicy:
-    """How energies are estimated: noiseless, fixed shots, or target precision.
-
-    `bias` emulates a constant systematic shift of sampled estimates
-    (hardware-style offset); it is off by default and never applied in
-    exact mode.
-    """
+    """How energies are estimated: noiseless, fixed shots, or target precision."""
 
     mode: str
     shots: int | None = None
     precision: float | None = None
-    bias: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode == "exact":
@@ -101,23 +95,21 @@ class ShotPolicy:
                 raise ValueError(f"precision mode requires a number 0 < precision <= 1, got {self.precision!r}")
         else:
             raise ValueError(f"unknown shot policy mode {self.mode!r}")
-        if not _is_real(self.bias):
-            raise ValueError("bias must be finite")
 
     @classmethod
     def exact(cls) -> "ShotPolicy":
         return cls("exact")
 
     @classmethod
-    def fixed(cls, shots: int, bias: float = 0.0) -> "ShotPolicy":
-        return cls("shots", shots=shots, bias=bias)
+    def fixed(cls, shots: int) -> "ShotPolicy":
+        return cls("shots", shots=shots)
 
     @classmethod
-    def target_precision(cls, precision: float, bias: float = 0.0) -> "ShotPolicy":
-        return cls("precision", precision=precision, bias=bias)
+    def target_precision(cls, precision: float) -> "ShotPolicy":
+        return cls("precision", precision=precision)
 
     @classmethod
-    def parse(cls, text: str, bias: float = 0.0) -> "ShotPolicy":
+    def parse(cls, text: str) -> "ShotPolicy":
         """Parse the run-config form: 'exact' | 'shots:<integer>' | 'precision:<number>'."""
         text = text.strip()
         if text == "exact":
@@ -129,7 +121,7 @@ class ShotPolicy:
             raise ValueError(
                 f"unrecognized shot policy {text!r}; expected exact, shots:<integer> or precision:<number>"
             ) from None
-        return cls(kind, bias=bias, **{kind: value})
+        return cls(kind, **{kind: value})
 
     def describe(self) -> str:
         if self.mode == "exact":
@@ -237,5 +229,4 @@ def estimate_energy(
         value += coeff * mean
         if shots > 1:
             variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
-    value += policy.bias
     return EnergyEstimate(value, math.sqrt(variance), shots_used, exact_value)

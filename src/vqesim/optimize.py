@@ -8,6 +8,11 @@ noiseless runs and un-sticks the simplex when shot noise has degraded
 its geometry. A fixed-step finite-difference gradient descent is kept
 as the comparison baseline; under shot noise its difference quotients
 are dominated by noise, which is the point of the comparison.
+
+Both methods have fixed coefficients, module constants rather than
+settings: the simplex moves use Nelder and Mead's standard coefficients
+(1, 2, 1/2, 1/2), and the gradient is a central difference of fixed
+step FD_STEP.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .pauli import _is_int, _is_real
 REASON_TOLERANCE = "tolerance"
 REASON_BUDGET = "evaluation_budget"
 REASON_RESTART_LIMIT = "restart_limit"
+
+# Nelder and Mead's standard simplex coefficients (Computer Journal 7, 1965).
+REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
+# The central-difference step of gradient descent.
+FD_STEP = 1e-3
 
 Objective = Callable[[np.ndarray], float]
 
@@ -44,10 +54,6 @@ def _check_types(config) -> None:
 
 @dataclass
 class NelderMeadConfig:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     initial_scale: float = 0.3
     tolerance: float = 1e-10
     stagnation_window: int = 300
@@ -56,14 +62,6 @@ class NelderMeadConfig:
 
     def __post_init__(self) -> None:
         _check_types(self)
-        if self.reflection <= 0:
-            raise ValueError("reflection coefficient must be > 0")
-        if self.expansion <= 1:
-            raise ValueError("expansion coefficient must be > 1")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction coefficient must be in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink coefficient must be in (0, 1)")
         if self.initial_scale <= 0:
             raise ValueError("initial simplex scale must be > 0")
         if self.tolerance < 0:
@@ -79,15 +77,12 @@ class NelderMeadConfig:
 @dataclass
 class GradientDescentConfig:
     step_size: float = 0.1
-    fd_step: float = 1e-3
     max_evaluations: int = 2000
 
     def __post_init__(self) -> None:
         _check_types(self)
         if self.step_size <= 0:
             raise ValueError("step size must be > 0")
-        if self.fd_step <= 0:
-            raise ValueError("finite-difference step must be > 0")
         if self.max_evaluations < 0:
             raise ValueError("evaluation budget must be >= 0")
 
@@ -144,7 +139,7 @@ def nelder_mead(
     config: NelderMeadConfig | None = None,
     on_restart: Callable[[], None] | None = None,
 ) -> OptimizerResult:
-    """Minimize with reflect/expand/contract/shrink steps and restarts.
+    """Minimize with the four Nelder-Mead simplex moves, plus restarts.
 
     The initial simplex is x0 plus per-coordinate offsets of
     `initial_scale`. A restart rebuilds the simplex around the best
@@ -194,10 +189,10 @@ def nelder_mead(
 
             centroid = xs[:-1].mean(axis=0)
             worst = xs[-1]
-            reflected = centroid + cfg.reflection * (centroid - worst)
+            reflected = centroid + REFLECTION * (centroid - worst)
             f_reflected = f(reflected)
             if f_reflected < vals[0]:
-                expanded = centroid + cfg.expansion * (reflected - centroid)
+                expanded = centroid + EXPANSION * (reflected - centroid)
                 f_expanded = f(expanded)
                 if f_expanded < f_reflected:
                     xs[-1], vals[-1] = expanded, f_expanded
@@ -207,18 +202,18 @@ def nelder_mead(
                 xs[-1], vals[-1] = reflected, f_reflected
             else:
                 if f_reflected < vals[-1]:
-                    contracted = centroid + cfg.contraction * (reflected - centroid)
+                    contracted = centroid + CONTRACTION * (reflected - centroid)
                     f_contracted = f(contracted)
                     accept = f_contracted <= f_reflected
                 else:
-                    contracted = centroid - cfg.contraction * (centroid - worst)
+                    contracted = centroid - CONTRACTION * (centroid - worst)
                     f_contracted = f(contracted)
                     accept = f_contracted < vals[-1]
                 if accept:
                     xs[-1], vals[-1] = contracted, f_contracted
                 else:
                     for k in range(1, dims + 1):
-                        xs[k] = xs[0] + cfg.shrink * (xs[k] - xs[0])
+                        xs[k] = xs[0] + SHRINK * (xs[k] - xs[0])
                         vals[k] = f(xs[k])
     except _BudgetExhausted:
         return _finalize(f, x0, restarts, False, REASON_BUDGET)
@@ -245,11 +240,11 @@ def gradient_descent(
             grad = np.zeros_like(x)
             for k in range(x.size):
                 probe = x.copy()
-                probe[k] += cfg.fd_step
+                probe[k] += FD_STEP
                 upper = f(probe)
-                probe[k] -= 2.0 * cfg.fd_step
+                probe[k] -= 2.0 * FD_STEP
                 lower = f(probe)
-                grad[k] = (upper - lower) / (2.0 * cfg.fd_step)
+                grad[k] = (upper - lower) / (2.0 * FD_STEP)
             x = x - cfg.step_size * grad
             f(x)
     except _BudgetExhausted:

@@ -113,13 +113,9 @@ class AnsatzSpec:
     layer_count: int
 
     def __post_init__(self) -> None:
-        for name in ("n_qubits", "layer_count"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if self.layer_count < 1:
-            raise ValueError("layer_count must be >= 1")
+        _dimension(self.n_qubits)
+        if not _is_int(self.layer_count) or self.layer_count < 1:
+            raise ValueError(f"layer_count must be an integer >= 1, got {self.layer_count!r}")
 
     @property
     def parameter_count(self) -> int:

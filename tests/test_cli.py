@@ -83,7 +83,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("layers", "2"), ("bias", "x"), ("seed", 1.7), ("seed", "abc"), ("seed", True)],
+        [("layers", "2"), ("nm_tolerance", "x"), ("seed", 1.7), ("seed", "abc"), ("seed", True)],
     )
     def test_wrong_value_types_rejected(self, hamiltonian_file, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -94,10 +94,10 @@ class TestRunConfig:
     def test_numpy_scalars_stored_as_json_numbers(self, hamiltonian_file):
         config = RunConfig(
             mode="vqe", seed=np.uint64(2**64 - 1), hamiltonian=str(hamiltonian_file),
-            layers=np.int64(2), bias=np.float32(0.5),
+            layers=np.int64(2), nm_tolerance=np.float32(0.5),
         )
-        assert (config.seed, config.layers, config.bias) == (2**64 - 1, 2, 0.5)
-        assert [type(v) for v in (config.seed, config.layers, config.bias)] == [int, int, float]
+        assert (config.seed, config.layers, config.nm_tolerance) == (2**64 - 1, 2, 0.5)
+        assert [type(v) for v in (config.seed, config.layers, config.nm_tolerance)] == [int, int, float]
         json.dumps(dataclasses.asdict(config), allow_nan=False)
 
     def test_fit_window_ordering(self, scan_file):
@@ -342,12 +342,12 @@ class TestMainEntry:
         [
             ["--seed", "-1", "--exact"],
             ["--seed", "1", "--layers", "0", "--exact"],
-            ["--seed", "1", "--exact", "--bias", "nan"],
+            ["--seed", "1", "--exact", "--nm-tolerance", "nan"],
             ["--seed", "1", "--exact", "--nm-max-evaluations", "0"],
             ["--seed", "1", "--exact", "--gd-max-evaluations", "0"],
             ["--seed", "1", "--exact", "--mc-samples", "500"],
         ],
-        ids=["seed", "layers", "bias", "nm_max_evaluations", "gd_max_evaluations", "mc_samples"],
+        ids=["seed", "layers", "nm_tolerance", "nm_max_evaluations", "gd_max_evaluations", "mc_samples"],
     )
     def test_bad_value_rejected_before_any_write(self, hamiltonian_file, tmp_path, capsys, flags):
         out = tmp_path / "run_out"
@@ -365,6 +365,25 @@ class TestMainEntry:
         assert code == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    # Settings that are now constants of the library, with the values an older config.json holds.
+    FIXED_SETTINGS = {
+        "bias": 0.0, "nm_reflection": 1.0, "nm_expansion": 2.0, "nm_contraction": 0.5, "nm_shrink": 0.5,
+        "gd_fd_step": 0.001,
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("keys", [[key] for key in FIXED_SETTINGS] + [list(FIXED_SETTINGS)],
+                             ids=[*FIXED_SETTINGS, "all"])
+    def test_older_config_with_a_fixed_setting_rejected(self, hamiltonian_file, tmp_path, capsys, command, keys):
+        config = {"mode": "vqe", "hamiltonian": str(hamiltonian_file), "seed": 1, "policy": "exact"}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**config, **{key: self.FIXED_SETTINGS[key] for key in keys}}))
+        out = tmp_path / "run_out"
+        code = main([command, "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert f"config error: unknown config keys: {sorted(keys)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [None, "0.5 ZI\n0.5 Z\n"], ids=["missing", "malformed"])
     def test_bad_input_file_rejected_before_any_write(self, tmp_path, capsys, content):
@@ -770,12 +789,10 @@ class TestConfigFuzz:
 # A valid value for every config key but the policy, which has its own flags.
 _KEY_VALUES = {
     "mode": "scan", "seed": 12345, "out": "out/dir", "hamiltonian": "other.txt", "scan": "other.json",
-    "integrals": "other-integrals.json", "layers": 3, "bias": 0.25, "lambdas": [-0.9, 0.4, 1.8],
+    "integrals": "other-integrals.json", "layers": 3, "lambdas": [-0.9, 0.4, 1.8],
     "fit_window": [84.0, 100.0], "reference": "0011", "cluster_cap": 1, "mc_samples": 5000,
-    "optimizer": "gradient-descent", "nm_reflection": 1.5, "nm_expansion": 2.5, "nm_contraction": 0.25,
-    "nm_shrink": 0.75, "nm_initial_scale": 0.6, "nm_tolerance": 1e-8, "nm_stagnation_window": 60,
-    "nm_restart_limit": 3, "nm_max_evaluations": 500, "gd_step_size": 0.05, "gd_fd_step": 0.01,
-    "gd_max_evaluations": 300,
+    "optimizer": "gradient-descent", "nm_initial_scale": 0.6, "nm_tolerance": 1e-8, "nm_stagnation_window": 60,
+    "nm_restart_limit": 3, "nm_max_evaluations": 500, "gd_step_size": 0.05, "gd_max_evaluations": 300,
 }
 
 

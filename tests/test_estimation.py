@@ -319,16 +319,6 @@ class TestEstimateEnergy:
         with pytest.raises(ValueError, match="prepared state has 1 qubits"):
             estimate_energy(plus(), h, policy, RngStream(0))
 
-    def test_bias_shifts_sampled_estimates_only(self):
-        h = PauliHamiltonian(1, [(1.0, "Z")])
-        spec = AnsatzSpec(1, 1)
-        biased = ShotPolicy.fixed(100, bias=0.25)
-        shifted = estimate_energy(spec.prepare(np.zeros(6)), h, biased, RngStream(1))
-        plain = estimate_energy(spec.prepare(np.zeros(6)), h, ShotPolicy.fixed(100), RngStream(1))
-        assert shifted.value == pytest.approx(plain.value + 0.25)
-        exact = estimate_energy(spec.prepare(np.zeros(6)), h, ShotPolicy.exact(), RngStream(1))
-        assert exact.value == pytest.approx(1.0)
-
 
 class TestOnePass:
     """One evaluation computes each term's expectation once and draws once."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,12 @@ class TestAnsatz:
     def test_counts_must_be_integers(self, n_qubits, layers):
         with pytest.raises(ValueError, match="must be an integer"):
             AnsatzSpec(n_qubits, layers)
+
+    @pytest.mark.parametrize("n_qubits", [13, 0, True])
+    def test_width_is_the_state_vector_rule(self, n_qubits):
+        message = f"n_qubits must be an integer in [1, 12], got {n_qubits!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AnsatzSpec(n_qubits, 1)
 
     def test_zero_parameters_give_zero_state(self):
         spec = AnsatzSpec(2, 1)
