@@ -8,7 +8,6 @@ from .analysis import (
     fit_quadratic_minimum,
     ground_space_overlap,
     monte_carlo_minimum_uncertainty,
-    overlap,
     tangle,
 )
 from .driver import (
@@ -44,9 +43,7 @@ from .pauli import (
     ComplexPauliSum,
     PauliHamiltonian,
     PauliString,
-    decompose,
     multiply,
-    pauli_matrix,
     reconstruct,
     shift_and_square,
 )
@@ -55,7 +52,6 @@ from .statevector import (
     StateVector,
     exact_energy,
     exact_expectation,
-    init_zero,
     prepare,
 )
 
@@ -83,7 +79,6 @@ __all__ = [
     "VqeResult",
     "VqeTrace",
     "build_molecular_hamiltonian",
-    "decompose",
     "estimate_energy",
     "exact_energy",
     "exact_expectation",
@@ -91,13 +86,10 @@ __all__ = [
     "fit_quadratic_minimum",
     "gradient_descent",
     "ground_space_overlap",
-    "init_zero",
     "jordan_wigner",
     "monte_carlo_minimum_uncertainty",
     "multiply",
     "nelder_mead",
-    "overlap",
-    "pauli_matrix",
     "prepare",
     "random_initial_parameters",
     "reconstruct",

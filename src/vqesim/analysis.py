@@ -63,13 +63,6 @@ def exact_spectrum(h: PauliHamiltonian) -> Spectrum:
     return Spectrum(values, vectors)
 
 
-def overlap(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|; symmetric and global-phase invariant."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
 def ground_space_overlap(spectrum: Spectrum, state: StateVector) -> float:
     """Norm of the state's projection onto the lowest eigenspace.
 

@@ -105,10 +105,6 @@ class ShotPolicy:
         return cls("shots", shots=shots)
 
     @classmethod
-    def target_precision(cls, precision: float) -> "ShotPolicy":
-        return cls("precision", precision=precision)
-
-    @classmethod
     def parse(cls, text: str) -> "ShotPolicy":
         """Parse the run-config form: 'exact' | 'shots:<integer>' | 'precision:<number>'."""
         text = text.strip()

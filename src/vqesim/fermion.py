@@ -28,7 +28,9 @@ from typing import Iterable
 import numpy as np
 
 from .analysis import MAX_SPECTRUM_QUBITS
-from .pauli import IMAG_TOL, ComplexPauliSum, PauliHamiltonian, PauliString, _is_int, _is_real, multiply, reconstruct
+from .pauli import (
+    IMAG_TOL, ComplexPauliSum, PauliHamiltonian, PauliString, _is_int, _is_real, _positive_count, multiply, reconstruct,
+)
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
 FermionTerm = tuple[complex, tuple[tuple[int, bool], ...]]
@@ -46,10 +48,7 @@ class FermionOperator:
     terms: tuple[FermionTerm, ...]
 
     def __init__(self, n_modes: int, terms: Iterable[tuple[complex, Iterable[tuple[int, bool]]]] = ()):
-        if not _is_int(n_modes):
-            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
-        if n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+        n_modes = _positive_count("n_modes", n_modes)
         normalized: list[FermionTerm] = []
         for coeff, ops in terms:
             ops = tuple(ops)
@@ -66,7 +65,7 @@ class FermionOperator:
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise ValueError("non-finite coefficient")
             normalized.append((coeff, ops))
-        object.__setattr__(self, "n_modes", int(n_modes))
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "terms", tuple(normalized))
 
     @property
@@ -132,10 +131,7 @@ class MolecularIntegrals:
         one_body: Iterable[tuple[int, int, float]] = (),
         two_body: Iterable[tuple[int, int, int, int, float]] = (),
     ):
-        if not _is_int(n_modes):
-            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
-        if n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
+        n_modes = _positive_count("n_modes", n_modes)
 
         def entry(indices: tuple, value) -> tuple:
             for idx in indices:
@@ -153,7 +149,7 @@ class MolecularIntegrals:
 
         one = tuple(entry((p, q), v) for p, q, v in one_body)
         two = tuple(entry((p, q, r, s), v) for p, q, r, s, v in two_body)
-        object.__setattr__(self, "n_modes", int(n_modes))
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "one_body", one)
         object.__setattr__(self, "two_body", two)
 
@@ -215,9 +211,10 @@ class UccAnsatz:
     The parameter vector holds one amplitude per excitation in the
     fixed `excitations` ordering; entries are ("s", p, r) or
     ("d", p, q, r, s), the creation indices before the annihilation
-    ones. Construction checks the mode cap and the reference and stores
-    each excitation's generator G_k = E_k - E_k^dag as the nonzero
-    (rows, cols, values) of its qubit-space matrix.
+    ones. Construction checks the mode cap, the reference and that there
+    is at least one excitation, and stores each excitation's generator
+    G_k = E_k - E_k^dag as the nonzero (rows, cols, values) of its
+    qubit-space matrix.
     """
 
     n_modes: int
@@ -232,6 +229,10 @@ class UccAnsatz:
         if self.n_modes > MAX_SPECTRUM_QUBITS:
             raise ValueError(f"{self.n_modes} modes exceeds the {MAX_SPECTRUM_QUBITS}-mode guard")
         reference_index(self.reference, self.n_modes)
+        if not self.excitations:
+            raise ValueError(
+                f"no excitation out of reference {self.reference!r}; the ansatz would have no amplitude to optimize"
+            )
         generators = []
         for exc in self.excitations:
             modes = exc[1:]

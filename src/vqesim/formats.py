@@ -87,12 +87,6 @@ def load_hamiltonian(path: str | Path) -> PauliHamiltonian:
     return parse_hamiltonian_text(_read_text(path), source=str(path))
 
 
-def format_hamiltonian_text(h: PauliHamiltonian, header: str | None = None) -> str:
-    lines = [f"# {header}"] if header else []
-    lines += [f"{coeff!r} {string.label}" for coeff, string in h.terms]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class ScanPoint:
     label: float

@@ -141,15 +141,18 @@ def nelder_mead(
 ) -> OptimizerResult:
     """Minimize with the four Nelder-Mead simplex moves, plus restarts.
 
-    The initial simplex is x0 plus per-coordinate offsets of
-    `initial_scale`. A restart rebuilds the simplex around the best
-    point seen so far (the incumbent is kept as a vertex and
-    re-evaluated), up to `restart_limit` times; the best point ever
-    evaluated is returned regardless of where the final simplex sits.
+    The initial simplex is x0, which needs at least one coordinate,
+    plus per-coordinate offsets of `initial_scale`. A restart rebuilds
+    the simplex around the best point seen so far (the incumbent is kept
+    as a vertex and re-evaluated), up to `restart_limit` times; the best
+    point ever evaluated is returned regardless of where the final
+    simplex sits.
     """
     cfg = config or NelderMeadConfig()
     x0 = np.asarray(x0, dtype=float)
     dims = x0.size
+    if dims == 0:
+        raise ValueError("Nelder-Mead needs at least one parameter; x0 is empty")
     f = _CountingObjective(objective, cfg.max_evaluations)
     restarts = 0
 

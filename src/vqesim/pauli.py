@@ -1,4 +1,4 @@
-"""Pauli-string algebra: products, Hermitian decomposition, folded operators.
+"""Pauli-string algebra: products, dense matrices of Pauli sums, folded operators.
 
 Conventions used throughout the package:
 
@@ -8,14 +8,11 @@ Conventions used throughout the package:
 * Amplitude indices read like binary numbers with qubit 0 as the most
   significant bit: index 2 of a 2-qubit vector is the basis state |10>.
 * A Hamiltonian is a weighted sum of Pauli strings with real
-  coefficients. The decomposition coefficient of string P in a matrix
-  M is Tr(P M) / 2^n (Hilbert-Schmidt convention), which makes
-  decompose/reconstruct exact inverses.
+  coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -26,18 +23,8 @@ import numpy as np
 
 PAULI_CHARS = "IXYZ"
 
-# Hard cap for the full 4^n-basis decomposition; the dense oracle path
-# is exponential and meant for desk-scale inputs only.
-MAX_DECOMPOSE_QUBITS = 8
 IMAG_TOL = 1e-10  # the largest imaginary part a Hermitian Pauli sum's coefficient may keep
 PRUNE = 1e-12  # coefficients smaller than this are dropped
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Single-qubit products a*b -> (result, phase); e.g. X*Y = +i Z.
 _MULT = {
@@ -63,6 +50,13 @@ def _is_real(value) -> bool:
         return False
 
 
+def _positive_count(name: str, value) -> int:
+    """A qubit or mode count as a Python int, once it is checked to be an integer >= 1."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Tensor product of single-qubit Paulis, stored as its label."""
@@ -86,24 +80,12 @@ class PauliString:
     def is_identity(self) -> bool:
         return set(self.label) == {"I"}
 
-    def __str__(self) -> str:
-        return self.label
-
-
-def pauli_matrix(p: PauliString | str) -> np.ndarray:
-    """Dense matrix of a Pauli string (Kronecker product in label order)."""
-    label = p.label if isinstance(p, PauliString) else PauliString(p).label
-    m = np.array([[1.0 + 0.0j]])
-    for ch in label:
-        m = np.kron(m, _SINGLE[ch])
-    return m
-
 
 def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     """Product of two Pauli strings as (phase, string).
 
-    Satisfies pauli_matrix(p) @ pauli_matrix(q) == phase * pauli_matrix(result);
-    the phase is one of {1, -1, 1j, -1j}.
+    The dense matrices satisfy P Q = phase R for the result R; the phase
+    is one of {1, -1, 1j, -1j}.
     """
     if p.n_qubits != q.n_qubits:
         raise ValueError(
@@ -160,10 +142,7 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString | str]] = ()):
-        if not _is_int(n_qubits):
-            raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        n_qubits = _positive_count("n_qubits", n_qubits)
         merged: dict[str, float] = {}
         for coeff, string in terms:
             if isinstance(string, str):
@@ -179,7 +158,7 @@ class PauliHamiltonian:
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient for term {string.label!r}")
             merged[string.label] = merged.get(string.label, 0.0) + coeff
-        object.__setattr__(self, "n_qubits", int(n_qubits))
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(
             self,
             "terms",
@@ -190,17 +169,6 @@ class PauliHamiltonian:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, label: str) -> float:
-        for c, p in self.terms:
-            if p.label == label:
-                return c
-        return 0.0
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return f"0 ({self.n_qubits} qubits)"
-        return " + ".join(f"{c:+g}*{p}" for c, p in self.terms)
-
 
 class ComplexPauliSum:
     """Accumulator for Pauli sums with complex coefficients.
@@ -210,11 +178,7 @@ class ComplexPauliSum:
     """
 
     def __init__(self, n_qubits: int):
-        if not _is_int(n_qubits):
-            raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
-        if n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        self.n_qubits = int(n_qubits)
+        self.n_qubits = _positive_count("n_qubits", n_qubits)
         self._coeffs: dict[str, complex] = {}
 
     def add(self, label: str, coeff: complex) -> None:
@@ -247,61 +211,8 @@ class ComplexPauliSum:
         return PauliHamiltonian(self.n_qubits, terms)
 
 
-def _require_power_of_two(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    return n
-
-
-def decompose(m: np.ndarray, prune: float = PRUNE) -> PauliHamiltonian:
-    """Expand a Hermitian matrix in the Pauli basis.
-
-    Coefficient of string P is Tr(P m) / 2^n. Raises if the dimension
-    is not a power of two, if n exceeds MAX_DECOMPOSE_QUBITS, or if any
-    coefficient's imaginary part exceeds 1e-8 (non-Hermitian input);
-    imaginary dust below that is discarded. Terms with |coefficient|
-    below `prune` are dropped.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = _require_power_of_two(m.shape[0])
-    if n > MAX_DECOMPOSE_QUBITS:
-        raise ValueError(
-            f"decomposition over {n} qubits exceeds the {MAX_DECOMPOSE_QUBITS}-qubit guard"
-        )
-    # Contract one qubit at a time: tensor axes reordered to pairs
-    # (row_k, col_k) so each step traces sigma against one pair and
-    # multiplies the batch of partial traces by 4.
-    t = m.reshape((2,) * (2 * n))
-    order = [axis for k in range(n) for axis in (k, n + k)]
-    t = np.transpose(t, order)
-    sig = np.stack([_SINGLE[c] for c in PAULI_CHARS])
-    a = t.reshape(1, 2, 2, -1)
-    for k in range(n):
-        contracted = np.einsum("pij,bjir->bpr", sig, a)
-        if k < n - 1:
-            a = contracted.reshape(contracted.shape[0] * 4, 2, 2, -1)
-        else:
-            coeffs = contracted.reshape(-1)
-    coeffs = coeffs / (1 << n)
-    worst_imag = float(np.max(np.abs(coeffs.imag)))
-    if worst_imag > 1e-8:
-        raise ValueError(
-            f"imaginary residue {worst_imag:.3e} exceeds 1e-8; input is not Hermitian"
-        )
-    labels = ["".join(tup) for tup in itertools.product(PAULI_CHARS, repeat=n)]
-    terms = [
-        (c.real, lbl)
-        for c, lbl in zip(coeffs, labels)
-        if abs(c.real) >= prune
-    ]
-    return PauliHamiltonian(n, terms)
-
-
 def reconstruct(h: PauliHamiltonian | ComplexPauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum; for a PauliHamiltonian, the inverse of decompose."""
+    """Dense matrix of a Pauli sum, built from each term's `basis_action`."""
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

@@ -6,7 +6,8 @@ Rz(t) = exp(-i t Z / 2). The ansatz applies each Rz(a), Ry(b), Rz(c)
 triple as one fused gate, Rz(c) Ry(b) Rz(a) in closed form:
 [[e^{-i(a+c)/2} cos(b/2), -e^{i(a-c)/2} sin(b/2)],
  [e^{-i(a-c)/2} sin(b/2), e^{i(a+c)/2} cos(b/2)]]. Global phase is
-never compared; use analysis.overlap for state comparisons.
+never compared: the loop's state diagnostic,
+analysis.ground_space_overlap, is a projection norm.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ def _dimension(n_qubits: int) -> int:
     if not _is_int(n_qubits) or not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}")
     return 1 << int(n_qubits)
-
-
-def init_zero(n_qubits: int) -> StateVector:
-    """The all-zeros computational basis state |0...0>."""
-    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

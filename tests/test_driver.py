@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
+from reference import decompose
 from vqesim import (
     AnsatzSpec,
     GradientDescentConfig,
     NelderMeadConfig,
     PauliHamiltonian,
     ShotPolicy,
-    decompose,
     exact_energy,
     exact_spectrum,
     run_vqe,

@@ -17,12 +17,12 @@ from vqesim import (
     estimate_energy,
     exact_energy,
     exact_expectation,
-    init_zero,
     run_vqe,
     shot_budget,
 )
 from vqesim import estimation, statevector
 from vqesim.estimation import MAX_TERM_SHOTS
+from vqesim.statevector import basis_state
 
 
 def plus() -> StateVector:
@@ -94,19 +94,17 @@ class TestShotPolicy:
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, True, "0.1", None])
     def test_precision_validated(self, bad):
         with pytest.raises(ValueError):
-            ShotPolicy.target_precision(bad)
-        with pytest.raises(ValueError):
             ShotPolicy("precision", precision=bad)
 
     def test_precision_shot_rule(self):
-        policy = ShotPolicy.target_precision(0.01)
+        policy = ShotPolicy("precision", precision=0.01)
         assert term_budget(policy, 1.0) == 10_000
         assert term_budget(policy, 0.5) == 2_500
         assert term_budget(policy, 0.0) == 1
 
     def test_precision_shot_count_bounded(self):
         # h^2 / p^2 shots: 2**62 fits a 64-bit count, 2**64 does not.
-        policy = ShotPolicy.target_precision(2.0**-31)
+        policy = ShotPolicy("precision", precision=2.0**-31)
         assert term_budget(policy, 1.0) == 2**62
         with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
             term_budget(policy, 2.0)
@@ -116,7 +114,7 @@ class TestSamplePauli:
     """One coefficient-1 term: its estimate is the term's sampled mean."""
 
     def test_deterministic_outcome(self):
-        mean, err = sample_term(init_zero(1), "Z", 500, 1)
+        mean, err = sample_term(basis_state(1, 0), "Z", 500, 1)
         assert mean == 1.0 and err == 0.0
 
     def test_identity_bypasses_sampling(self):
@@ -274,7 +272,7 @@ class TestEstimateEnergy:
         h = PauliHamiltonian(1, [(1.0, "Z")])
         spec = AnsatzSpec(1, 1)
         estimate = estimate_energy(
-            spec.prepare(np.zeros(6)), h, ShotPolicy.target_precision(0.01), RngStream(2)
+            spec.prepare(np.zeros(6)), h, ShotPolicy("precision", precision=0.01), RngStream(2)
         )
         assert estimate.term_shots == (10_000,)
         assert estimate.total_shots == 10_000
@@ -308,9 +306,7 @@ class TestEstimateEnergy:
 
     def test_callable_preparation(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
-        from vqesim import init_zero
-
-        estimate = estimate_energy(init_zero(1), h, ShotPolicy.fixed(50), RngStream(0))
+        estimate = estimate_energy(basis_state(1, 0), h, ShotPolicy.fixed(50), RngStream(0))
         assert estimate.value == 1.0
 
     @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)])
@@ -323,7 +319,7 @@ class TestEstimateEnergy:
 class TestOnePass:
     """One evaluation computes each term's expectation once and draws once."""
 
-    POLICIES = [ShotPolicy.exact(), ShotPolicy.fixed(100), ShotPolicy.target_precision(0.05)]
+    POLICIES = [ShotPolicy.exact(), ShotPolicy.fixed(100), ShotPolicy("precision", precision=0.05)]
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
     @pytest.mark.parametrize("seed", range(5))
@@ -372,7 +368,7 @@ class TestOnePass:
     def test_precision_std_error_matches_spread(self):
         # Unequal per-term shots under the precision rule: 324, 36, 100 and 16.
         h = PauliHamiltonian(2, [(0.9, "ZI"), (0.3, "XX"), (-0.5, "IZ"), (0.2, "YY"), (0.4, "II")])
-        policy = ShotPolicy.target_precision(0.05)
+        policy = ShotPolicy("precision", precision=0.05)
         state = random_state(np.random.default_rng(10), 2)
         estimates = [estimate_energy(state, h, policy, RngStream(12), iteration=j) for j in range(2000)]
         assert estimates[0].term_shots == (324, 36, 100, 16, 0)
@@ -386,7 +382,7 @@ class TestOnePass:
 class TestShotBudget:
     def test_literal_rule_over_all_terms(self):
         h = PauliHamiltonian(2, [(1.0, "II"), (0.5, "ZZ")])
-        per_term = shot_budget(h, ShotPolicy.target_precision(0.1))
+        per_term = shot_budget(h, ShotPolicy("precision", precision=0.1))
         # The identity term is a constant: never measured, never charged.
         assert per_term == (0, 25) and sum(per_term) == 25
 
@@ -401,7 +397,7 @@ class TestShotBudget:
         assert per_term == (0,) and sum(per_term) == 0
 
     @pytest.mark.parametrize(
-        "policy", [ShotPolicy.exact(), ShotPolicy.fixed(30), ShotPolicy.target_precision(0.2)], ids=ShotPolicy.describe
+        "policy", [ShotPolicy.exact(), ShotPolicy.fixed(30), ShotPolicy("precision", precision=0.2)], ids=ShotPolicy.describe
     )
     def test_estimate_draws_the_budget(self, policy):
         h = PauliHamiltonian(2, [(0.3, "II"), (-0.6, "ZI"), (0.5, "XX")])

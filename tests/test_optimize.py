@@ -89,6 +89,10 @@ class TestNelderMead:
         assert np.array_equal(result.x_best, [2.0, 3.0])
         assert result.evaluations == 0 and result.f_best == np.inf
 
+    def test_empty_start_rejected(self):
+        with pytest.raises(ValueError, match="x0 is empty"):
+            nelder_mead(sphere, np.zeros(0), NelderMeadConfig(tolerance=0.0))
+
     def test_returns_best_ever_evaluated(self):
         seen = []
 

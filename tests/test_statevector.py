@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_hamiltonian, random_state
+from reference import overlap, pauli_matrix
 from vqesim import (
     AnsatzSpec,
     PauliString,
     StateVector,
     exact_energy,
     exact_expectation,
-    init_zero,
-    overlap,
     prepare,
     reconstruct,
 )
@@ -53,16 +52,19 @@ def bell() -> StateVector:
 
 
 class TestInitZero:
+    """The all-zeros start state |0...0> is `basis_state(n, 0)`."""
+
     def test_one_qubit(self):
-        assert np.array_equal(init_zero(1).amplitudes, [1, 0])
+        assert np.array_equal(basis_state(1, 0).amplitudes, [1, 0])
 
     def test_two_qubits(self):
-        assert np.array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
+        assert np.array_equal(basis_state(2, 0).amplitudes, [1, 0, 0, 0])
 
-    @pytest.mark.parametrize("n", [0, 13, -1, True, 2.0])
+    # 0, 13 and True are cases of TestBasisState.test_shares_the_width_rule.
+    @pytest.mark.parametrize("n", [-1, 2.0])
     def test_range_guard(self, n):
         with pytest.raises(ValueError, match="n_qubits must be an integer in"):
-            init_zero(n)
+            basis_state(n, 0)
 
 
 class TestBasisState:
@@ -190,7 +192,7 @@ class TestEulerGates:
 
 class TestExactExpectation:
     def test_zero_state_z(self):
-        assert exact_expectation(init_zero(1), PauliString("Z")) == pytest.approx(1.0)
+        assert exact_expectation(basis_state(1, 0), PauliString("Z")) == pytest.approx(1.0)
 
     def test_bell_xx(self):
         assert exact_expectation(bell(), PauliString("XX")) == pytest.approx(1.0)
@@ -201,7 +203,7 @@ class TestExactExpectation:
 
     def test_mismatch(self):
         with pytest.raises(ValueError):
-            exact_expectation(init_zero(1), PauliString("ZZ"))
+            exact_expectation(basis_state(1, 0), PauliString("ZZ"))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -209,8 +211,6 @@ class TestExactExpectation:
         rng = np.random.default_rng(seed)
         state = random_state(rng, 2)
         label = "".join(rng.choice(list("IXYZ"), size=2))
-        from vqesim import pauli_matrix
-
         expected = np.vdot(state.amplitudes, pauli_matrix(PauliString(label)) @ state.amplitudes)
         assert exact_expectation(state, PauliString(label)) == pytest.approx(
             float(expected.real), abs=1e-10
@@ -221,7 +221,7 @@ class TestExactEnergy:
     def test_identity_weight(self):
         h = random_hamiltonian(np.random.default_rng(0), 2, labels=["II"])
         h = type(h)(2, [(2.0, "II")])
-        assert exact_energy(init_zero(2), h) == pytest.approx(2.0)
+        assert exact_energy(basis_state(2, 0), h) == pytest.approx(2.0)
 
     def test_z_on_one(self):
         from vqesim import PauliHamiltonian
