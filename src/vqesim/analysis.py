@@ -21,6 +21,8 @@ from .statevector import StateVector
 MAX_SPECTRUM_QUBITS = 10
 MIN_FIT_POINTS = 4  # three coefficients plus one residual degree of freedom
 MIN_MC_SAMPLES = 1000
+# Each draw holds 24 bytes of coefficients: about 100 MB of arrays at the cap.
+MAX_MC_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,10 @@ def monte_carlo_minimum_uncertainty(
     non-convex draws (a <= 0) are discarded and counted, with a warning
     flag once more than 10% are lost.
     """
-    if not _is_int(samples) or samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need an integer of at least {MIN_MC_SAMPLES} Monte-Carlo samples, got {samples!r}")
+    if not _is_int(samples) or not MIN_MC_SAMPLES <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(
+            f"need an integer from {MIN_MC_SAMPLES} to {MAX_MC_SAMPLES} Monte-Carlo samples, got {samples!r}"
+        )
     cov = np.asarray(fit.covariance, dtype=float)
     eigvals, eigvecs = np.linalg.eigh((cov + cov.T) / 2.0)
     scale = max(1.0, float(np.max(np.abs(eigvals))))

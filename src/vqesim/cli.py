@@ -4,8 +4,8 @@ Configuration is a single flat JSON document; command-line flags
 override individual keys (flags win). The fields of `RunConfig` are the
 one list of settings: each is a config key and a `--kebab-case` flag,
 read and checked by the `_VALUE_TYPES` row of its annotation (a list
-flag is comma-separated), and the `nm_*`/`gd_*` keys fill the optimizer
-configs, whose defaults they share. The policy key alone has its own
+flag is comma-separated), and the `nm_*` keys fill the Nelder-Mead
+config, whose defaults they share. The policy key alone has its own
 flags, `--shots | --precision | --exact`. Every run requires an explicit
 seed and writes byte-reproducible artifacts: the effective config, a
 per-iteration trace CSV, and a JSON summary (plus curve/fit files in
@@ -48,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MAX_MC_SAMPLES,
     MAX_SPECTRUM_QUBITS,
     MIN_FIT_POINTS,
     MIN_MC_SAMPLES,
@@ -68,7 +69,7 @@ from .estimation import (
 )
 from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
 from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
-from .optimize import GradientDescentConfig, NelderMeadConfig
+from .optimize import NelderMeadConfig
 from .pauli import ComplexPauliSum, PauliHamiltonian, _is_int, _is_real, shift_and_square
 from .statevector import AnsatzSpec, exact_energy
 
@@ -77,16 +78,8 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-# The library config each optimizer name builds, and the prefix of its keys.
-_OPTIMIZER_CONFIGS = {
-    "nelder-mead": (NelderMeadConfig, "nm_"),
-    "gradient-descent": (GradientDescentConfig, "gd_"),
-}
-# The values a string key may take; its flag offers the same choices.
-_CHOICES = {
-    "mode": ("vqe", "folded", "scan", "ucc"),
-    "optimizer": tuple(_OPTIMIZER_CONFIGS),
-}
+# The values of mode; its flag offers the same choices.
+_MODES = ("vqe", "folded", "scan", "ucc")
 
 
 def number_list(text: str) -> tuple[float, ...]:
@@ -126,21 +119,16 @@ class RunConfig:
     lambdas: tuple[float, ...] = ()
     fit_window: tuple[float, float] | None = None
     reference: str | None = None
-    cluster_cap: int = 2
     mc_samples: int = 20000
-    optimizer: str = "nelder-mead"
     nm_initial_scale: float = NelderMeadConfig.initial_scale
     nm_tolerance: float = NelderMeadConfig.tolerance
     nm_stagnation_window: int = NelderMeadConfig.stagnation_window
     nm_restart_limit: int = NelderMeadConfig.restart_limit
     nm_max_evaluations: int = NelderMeadConfig.max_evaluations
-    gd_step_size: float = GradientDescentConfig.step_size
-    gd_max_evaluations: int = GradientDescentConfig.max_evaluations
 
     def __post_init__(self) -> None:
-        for name, choices in _CHOICES.items():
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.mode not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
         for f in dataclasses.fields(self):
@@ -154,17 +142,13 @@ class RunConfig:
                 setattr(self, f.name, value.item())
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
-        # A run with no evaluation has no energy to report; the fit's
-        # Monte-Carlo uncertainties need MIN_MC_SAMPLES draws.
-        for name, minimum in (
-            ("layers", 1),
-            ("nm_max_evaluations", 1),
-            ("gd_max_evaluations", 1),
-            ("mc_samples", MIN_MC_SAMPLES),
-        ):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        if self.layers < 1:
+            raise ConfigError(f"layers must be an integer >= 1, got {self.layers!r}")
+        # The fit's Monte-Carlo uncertainties need MIN_MC_SAMPLES draws, and MAX_MC_SAMPLES bounds their memory.
+        if not MIN_MC_SAMPLES <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ConfigError(
+                f"mc_samples must be an integer from {MIN_MC_SAMPLES} to {MAX_MC_SAMPLES}, got {self.mc_samples!r}"
+            )
         if self.mode in ("vqe", "folded") and not self.hamiltonian:
             raise ConfigError(f"mode {self.mode!r} requires a hamiltonian file")
         if self.mode == "folded" and not self.lambdas:
@@ -183,19 +167,16 @@ class RunConfig:
             self.fit_window = (float(self.fit_window[0]), float(self.fit_window[1]))
         try:
             self.shot_policy()
-            # Both, so that a bad key of the optimizer not chosen is an error too.
-            for optimizer in _OPTIMIZER_CONFIGS:
-                self.optimizer_config(optimizer)
+            self.optimizer_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def shot_policy(self) -> ShotPolicy:
         return ShotPolicy.parse(self.policy)
 
-    def optimizer_config(self, optimizer: str | None = None):
-        """The library config of `optimizer` (default: the chosen one) from its prefixed keys."""
-        cls, prefix = _OPTIMIZER_CONFIGS[optimizer or self.optimizer]
-        return cls(**{f.name: getattr(self, prefix + f.name) for f in dataclasses.fields(cls)})
+    def optimizer_config(self) -> NelderMeadConfig:
+        """The Nelder-Mead config from the `nm_*` keys."""
+        return NelderMeadConfig(**{f.name: getattr(self, "nm_" + f.name) for f in dataclasses.fields(NelderMeadConfig)})
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -275,9 +256,7 @@ def load_inputs(
                 f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian"
             )
         try:
-            ansatz = UccAnsatz.from_reference(
-                integrals.n_modes, config.reference, config.cluster_cap
-            )
+            ansatz = UccAnsatz.from_reference(integrals.n_modes, config.reference)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return mapped, ansatz
@@ -339,7 +318,7 @@ class RunPlan:
     loaded: PauliHamiltonian | list[ScanPoint]  # the scan points in scan mode
     ansatz: AnsatzSpec | UccAnsatz
     policy: ShotPolicy
-    optimizer: NelderMeadConfig | GradientDescentConfig
+    optimizer: NelderMeadConfig
     jobs: list[Job]
 
     def lines(self) -> list[str]:
@@ -572,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
             if f.default not in (None, "", ()):
                 kind += f"; default {f.default}"
             flags = ["--" + f.name.replace("_", "-")] + (["--lambda"] if f.name == "lambdas" else [])
-            p.add_argument(*flags, dest=f.name, type=flag_type, choices=_CHOICES.get(f.name), help=kind)
+            choices = _MODES if f.name == "mode" else None
+            p.add_argument(*flags, dest=f.name, type=flag_type, choices=choices, help=kind)
     return parser
 
 

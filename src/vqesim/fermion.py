@@ -248,22 +248,19 @@ class UccAnsatz:
         return len(self.excitations)
 
     @classmethod
-    def from_reference(cls, n_modes: int, reference: str, cap: int = 2) -> "UccAnsatz":
-        """All singles (and doubles, if cap=2) out of the occupied modes."""
-        if cap not in (1, 2):
-            raise ValueError("excitation cap must be 1 or 2")
+    def from_reference(cls, n_modes: int, reference: str) -> "UccAnsatz":
+        """UCCSD: all singles and all doubles out of the occupied modes."""
         occupied = [m + 1 for m, ch in enumerate(reference) if ch == "1"]
         virtual = [m + 1 for m, ch in enumerate(reference) if ch == "0"]
         excitations: list[tuple] = []
         for p in virtual:
             for r in occupied:
                 excitations.append(("s", p, r))
-        if cap == 2:
-            for i, p in enumerate(virtual):
-                for q in virtual[i + 1:]:
-                    for j, r in enumerate(occupied):
-                        for s in occupied[j + 1:]:
-                            excitations.append(("d", p, q, r, s))
+        for i, p in enumerate(virtual):
+            for q in virtual[i + 1:]:
+                for j, r in enumerate(occupied):
+                    for s in occupied[j + 1:]:
+                        excitations.append(("d", p, q, r, s))
         return cls(n_modes, reference, tuple(excitations))
 
     def prepare(self, parameters: np.ndarray) -> StateVector:

@@ -38,7 +38,7 @@ FD_STEP = 1e-3
 Objective = Callable[[np.ndarray], float]
 
 
-class ObjectiveValueError(RuntimeError):
+class ObjectiveValueError(ValueError):
     """Objective returned a non-finite value; carries the offending point."""
 
 
@@ -70,8 +70,9 @@ class NelderMeadConfig:
             raise ValueError("stagnation window must be >= 1")
         if self.restart_limit < 0:
             raise ValueError("restart limit must be >= 0")
-        if self.max_evaluations < 0:
-            raise ValueError("evaluation budget must be >= 0")
+        # A run with no evaluation has no energy to report.
+        if self.max_evaluations < 1:
+            raise ValueError("evaluation budget must be >= 1")
 
 
 @dataclass
@@ -83,8 +84,8 @@ class GradientDescentConfig:
         _check_types(self)
         if self.step_size <= 0:
             raise ValueError("step size must be > 0")
-        if self.max_evaluations < 0:
-            raise ValueError("evaluation budget must be >= 0")
+        if self.max_evaluations < 1:
+            raise ValueError("evaluation budget must be >= 1")
 
 
 @dataclass
@@ -128,9 +129,8 @@ class _CountingObjective:
         return value
 
 
-def _finalize(f: _CountingObjective, x0: np.ndarray, restarts: int, converged: bool, reason: str) -> OptimizerResult:
-    x = x0.copy() if f.x_best is None else f.x_best.copy()
-    return OptimizerResult(x, f.f_best, f.evaluations, restarts, converged, reason)
+def _finalize(f: _CountingObjective, restarts: int, converged: bool, reason: str) -> OptimizerResult:
+    return OptimizerResult(f.x_best.copy(), f.f_best, f.evaluations, restarts, converged, reason)
 
 
 def nelder_mead(
@@ -181,12 +181,11 @@ def nelder_mead(
                 if restarts >= cfg.restart_limit:
                     converged = trigger == "tolerance"
                     reason = REASON_TOLERANCE if converged else REASON_RESTART_LIMIT
-                    return _finalize(f, x0, restarts, converged, reason)
+                    return _finalize(f, restarts, converged, reason)
                 restarts += 1
                 if on_restart is not None:
                     on_restart()
-                incumbent = f.x_best if f.x_best is not None else xs[0]
-                xs, vals = build_simplex(incumbent)
+                xs, vals = build_simplex(f.x_best)
                 f.last_improvement = f.evaluations
                 continue
 
@@ -219,7 +218,7 @@ def nelder_mead(
                         xs[k] = xs[0] + SHRINK * (xs[k] - xs[0])
                         vals[k] = f(xs[k])
     except _BudgetExhausted:
-        return _finalize(f, x0, restarts, False, REASON_BUDGET)
+        return _finalize(f, restarts, False, REASON_BUDGET)
 
 
 def gradient_descent(
@@ -230,8 +229,7 @@ def gradient_descent(
     """Fixed-step descent along a central finite-difference gradient.
 
     Runs until the evaluation budget is spent and returns the best
-    point evaluated (probe points included). With zero budget the
-    start point is returned untouched.
+    point evaluated (probe points included).
     """
     cfg = config or GradientDescentConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -251,4 +249,4 @@ def gradient_descent(
             x = x - cfg.step_size * grad
             f(x)
     except _BudgetExhausted:
-        return _finalize(f, x0, 0, False, REASON_BUDGET)
+        return _finalize(f, 0, False, REASON_BUDGET)

@@ -185,7 +185,7 @@ def _toy_molecule():
 
 def test_ucc_sanity():
     hamiltonian = _toy_molecule()
-    ansatz = UccAnsatz.from_reference(4, "1100", cap=2)
+    ansatz = UccAnsatz.from_reference(4, "1100")
     reference_energy = exact_energy(ansatz.reference_state(), hamiltonian)
     zero_state = ansatz.prepare(np.zeros(ansatz.parameter_count))
     zero_energy = exact_energy(zero_state, hamiltonian)

@@ -16,6 +16,7 @@ from vqesim import (
     reconstruct,
     tangle,
 )
+from vqesim.analysis import MAX_MC_SAMPLES
 
 
 def schmidt_state(theta: float) -> StateVector:
@@ -277,6 +278,12 @@ class TestMonteCarlo:
         fit = QuadraticFit(1.0, 0.0, 0.0, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="1000"):
             monte_carlo_minimum_uncertainty(fit, 10, np.random.default_rng(0))
+
+    def test_sample_cap(self):
+        # Refused before any draw: 10**13 samples would need hundreds of TiB.
+        fit = QuadraticFit(1.0, 0.0, 0.0, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=f"to {MAX_MC_SAMPLES} Monte-Carlo samples, got 10000000000000$"):
+            monte_carlo_minimum_uncertainty(fit, 10**13, np.random.default_rng(0))
 
     def test_discard_fraction_and_warning(self):
         # curvature barely positive relative to its spread: many draws non-convex

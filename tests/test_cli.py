@@ -344,10 +344,11 @@ class TestMainEntry:
             ["--seed", "1", "--layers", "0", "--exact"],
             ["--seed", "1", "--exact", "--nm-tolerance", "nan"],
             ["--seed", "1", "--exact", "--nm-max-evaluations", "0"],
-            ["--seed", "1", "--exact", "--gd-max-evaluations", "0"],
             ["--seed", "1", "--exact", "--mc-samples", "500"],
+            # Far past MAX_MC_SAMPLES: the draws would need hundreds of TiB.
+            ["--seed", "1", "--exact", "--mc-samples", "10000000000000"],
         ],
-        ids=["seed", "layers", "nm_tolerance", "nm_max_evaluations", "gd_max_evaluations", "mc_samples"],
+        ids=["seed", "layers", "nm_tolerance", "nm_max_evaluations", "mc_samples", "mc_samples_above_cap"],
     )
     def test_bad_value_rejected_before_any_write(self, hamiltonian_file, tmp_path, capsys, flags):
         out = tmp_path / "run_out"
@@ -366,10 +367,11 @@ class TestMainEntry:
         assert "seed" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    # Settings that are now constants of the library, with the values an older config.json holds.
+    # Settings the command line no longer takes, with the values an older config.json holds.
     FIXED_SETTINGS = {
         "bias": 0.0, "nm_reflection": 1.0, "nm_expansion": 2.0, "nm_contraction": 0.5, "nm_shrink": 0.5,
-        "gd_fd_step": 0.001,
+        "gd_fd_step": 0.001, "optimizer": "nelder-mead", "gd_step_size": 0.1, "gd_max_evaluations": 2000,
+        "cluster_cap": 2,
     }
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -409,8 +411,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--reference", "110"], ["--reference", "11x0"], ["--reference", "1100", "--cluster-cap", "3"]],
-        ids=["length", "character", "cap"],
+        [["--reference", "110"], ["--reference", "11x0"]],
+        ids=["length", "character"],
     )
     def test_bad_ucc_ansatz_is_config_error(self, integrals_file, tmp_path, capsys, flags):
         out = tmp_path / "run_out"
@@ -540,6 +542,17 @@ class TestMainEntry:
         )
         assert code == 4
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_objective_is_execution_error(self, tmp_path, capsys):
+        # Each coefficient is finite, but 1.7e308 * (1 + <ZI>) overflows to inf once <ZI> passes about 0.06.
+        path = tmp_path / "h.txt"
+        path.write_text("1.7e308 II\n1.7e308 ZI\n")
+        code = main(
+            ["run", "--mode", "vqe", "--hamiltonian", str(path), "--exact", "--seed", "1",
+             "--nm-max-evaluations", "5", "--out", str(tmp_path / "out")]
+        )
+        assert code == 4
+        assert "error: objective returned non-finite value inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("coefficient", ["nan", "inf", "1e400"])
@@ -727,8 +740,7 @@ class TestJobList:
 
 # Strings a config plausibly holds, next to arbitrary short text.
 _WORDS = ["", "exact", "shots:100", "shots:0", "precision:0.1", "precision:nan", "precision:1e-300", "vqe", "folded",
-          "scan", "ucc", "gradient-descent", "nelder-mead", "1100", "11x0", "h.txt", "scan.json",
-          "integrals.json", "."]
+          "scan", "ucc", "1100", "11x0", "h.txt", "scan.json", "integrals.json", "."]
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=6)
 _VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
 _KEYS = sorted(f.name for f in dataclasses.fields(RunConfig))
@@ -804,9 +816,8 @@ class TestConfigFuzz:
 _KEY_VALUES = {
     "mode": "scan", "seed": 12345, "out": "out/dir", "hamiltonian": "other.txt", "scan": "other.json",
     "integrals": "other-integrals.json", "layers": 3, "lambdas": [-0.9, 0.4, 1.8],
-    "fit_window": [84.0, 100.0], "reference": "0011", "cluster_cap": 1, "mc_samples": 5000,
-    "optimizer": "gradient-descent", "nm_initial_scale": 0.6, "nm_tolerance": 1e-8, "nm_stagnation_window": 60,
-    "nm_restart_limit": 3, "nm_max_evaluations": 500, "gd_step_size": 0.05, "gd_max_evaluations": 300,
+    "fit_window": [84.0, 100.0], "reference": "0011", "mc_samples": 5000, "nm_initial_scale": 0.6,
+    "nm_tolerance": 1e-8, "nm_stagnation_window": 60, "nm_restart_limit": 3, "nm_max_evaluations": 500,
 }
 
 

@@ -50,6 +50,14 @@ bias, the four Nelder-Mead simplex coefficients and the gradient
 step. config.json lost those six keys and is the one file that moved;
 every trace, summary, curve and fit file kept its bytes, and the four
 trace and summary digests kept their pins.
+
+The same seven were re-pinned again when the command line dropped four
+settings that every caller left at one value: optimizer (always
+nelder-mead), gd_step_size and gd_max_evaluations (read only for
+gradient descent) and cluster_cap (always 2, singles and doubles).
+config.json lost those four keys and is again the one file that moved:
+with the four keys taken out, each old config.json equals the new one
+byte for byte, and the other 30 files of the seven trees kept theirs.
 """
 
 import hashlib
@@ -71,16 +79,16 @@ CLI_SUMMARY_JSON_SHA256 = "2b24d2a984fb78ba0056b96ed69ae57c5265fec7cae478b773c59
 GD_TRACE_RECORDS_SHA256 = "40ec8b6bdd6b5963c651aa3a43b7da030042edd8eec89aab59654f807a4415f0"
 # sha256 over every artifact of one run, config.json included (see _tree_digest).
 CLI_MODE_SHA256 = {
-    "folded": "534bf957573cbac41a69650be991dbc4c4be770b44e5fc8b1c79846ea3e97078",
-    "scan": "6bb2e58e1ef24d282ca484d2ed0d6472aa3cff80d47419d9a34e8ce68c160350",
-    "ucc": "282c2a6543f26bd96ad3ae4bf0d2c0dcc11a48dad3f35987f484a469513acb16",
+    "folded": "903b62523951d1ea4852a077f65f50bda72be5da7710613c1f94d6028abf15b4",
+    "scan": "3e129c6b3060ed77f0b8f78ebe3d968a216446b8ad5a01fb90e01f156a8228e7",
+    "ucc": "1ea423e351545f2ddae118bdf4f7544caca4392348ebecae68d6edb1d600c101",
 }
 # The same digest for the noiseless (--exact) runs, which draw no shots.
 CLI_EXACT_MODE_SHA256 = {
-    "vqe": "65db58a1070f53fd791551d9b90b0ce9fc242e6228b365213b03ceb79185807f",
-    "folded": "fdec43c773d29b150f35d71530b4338f987598cfe8e6207eeb5fd4f251054683",
-    "scan": "f7d7f8a1dbc35a5c3ff9b1c891c5629e8dcdac7f04669ac4c08c57830aed540b",
-    "ucc": "f89bb251937731f5198eda4d8129da6e61ebb8c6f4531cab9c281416a5f4dda0",
+    "vqe": "9c0e109a194937329a4295373ed63ddae105ff26782e0112f19d61e019f96869",
+    "folded": "831144e8ebdfaaca05c5b1bf7ce1eebf364f96e44cfe3ee251a65c372da7a58f",
+    "scan": "a7c011b12188a684033fb42e78103462fffcd13a1a3777f25d25d2cad8556951",
+    "ucc": "b629cb91ccda4dd87117adbd8045cf767601faaf74a349e649a12cf04aff4f8f",
 }
 
 INTEGRALS = {

@@ -187,10 +187,6 @@ class TestCluster:
         with pytest.raises(ValueError, match="^no excitation out of reference '10'"):
             UccAnsatz(2, "10", ())
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            UccAnsatz.from_reference(4, "1100", cap=3)
-
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_generator_is_anti_hermitian(self, t1, t2):
@@ -232,7 +228,7 @@ class TestUccPrepare:
         with pytest.raises(ValueError, match="guard"):
             UccAnsatz(11, "1" + "0" * 10, (("s", 2, 1),))
         with pytest.raises(ValueError, match="guard"):
-            UccAnsatz.from_reference(11, "1" + "0" * 10, cap=1)
+            UccAnsatz.from_reference(11, "1" + "0" * 10)
 
     def test_bad_reference(self):
         with pytest.raises(ValueError, match="bitstring"):
@@ -283,15 +279,11 @@ def toy_integrals() -> MolecularIntegrals:
 
 class TestUccAnsatz:
     def test_excitation_enumeration(self):
-        ansatz = UccAnsatz.from_reference(4, "1100", cap=2)
+        ansatz = UccAnsatz.from_reference(4, "1100")
         singles = [e for e in ansatz.excitations if e[0] == "s"]
         doubles = [e for e in ansatz.excitations if e[0] == "d"]
         assert len(singles) == 4 and len(doubles) == 1
         assert ansatz.parameter_count == 5
-
-    def test_cap_one(self):
-        ansatz = UccAnsatz.from_reference(4, "1100", cap=1)
-        assert all(e[0] == "s" for e in ansatz.excitations)
 
     def test_prepare_zero_is_reference(self):
         ansatz = UccAnsatz.from_reference(4, "1100")

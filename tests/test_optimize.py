@@ -84,10 +84,9 @@ class TestNelderMead:
         assert calls == 37 and result.evaluations == 37
         assert result.reason == REASON_BUDGET and not result.converged
 
-    def test_zero_budget_returns_start(self):
-        result = nelder_mead(sphere, np.array([2.0, 3.0]), NelderMeadConfig(max_evaluations=0))
-        assert np.array_equal(result.x_best, [2.0, 3.0])
-        assert result.evaluations == 0 and result.f_best == np.inf
+    def test_zero_budget_refused(self):
+        with pytest.raises(ValueError, match="^evaluation budget must be >= 1$"):
+            NelderMeadConfig(max_evaluations=0)
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError, match="x0 is empty"):
@@ -164,10 +163,9 @@ class TestGradientDescent:
         result = gradient_descent(sphere, np.array([1.0, -1.0]), GradientDescentConfig(step_size=0.2, max_evaluations=500))
         assert result.f_best <= 1e-6
 
-    def test_zero_budget_returns_start(self):
-        result = gradient_descent(sphere, np.array([3.0, 4.0]), GradientDescentConfig(max_evaluations=0))
-        assert np.array_equal(result.x_best, [3.0, 4.0])
-        assert result.evaluations == 0
+    def test_zero_budget_refused(self):
+        with pytest.raises(ValueError, match="^evaluation budget must be >= 1$"):
+            GradientDescentConfig(max_evaluations=0)
 
     def test_budget_respected(self):
         calls = 0
