@@ -41,6 +41,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,8 +282,10 @@ def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], pol
 
     A scan runs one job per point and a folded run one per shift, each
     on its own derived seed; vqe and ucc run one job on the run seed.
-    A shift so large that (H - lambda)^2 overflows, or a precision so
-    fine that a term's shots do, is a config error.
+    A shift so large that (H - lambda)^2 overflows, a precision so fine
+    that a term's shots do, or an operator whose squared coefficients
+    sum past the largest float is a config error. A finite sum bounds
+    every energy and every estimate's variance.
     """
     try:
         if config.mode == "scan":
@@ -300,8 +303,12 @@ def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], pol
         else:
             label = "hamiltonian" if config.mode == "vqe" else "jw-hamiltonian"
             minimizations = [(label, loaded, config.seed, Path("trace.csv"))]
-        return [Job(label, operator, seed, trace, shot_budget(operator, policy))
-                for label, operator, seed, trace in minimizations]
+        jobs = []
+        for label, operator, seed, trace in minimizations:
+            if not math.isfinite(sum(c * c for c, _ in operator.terms)):
+                raise ValueError(f"{label}: the squared coefficients sum past the largest float")
+            jobs.append(Job(label, operator, seed, trace, shot_budget(operator, policy)))
+        return jobs
     except ValueError as exc:
         raise ConfigError(f"the {config.mode} run has no finite operator or shot budget: {exc}") from None
 

@@ -7,6 +7,11 @@ the estimate computes from the same term expectations, the tangle on
 two qubits, and the overlap with the exact ground space. Repeated
 evaluation of the same parameters draws fresh noise, as on real
 hardware, because the evaluation index labels the RNG stream.
+
+The optimizers hand the objective a batch of points at a time (see
+`optimize`). The batch's states are prepared together; then each row
+is estimated, diagnosed and recorded on its own step, exactly as if it
+had come alone.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .estimation import (
     ShotPolicy,
     derived_generator,
     estimate_energy,
+    shot_budget,
 )
 from .optimize import (
     GradientDescentConfig,
@@ -91,9 +97,14 @@ def run_vqe(
     """Minimize the estimated energy over ansatz parameters.
 
     `ansatz` is anything with a `parameter_count` attribute and a
-    `prepare(parameters) -> StateVector` method. The default optimizer
-    is Nelder-Mead with restarts; pass a GradientDescentConfig for the
-    baseline. Deterministic given (inputs, config, seed).
+    `prepare_batch(batch) -> list[StateVector]` method that returns the
+    state of each row of a (B, parameter_count) array, in row order.
+    The optimizer calls the objective with such a batch and gets its B
+    estimated energies back; row b of a batch is step len(records) + b,
+    estimated on that step's RNG stream with the shots `shot_budget`
+    prices once for the run. The default optimizer is Nelder-Mead with
+    restarts; pass a GradientDescentConfig for the baseline.
+    Deterministic given (inputs, config, seed).
     """
     config = config or NelderMeadConfig()
     spectrum = exact_spectrum(hamiltonian)
@@ -107,6 +118,7 @@ def run_vqe(
                 f"x0 has shape {x0.shape}, ansatz takes {ansatz.parameter_count} parameters"
             )
 
+    term_shots = shot_budget(hamiltonian, policy)
     records: list[TraceRecord] = []
     restart_pending = False
 
@@ -114,25 +126,29 @@ def run_vqe(
         nonlocal restart_pending
         restart_pending = True
 
-    def objective(params: np.ndarray) -> float:
+    def objective(batch: np.ndarray) -> list[float]:
         nonlocal restart_pending
-        step = len(records)
-        state = ansatz.prepare(params)
-        estimate = estimate_energy(state, hamiltonian, policy, rng, iteration=step)
-        records.append(
-            TraceRecord(
-                iteration=step,
-                parameters=np.array(params, dtype=float),
-                energy_estimate=estimate.value,
-                std_error=estimate.std_error,
-                exact_energy=estimate.exact_value,
-                tangle=tangle(state) if hamiltonian.n_qubits == 2 else None,
-                overlap=ground_space_overlap(spectrum, state),
-                restart=restart_pending,
+        values = []
+        for params, state in zip(batch, ansatz.prepare_batch(batch)):
+            step = len(records)
+            estimate = estimate_energy(
+                state, hamiltonian, policy, rng, iteration=step, term_shots=term_shots
             )
-        )
-        restart_pending = False
-        return estimate.value
+            records.append(
+                TraceRecord(
+                    iteration=step,
+                    parameters=np.array(params, dtype=float),
+                    energy_estimate=estimate.value,
+                    std_error=estimate.std_error,
+                    exact_energy=estimate.exact_value,
+                    tangle=tangle(state) if hamiltonian.n_qubits == 2 else None,
+                    overlap=ground_space_overlap(spectrum, state),
+                    restart=restart_pending,
+                )
+            )
+            restart_pending = False
+            values.append(estimate.value)
+        return values
 
     if isinstance(config, GradientDescentConfig):
         opt = gradient_descent(objective, x0, config)

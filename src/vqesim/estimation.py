@@ -181,6 +181,7 @@ def estimate_energy(
     policy: ShotPolicy,
     rng: RngStream,
     iteration: int = 0,
+    term_shots: tuple[int, ...] | None = None,
 ) -> EnergyEstimate:
     """Estimate <H> for a prepared state under a shot policy, in one pass.
 
@@ -195,6 +196,8 @@ def estimate_energy(
     is (2k - s)/s and its standard error the ddof=1 figure of its +-1
     outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0 for one shot); the errors
     combine in quadrature. Identity terms add their coefficient.
+    `term_shots` is `shot_budget(hamiltonian, policy)` when a caller that
+    estimates many times has priced it once; otherwise it is priced here.
     """
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError(
@@ -203,7 +206,7 @@ def estimate_energy(
     terms = hamiltonian.terms
     expectations = [exact_expectation(state, p) for _, p in terms]
     exact_value = float(sum(c * e for (c, _), e in zip(terms, expectations)))
-    shots_used = shot_budget(hamiltonian, policy)
+    shots_used = shot_budget(hamiltonian, policy) if term_shots is None else term_shots
     if policy.mode == "exact":
         return EnergyEstimate(exact_value, 0.0, shots_used, exact_value)
 

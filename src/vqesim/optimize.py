@@ -13,6 +13,16 @@ Both methods have fixed coefficients, module constants rather than
 settings: the simplex moves use Nelder and Mead's standard coefficients
 (1, 2, 1/2, 1/2), and the gradient is a central difference of fixed
 step FD_STEP.
+
+The objective takes a batch: a (B, dims) array of points, one per row,
+and returns their B values in row order. Where the points do not depend
+on each other's values the optimizers pass them together (Lee and
+Wiswall, Computational Economics 30, 2007): Nelder-Mead's dims + 1
+simplex vertices and its dims-point shrink, and gradient descent's
+2 * dims central-difference probes, in the order a point-by-point search
+would evaluate them. Every other point is a batch of one. The rows
+count against the budget one by one; a batch that would overrun it is
+cut, and only the rows that fit are evaluated.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
 # The central-difference step of gradient descent.
 FD_STEP = 1e-3
 
-Objective = Callable[[np.ndarray], float]
+# (B, dims) points in, their B values out, in row order.
+Objective = Callable[[np.ndarray], Sequence[float]]
 
 
 class ObjectiveValueError(ValueError):
@@ -113,20 +124,37 @@ class _CountingObjective:
         self.f_best = math.inf
         self.last_improvement = 0
 
-    def __call__(self, x: np.ndarray) -> float:
-        if self.evaluations >= self.max_evaluations:
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Values of the rows of xs, taken in order; the first lowest value ever wins.
+
+        Rows past the budget are not evaluated: the ones that fit are, then
+        the budget's end is raised. A non-finite value raises
+        ObjectiveValueError for the first row that has one.
+        """
+        room = self.max_evaluations - self.evaluations
+        if room <= 0:
             raise _BudgetExhausted
-        value = float(self._objective(x))
-        self.evaluations += 1
-        if not math.isfinite(value):
-            raise ObjectiveValueError(
-                f"objective returned non-finite value {value!r} at x={np.asarray(x).tolist()}"
-            )
-        if value < self.f_best:
-            self.f_best = value
-            self.x_best = np.array(x, dtype=float)
-            self.last_improvement = self.evaluations
-        return value
+        batch = xs[:room]
+        values = [float(v) for v in self._objective(batch)]
+        if len(values) != len(batch):
+            raise ValueError(f"objective returned {len(values)} values for {len(batch)} points")
+        for x, value in zip(batch, values):
+            self.evaluations += 1
+            if not math.isfinite(value):
+                raise ObjectiveValueError(
+                    f"objective returned non-finite value {value!r} at x={x.tolist()}"
+                )
+            if value < self.f_best:
+                self.f_best = value
+                self.x_best = np.array(x, dtype=float)
+                self.last_improvement = self.evaluations
+        if len(batch) < len(xs):
+            raise _BudgetExhausted
+        return np.array(values)
+
+    def one(self, x: np.ndarray) -> float:
+        """The value of a single point: a batch of one."""
+        return float(self(x[None])[0])
 
 
 def _finalize(f: _CountingObjective, restarts: int, converged: bool, reason: str) -> OptimizerResult:
@@ -157,14 +185,10 @@ def nelder_mead(
     restarts = 0
 
     def build_simplex(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points = [center.copy()]
+        xs = np.repeat(center[None], dims + 1, axis=0)
         for k in range(dims):
-            vertex = center.copy()
-            vertex[k] += cfg.initial_scale
-            points.append(vertex)
-        xs = np.array(points)
-        vals = np.array([f(p) for p in xs])
-        return xs, vals
+            xs[k + 1, k] += cfg.initial_scale
+        return xs, f(xs)
 
     try:
         xs, vals = build_simplex(x0)
@@ -192,10 +216,10 @@ def nelder_mead(
             centroid = xs[:-1].mean(axis=0)
             worst = xs[-1]
             reflected = centroid + REFLECTION * (centroid - worst)
-            f_reflected = f(reflected)
+            f_reflected = f.one(reflected)
             if f_reflected < vals[0]:
                 expanded = centroid + EXPANSION * (reflected - centroid)
-                f_expanded = f(expanded)
+                f_expanded = f.one(expanded)
                 if f_expanded < f_reflected:
                     xs[-1], vals[-1] = expanded, f_expanded
                 else:
@@ -205,18 +229,17 @@ def nelder_mead(
             else:
                 if f_reflected < vals[-1]:
                     contracted = centroid + CONTRACTION * (reflected - centroid)
-                    f_contracted = f(contracted)
+                    f_contracted = f.one(contracted)
                     accept = f_contracted <= f_reflected
                 else:
                     contracted = centroid - CONTRACTION * (centroid - worst)
-                    f_contracted = f(contracted)
+                    f_contracted = f.one(contracted)
                     accept = f_contracted < vals[-1]
                 if accept:
                     xs[-1], vals[-1] = contracted, f_contracted
                 else:
-                    for k in range(1, dims + 1):
-                        xs[k] = xs[0] + SHRINK * (xs[k] - xs[0])
-                        vals[k] = f(xs[k])
+                    xs[1:] = xs[0] + SHRINK * (xs[1:] - xs[0])
+                    vals[1:] = f(xs[1:])
     except _BudgetExhausted:
         return _finalize(f, restarts, False, REASON_BUDGET)
 
@@ -236,17 +259,16 @@ def gradient_descent(
     f = _CountingObjective(objective, cfg.max_evaluations)
     x = x0.copy()
     try:
-        f(x)
+        f.one(x)
         while True:
-            grad = np.zeros_like(x)
+            # Rows 2k and 2k + 1 step coordinate k up, then down from there.
+            probes = np.repeat(x[None], 2 * x.size, axis=0)
             for k in range(x.size):
-                probe = x.copy()
-                probe[k] += FD_STEP
-                upper = f(probe)
-                probe[k] -= 2.0 * FD_STEP
-                lower = f(probe)
-                grad[k] = (upper - lower) / (2.0 * FD_STEP)
+                probes[2 * k, k] += FD_STEP
+                probes[2 * k + 1, k] = probes[2 * k, k] - 2.0 * FD_STEP
+            values = f(probes)
+            grad = (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
             x = x - cfg.step_size * grad
-            f(x)
+            f.one(x)
     except _BudgetExhausted:
         return _finalize(f, 0, False, REASON_BUDGET)

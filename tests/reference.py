@@ -103,3 +103,9 @@ def overlap(a, b) -> float:
 def coefficient(h: PauliHamiltonian, label: str) -> float:
     """The coefficient of `label` in `h`, 0.0 for a string it does not hold."""
     return next((c for c, p in h.terms if p.label == label), 0.0)
+
+
+def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply a 2x2 gate to one qubit of a single row of amplitudes, one einsum per gate."""
+    block = amps.reshape(1 << qubit, 2, -1)
+    return np.einsum("ts,asb->atb", gate, block).reshape(-1)

@@ -543,16 +543,27 @@ class TestMainEntry:
         assert code == 4
         assert "error" in capsys.readouterr().err
 
-    def test_overflowing_objective_is_execution_error(self, tmp_path, capsys):
-        # Each coefficient is finite, but 1.7e308 * (1 + <ZI>) overflows to inf once <ZI> passes about 0.06.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text,policy",
+        [
+            # Each coefficient is finite, but 1.7e308 * (1 + <ZI>) overflows the energy.
+            ("1.7e308 II\n1.7e308 ZI\n", ["--exact"]),
+            # (1e200)^2 overflows the estimate's variance.
+            ("1e200 ZI\n0.5 XX\n", ["--shots", "100"]),
+        ],
+        ids=["energy", "variance"],
+    )
+    def test_overflowing_coefficients_are_config_error(self, tmp_path, capsys, command, text, policy):
         path = tmp_path / "h.txt"
-        path.write_text("1.7e308 II\n1.7e308 ZI\n")
-        code = main(
-            ["run", "--mode", "vqe", "--hamiltonian", str(path), "--exact", "--seed", "1",
-             "--nm-max-evaluations", "5", "--out", str(tmp_path / "out")]
-        )
-        assert code == 4
-        assert "error: objective returned non-finite value inf" in capsys.readouterr().err
+        path.write_text(text)
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "vqe", "--hamiltonian", str(path), *policy, "--seed", "1",
+                     "--nm-max-evaluations", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "squared coefficients sum past the largest float" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("coefficient", ["nan", "inf", "1e400"])

@@ -2,7 +2,8 @@
 
 OpenBLAS reads OPENBLAS_CORETYPE and numpy reads NPY_DISABLE_CPU_FEATURES
 once, when they load, so each setting runs in its own child process. The
-child hashes `prepare` amplitudes for fixed seeded angles; every setting
+child hashes `prepare` amplitudes for fixed seeded angles, as a batch of
+one and as a batch one row longer than a 10-qubit chunk; every setting
 must give the same hash. numpy ignores feature names it does not know
 (AVX512F and AVX512_SKX among them), so the child reports which of the
 named features are still enabled and the test requires none.
@@ -25,6 +26,7 @@ CHILD = """
 import hashlib, json, os
 import numpy as np
 from vqesim import AnsatzSpec, prepare
+from vqesim.statevector import _BATCH_AMPLITUDES
 
 features = np._core._multiarray_umath.__cpu_features__
 named = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split(",")
@@ -32,7 +34,11 @@ digest = hashlib.sha256()
 for n in (1, 2, 8, 10):
     spec = AnsatzSpec(n, 2)
     params = np.random.default_rng(n).uniform(-np.pi, np.pi, spec.parameter_count)
-    digest.update(prepare(spec, params).amplitudes.tobytes())
+    digest.update(spec.prepare(params).amplitudes.tobytes())
+    rows = (_BATCH_AMPLITUDES >> 10) + 1
+    batch = np.random.default_rng([n, rows]).uniform(-np.pi, np.pi, (rows, spec.parameter_count))
+    for state in prepare(spec, batch):
+        digest.update(state.amplitudes.tobytes())
 print(json.dumps({"still_enabled": [f for f in named if features.get(f)], "sha256": digest.hexdigest()}))
 """
 

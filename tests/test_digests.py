@@ -58,6 +58,11 @@ gradient descent) and cluster_cap (always 2, singles and doubles).
 config.json lost those four keys and is again the one file that moved:
 with the four keys taken out, each old config.json equals the new one
 byte for byte, and the other 30 files of the seven trees kept theirs.
+
+No pin moved when the optimizers began handing their independent points
+to the objective as one batch, prepared together: every row's amplitudes
+equal a batch of one byte for byte, and each row keeps its own step and
+RNG stream label.
 """
 
 import hashlib

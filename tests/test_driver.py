@@ -167,16 +167,16 @@ class TestGradientDescentDriver:
 
 
 class CountingAnsatz:
-    """An AnsatzSpec that counts its prepare calls."""
+    """An AnsatzSpec that counts the states it prepares, row by row."""
 
     def __init__(self, spec):
         self.spec = spec
         self.parameter_count = spec.parameter_count
         self.prepares = 0
 
-    def prepare(self, parameters):
-        self.prepares += 1
-        return self.spec.prepare(parameters)
+    def prepare_batch(self, batch):
+        self.prepares += len(batch)
+        return self.spec.prepare_batch(batch)
 
 
 class TestOnePreparationPerEvaluation:
@@ -192,6 +192,15 @@ class TestOnePreparationPerEvaluation:
         result = run_vqe(h, ansatz, policy, config, seed=4)
         assert result.trace.evaluations == len(result.trace.records) > 0
         assert ansatz.prepares == result.trace.evaluations
+
+    @pytest.mark.parametrize("budget", [5, 14])
+    def test_budget_cuts_the_first_simplex(self, budget):
+        """The 13-vertex simplex of AnsatzSpec(2, 1) is one batch; the budget cuts it partway."""
+        h = random_hamiltonian(np.random.default_rng(33), 2)
+        ansatz = CountingAnsatz(AnsatzSpec(2, 1))
+        result = run_vqe(h, ansatz, ShotPolicy.fixed(100), quick_nm(max_evaluations=budget), seed=2)
+        assert result.trace.evaluations == budget == len(result.trace.records) == ansatz.prepares
+        assert [r.iteration for r in result.trace.records] == list(range(budget))
 
     def test_exact_ground_energy_reported(self):
         h = random_hamiltonian(np.random.default_rng(32), 2)

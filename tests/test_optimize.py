@@ -12,6 +12,21 @@ from vqesim.optimize import (
 )
 
 
+def batched(fn):
+    """A function of one point as an optimizer objective: one value per row, in row order."""
+    return lambda xs: [fn(x) for x in xs]
+
+
+def recording(fn, batches):
+    """An objective that appends a copy of every batch it is given to `batches`."""
+
+    def objective(xs):
+        batches.append(np.array(xs))
+        return [fn(x) for x in xs]
+
+    return objective
+
+
 def sphere(x):
     return float(np.sum(np.square(x)))
 
@@ -52,17 +67,17 @@ class TestNelderMeadConfig:
 
     def test_numbers_as_typed_accepted(self):
         config = NelderMeadConfig(initial_scale=1, max_evaluations=np.int64(5), tolerance=np.float64(0.0))
-        assert nelder_mead(sphere, np.array([1.0]), config).evaluations == 5
+        assert nelder_mead(batched(sphere), np.array([1.0]), config).evaluations == 5
 
 
 class TestNelderMead:
     def test_convex_quadratic(self):
-        result = nelder_mead(sphere, np.array([1.0, 1.0]))
+        result = nelder_mead(batched(sphere), np.array([1.0, 1.0]))
         assert result.f_best <= 1e-8
         assert result.converged and result.reason == REASON_TOLERANCE
 
     def test_rosenbrock(self):
-        result = nelder_mead(rosenbrock, np.array([-1.2, 1.0]))
+        result = nelder_mead(batched(rosenbrock), np.array([-1.2, 1.0]))
         assert np.max(np.abs(result.x_best - np.array([1.0, 1.0]))) < 1e-3
 
     def test_nan_objective_aborts_with_diagnostic(self):
@@ -70,7 +85,7 @@ class TestNelderMead:
             return float("nan")
 
         with pytest.raises(ObjectiveValueError, match="non-finite"):
-            nelder_mead(broken, np.array([0.5]))
+            nelder_mead(batched(broken), np.array([0.5]))
 
     def test_budget_respected(self):
         calls = 0
@@ -80,7 +95,7 @@ class TestNelderMead:
             calls += 1
             return sphere(x)
 
-        result = nelder_mead(counted, np.array([1.0, 1.0, 1.0]), NelderMeadConfig(max_evaluations=37))
+        result = nelder_mead(batched(counted), np.array([1.0, 1.0, 1.0]), NelderMeadConfig(max_evaluations=37))
         assert calls == 37 and result.evaluations == 37
         assert result.reason == REASON_BUDGET and not result.converged
 
@@ -90,7 +105,7 @@ class TestNelderMead:
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError, match="x0 is empty"):
-            nelder_mead(sphere, np.zeros(0), NelderMeadConfig(tolerance=0.0))
+            nelder_mead(batched(sphere), np.zeros(0), NelderMeadConfig(tolerance=0.0))
 
     def test_returns_best_ever_evaluated(self):
         seen = []
@@ -100,7 +115,7 @@ class TestNelderMead:
             seen.append(value)
             return value
 
-        result = nelder_mead(tracking, np.array([1.5, -0.5]), NelderMeadConfig(max_evaluations=200))
+        result = nelder_mead(batched(tracking), np.array([1.5, -0.5]), NelderMeadConfig(max_evaluations=200))
         assert result.f_best == min(seen)
 
     def test_restart_rebuilds_around_incumbent(self):
@@ -114,7 +129,7 @@ class TestNelderMead:
             return sphere(x) + wobble
 
         result = nelder_mead(
-            noisy,
+            batched(noisy),
             np.array([1.0, 1.0]),
             NelderMeadConfig(max_evaluations=400, restart_limit=3, stagnation_window=40),
             on_restart=lambda: restarts.append(len(evaluated)),
@@ -133,7 +148,7 @@ class TestNelderMead:
             return 1.0 + 1e-3 * np.sin(1e4 * float(np.sum(x)))
 
         result = nelder_mead(
-            flat,
+            batched(flat),
             np.array([0.0, 0.0]),
             NelderMeadConfig(
                 max_evaluations=10_000,
@@ -154,13 +169,13 @@ class TestNelderMead:
         def quadratic(x):
             return float(np.sum(scales * np.square(x - shift)))
 
-        result = nelder_mead(quadratic, np.zeros(4), NelderMeadConfig(max_evaluations=4000))
+        result = nelder_mead(batched(quadratic), np.zeros(4), NelderMeadConfig(max_evaluations=4000))
         assert result.f_best <= 1e-7
 
 
 class TestGradientDescent:
     def test_quadratic_noiseless(self):
-        result = gradient_descent(sphere, np.array([1.0, -1.0]), GradientDescentConfig(step_size=0.2, max_evaluations=500))
+        result = gradient_descent(batched(sphere), np.array([1.0, -1.0]), GradientDescentConfig(step_size=0.2, max_evaluations=500))
         assert result.f_best <= 1e-6
 
     def test_zero_budget_refused(self):
@@ -175,13 +190,13 @@ class TestGradientDescent:
             calls += 1
             return sphere(x)
 
-        result = gradient_descent(counted, np.zeros(3), GradientDescentConfig(max_evaluations=25))
+        result = gradient_descent(batched(counted), np.zeros(3), GradientDescentConfig(max_evaluations=25))
         assert calls == 25 and result.evaluations == 25
         assert result.reason == REASON_BUDGET
 
     def test_nan_objective_aborts(self):
         with pytest.raises(ObjectiveValueError):
-            gradient_descent(lambda x: float("nan"), np.array([0.1]), GradientDescentConfig(max_evaluations=10))
+            gradient_descent(batched(lambda x: float("nan")), np.array([0.1]), GradientDescentConfig(max_evaluations=10))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -199,3 +214,74 @@ class TestGradientDescent:
     def test_config_types_and_finiteness(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GradientDescentConfig(**kwargs)
+
+
+def spike(x):
+    """0 at the origin and 1 everywhere else: every move fails, so Nelder-Mead shrinks."""
+    return 0.0 if not np.any(x) else 1.0
+
+
+class TestBatches:
+    """Independent points reach the objective together, in the order of a point-by-point search."""
+
+    def test_nelder_mead_builds_then_shrinks_in_batches(self):
+        batches = []
+        nelder_mead(recording(spike, batches), np.zeros(2), NelderMeadConfig(max_evaluations=11))
+        assert [len(b) for b in batches] == [3, 1, 1, 2, 1, 1, 2]
+        # The simplex: x0, then x0 plus the initial scale along each coordinate.
+        assert np.array_equal(batches[0], [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]])
+        # The reflection of the worst vertex through the centroid (0.15, 0), then the
+        # inside contraction; both fail, and the two other vertices move halfway to the best.
+        assert np.array_equal(batches[1], [[0.3, -0.3]])
+        assert np.array_equal(batches[2], [[0.075, 0.15]])
+        assert np.array_equal(batches[3], [[0.15, 0.0], [0.0, 0.15]])
+
+    def test_restart_rebuilds_in_one_batch(self):
+        batches = []
+        config = NelderMeadConfig(max_evaluations=60, stagnation_window=5, restart_limit=1)
+        result = nelder_mead(recording(spike, batches), np.zeros(3), config)
+        assert result.restarts == 1
+        sizes = [len(b) for b in batches]
+        assert sizes[0] == 4 and set(sizes) == {1, 3, 4}
+        rebuild = batches[sizes.index(4, 1)]
+        assert np.array_equal(rebuild, batches[0])  # around the incumbent, the origin
+
+    def test_gradient_descent_probes_in_one_batch(self):
+        batches = []
+        x0 = np.array([0.5, -0.25])
+        gradient_descent(recording(sphere, batches), x0, GradientDescentConfig(max_evaluations=11))
+        assert [len(b) for b in batches] == [1, 4, 1, 4, 1]
+        probes = []
+        for k in range(2):
+            up = x0.copy()
+            up[k] += 1e-3
+            down = up.copy()
+            down[k] -= 2e-3
+            probes += [up, down]
+        assert np.array_equal(batches[1], probes)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_budget_cuts_a_batch(self, budget):
+        batches = []
+        result = nelder_mead(recording(sphere, batches), np.ones(3), NelderMeadConfig(max_evaluations=budget))
+        assert [len(b) for b in batches] == [budget]
+        assert result.evaluations == budget and result.reason == REASON_BUDGET
+
+    def test_tie_inside_a_batch_keeps_the_first_row(self):
+        def values(xs):
+            return [2.0, 1.0, 1.0][: len(xs)]
+
+        result = nelder_mead(values, np.zeros(2), NelderMeadConfig(max_evaluations=3))
+        assert result.f_best == 1.0
+        assert np.array_equal(result.x_best, [0.3, 0.0])
+
+    def test_non_finite_row_raises_for_that_row(self):
+        def values(xs):
+            return [1.0, float("inf"), float("nan")][: len(xs)]
+
+        with pytest.raises(ObjectiveValueError, match=re.escape("non-finite value inf at x=[0.3, 0.0]")):
+            nelder_mead(values, np.zeros(2))
+
+    def test_wrong_number_of_values_refused(self):
+        with pytest.raises(ValueError, match="objective returned 1 values for 3 points"):
+            nelder_mead(lambda xs: [0.0], np.zeros(2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_hamiltonian, random_state
-from reference import overlap, pauli_matrix
+from reference import apply_gate, overlap, pauli_matrix
 from vqesim import (
     AnsatzSpec,
     PauliString,
@@ -15,7 +15,7 @@ from vqesim import (
     prepare,
     reconstruct,
 )
-from vqesim.statevector import MAX_QUBITS, apply_gate, basis_state, euler_gates
+from vqesim.statevector import _BATCH_AMPLITUDES, MAX_QUBITS, basis_state, euler_gates
 
 
 def ry(theta: float) -> np.ndarray:
@@ -123,33 +123,33 @@ class TestAnsatz:
 
     def test_zero_parameters_give_zero_state(self):
         spec = AnsatzSpec(2, 1)
-        state = prepare(spec, np.zeros(spec.parameter_count))
+        state = spec.prepare(np.zeros(spec.parameter_count))
         assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ry_pi_then_cnot_gives_11(self):
         spec = AnsatzSpec(2, 1)
         params = np.zeros(spec.parameter_count)
         params[1] = np.pi  # Ry angle of qubit 0 in the first rotation layer
-        state = prepare(spec, params)
+        state = spec.prepare(params)
         assert abs(state.amplitudes[0b11]) == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
-            prepare(AnsatzSpec(2, 1), np.zeros(5))
+            AnsatzSpec(2, 1).prepare(np.zeros(5))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_norm_property(self, seed):
         spec = AnsatzSpec(2, 2)
         rng = np.random.default_rng(seed)
-        state = prepare(spec, rng.uniform(-np.pi, np.pi, spec.parameter_count))
+        state = spec.prepare(rng.uniform(-np.pi, np.pi, spec.parameter_count))
         assert np.abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_deterministic(self):
         spec = AnsatzSpec(3, 2)
         params = np.random.default_rng(5).uniform(-np.pi, np.pi, spec.parameter_count)
-        a = prepare(spec, params).amplitudes
-        b = prepare(spec, params).amplitudes
+        a = spec.prepare(params).amplitudes
+        b = spec.prepare(params).amplitudes
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (3, 2), (8, 1), (10, 2)])
@@ -158,7 +158,7 @@ class TestAnsatz:
         params = np.random.default_rng(n).uniform(-np.pi, np.pi, spec.parameter_count)
         gates = euler_gates(params.reshape(layers + 1, n, 3))
         amps = ladder_circuit(spec, params, lambda amps, _, layer, q: apply_gate(amps, gates[layer, q], q))
-        assert prepare(spec, params).amplitudes.tobytes() == amps.tobytes()
+        assert spec.prepare(params).amplitudes.tobytes() == amps.tobytes()
 
     @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (3, 2), (8, 1), (10, 2)])
     def test_fused_matches_unfused_rotations(self, n, layers):
@@ -173,7 +173,25 @@ class TestAnsatz:
         for _ in range(20):
             params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
             reference = ladder_circuit(spec, params, unfused)
-            assert np.max(np.abs(prepare(spec, params).amplitudes - reference)) <= 1e-14
+            assert np.max(np.abs(spec.prepare(params).amplitudes - reference)) <= 1e-14
+
+
+class TestPrepareBatch:
+    @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (8, 1), (10, 2)])
+    def test_rows_match_a_batch_of_one(self, n, layers):
+        """Two chunk boundaries fall inside the batch; no row's bytes move."""
+        spec = AnsatzSpec(n, layers)
+        rows = 2 * max(1, _BATCH_AMPLITUDES >> n) + 1
+        batch = np.random.default_rng([n, layers, rows]).uniform(-np.pi, np.pi, (rows, spec.parameter_count))
+        states = prepare(spec, batch)
+        assert len(states) == rows
+        for params, state in zip(batch, states):
+            assert state.amplitudes.tobytes() == spec.prepare(params).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 11), (1, 2, 12)])
+    def test_batch_shape_checked(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected rows of 12 parameters, got shape {shape}")):
+            prepare(AnsatzSpec(2, 1), np.zeros(shape))
 
 
 _SPECIAL_ANGLES = st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi])
@@ -272,5 +290,5 @@ def test_one_layer_reaches_arbitrary_two_qubit_states():
         b1, g1, d1 = _zyz_angles(vh.T)
         params[6:9] = (b0, g0, d0)
         params[9:12] = (b1, g1, d1)
-        fitted = prepare(spec, params)
+        fitted = spec.prepare(params)
         assert overlap(fitted, target) >= 0.999
