@@ -40,7 +40,6 @@ from .optimize import (
     nelder_mead,
 )
 from .pauli import (
-    ComplexPauliSum,
     PauliHamiltonian,
     PauliString,
     multiply,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnsatzSpec",
-    "ComplexPauliSum",
     "EnergyEstimate",
     "FermionOperator",
     "GradientDescentConfig",

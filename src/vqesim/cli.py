@@ -29,7 +29,9 @@ unless `validate` would pass. That includes the scan rule (the fit
 window, by default the whole scan, must select at least 4 scan points,
 the minimum of the quadratic fit with a covariance) and the width rule
 (no Hamiltonian, scan point or Jordan-Wigner image over 10 qubits, the
-limit of the dense spectrum every run computes).
+limit of the dense spectrum every run computes). An operator with no
+terms is an input error in every format: a Hamiltonian file, a scan
+point, or integrals whose Jordan-Wigner image is empty once pruned.
 
 Exit codes: 0 success, 2 configuration errors, 3 malformed or missing
 input files, 4 execution/output failures.
@@ -71,7 +73,7 @@ from .estimation import (
 from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
 from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
 from .optimize import NelderMeadConfig
-from .pauli import ComplexPauliSum, PauliHamiltonian, _is_int, _is_real, shift_and_square
+from .pauli import PauliHamiltonian, _is_int, _is_real, shift_and_square
 from .statevector import AnsatzSpec, exact_energy
 
 
@@ -251,11 +253,14 @@ def load_inputs(
         integrals = load_integrals(config.integrals)
         # The Jordan-Wigner image has one qubit per mode.
         _check_width(integrals.n_modes, config.integrals)
-        mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
-        if isinstance(mapped, ComplexPauliSum):
-            raise FormatError(
-                f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian"
-            )
+        operator = build_molecular_hamiltonian(integrals)
+        try:
+            mapped = jordan_wigner(operator)
+        except ValueError:  # an imaginary residue: the integrals are not symmetric
+            raise FormatError(f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian") from None
+        # Checked after mapping, so that terms which all prune away are caught too.
+        if not mapped.terms:
+            raise FormatError(f"{config.integrals}: integrals produce no Hamiltonian terms")
         try:
             ansatz = UccAnsatz.from_reference(integrals.n_modes, config.reference)
         except ValueError as exc:

@@ -13,8 +13,10 @@ reference occupation bitstring doubles as a computational basis label.
 Cluster operators follow t_p^r a_p^dag a_r: the first index creates
 (virtual orbital), the second annihilates (occupied orbital). T is
 linear in the amplitudes, so a `UccAnsatz` maps each excitation E_k to
-its qubit-space generator G_k = E_k - E_k^dag once, when it is built;
-each state preparation then only sums sum_k t_k G_k and evaluates
+its qubit-space generator G_k = E_k - E_k^dag once, when it is built.
+`jordan_wigner` maps Hermitian operators only, so the ansatz maps iG_k,
+a Pauli sum with real weights, and keeps -i times its matrix. Each
+state preparation then only sums sum_k t_k G_k and evaluates
 exp(T - T^dag) exactly by eigendecomposition. No circuit compilation
 happens at this scale.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .analysis import MAX_SPECTRUM_QUBITS
 from .pauli import (
-    IMAG_TOL, ComplexPauliSum, PauliHamiltonian, PauliString, _is_int, _is_real, _positive_count, multiply, reconstruct,
+    PauliHamiltonian, PauliString, _is_int, _is_real, _positive_count, _real_sum, multiply, reconstruct,
 )
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
@@ -83,18 +85,19 @@ def _ladder_expansion(mode: int, creation: bool, n_modes: int) -> list[tuple[com
     return [(0.5, x_label), (y_coeff, y_label)]
 
 
-def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
-    """Map a fermionic operator to qubit form.
+def jordan_wigner(op: FermionOperator) -> PauliHamiltonian:
+    """Map a Hermitian fermionic operator to its real Pauli sum.
 
-    Returns a PauliHamiltonian when the image is Hermitian (imaginary
-    coefficient residue at most IMAG_TOL, which holds exactly when the
-    fermionic input equals its conjugate transpose); otherwise the
-    complex-coefficient sum is returned as a ComplexPauliSum.
+    Raises ValueError when the image keeps an imaginary coefficient
+    residue above `IMAG_TOL`, which happens exactly when the operator
+    is not equal to its conjugate transpose. To map a non-Hermitian
+    operator, map its Hermitian parts (O + O^dag)/2 and
+    (O - O^dag)/(2i) apart, as `UccAnsatz` maps iG_k.
     """
     if op.n_modes > MAX_QUBITS:
         raise ValueError(f"mapping over {op.n_modes} modes exceeds the {MAX_QUBITS}-mode guard")
-    acc = ComplexPauliSum(op.n_modes)
     identity = "I" * op.n_modes
+    terms: list[tuple[complex, str]] = []
     for coeff, ops in op.terms:
         expansion: list[tuple[complex, str]] = [(coeff, identity)]
         for mode, dag in ops:
@@ -105,16 +108,8 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian | ComplexPauliSum:
                     phase, product = multiply(PauliString(label1), PauliString(label2))
                     new_expansion.append((c1 * c2 * phase, product.label))
             expansion = new_expansion
-        for c, label in expansion:
-            acc.add(label, c)
-    if acc.imag_residue() <= IMAG_TOL:
-        return acc.to_hamiltonian()
-    return acc
-
-
-def jw_matrix(op: FermionOperator) -> np.ndarray:
-    """Dense qubit-space matrix of a fermionic operator (oracle path)."""
-    return reconstruct(jordan_wigner(op))
+        terms += expansion
+    return _real_sum(op.n_modes, terms)
 
 
 @dataclass(frozen=True)
@@ -214,7 +209,8 @@ class UccAnsatz:
     ones. Construction checks the mode cap, the reference and that there
     is at least one excitation, and stores each excitation's generator
     G_k = E_k - E_k^dag as the nonzero (rows, cols, values) of its
-    qubit-space matrix.
+    qubit-space matrix: -i times the matrix of the Jordan-Wigner image
+    of the Hermitian iG_k.
     """
 
     n_modes: int
@@ -237,8 +233,8 @@ class UccAnsatz:
         for exc in self.excitations:
             modes = exc[1:]
             ops = [(mode, i < len(modes) // 2) for i, mode in enumerate(modes)]
-            excitation = jw_matrix(FermionOperator(self.n_modes, [(1.0, ops)]))
-            generator = excitation - excitation.conj().T
+            adjoint = [(mode, not dag) for mode, dag in reversed(ops)]
+            generator = -1j * reconstruct(jordan_wigner(FermionOperator(self.n_modes, [(1j, ops), (-1j, adjoint)])))
             rows, cols = np.nonzero(generator)
             generators.append((rows, cols, generator[rows, cols]))
         object.__setattr__(self, "generators", tuple(generators))

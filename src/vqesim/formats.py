@@ -5,7 +5,8 @@ Hamiltonian text: one `<finite coefficient> <pauli-label>` pair per line,
 term fixes the qubit count for the whole file.
 
 Scan: a JSON list of {"R": <finite real>, "terms": [[coeff, label], ...]}
-objects with strictly increasing R and a common qubit count.
+objects with strictly increasing R, a common qubit count and at least
+one term per point.
 
 Integrals: JSON {"n_modes": N, "one_body": [[p, q, value], ...],
 "two_body": [[p, q, r, s, value], ...]} with 1-based indices.
@@ -111,7 +112,9 @@ def parse_scan(data, source: str = "<scan>") -> list[ScanPoint]:
                 if not _is_real(coeff):
                     raise ValueError(f"bad coefficient {coeff!r}; expected a finite number")
                 terms.append((float(coeff), PauliString(str(text))))
-            hamiltonian = PauliHamiltonian(terms[0][1].n_qubits if terms else 1, terms)
+            if not terms:
+                raise ValueError("no Hamiltonian terms found")
+            hamiltonian = PauliHamiltonian(terms[0][1].n_qubits, terms)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from None
         if n_qubits is None:

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Amplitude indices read like binary numbers with qubit 0 as the most
   significant bit: index 2 of a 2-qubit vector is the basis state |10>.
 * A Hamiltonian is a weighted sum of Pauli strings with real
-  coefficients.
+  coefficients. Every operator the package maps or folds is Hermitian
+  and becomes such a sum; complex weights live only while they merge.
 """
 
 from __future__ import annotations
@@ -170,48 +171,23 @@ class PauliHamiltonian:
         return len(self.terms)
 
 
-class ComplexPauliSum:
-    """Accumulator for Pauli sums with complex coefficients.
+def _real_sum(n_qubits: int, terms: Iterable[tuple[complex, str]]) -> PauliHamiltonian:
+    """Merge complex-weighted Pauli labels into the real sum of a Hermitian operator.
 
-    Intermediate container for operator products (folded spectrum,
-    fermion mappings) whose imaginary parts cancel only after merging.
+    Coefficients add in order of first appearance. A merged imaginary
+    part above IMAG_TOL means the operator is not Hermitian and raises
+    ValueError; real parts below PRUNE are dropped.
     """
-
-    def __init__(self, n_qubits: int):
-        self.n_qubits = _positive_count("n_qubits", n_qubits)
-        self._coeffs: dict[str, complex] = {}
-
-    def add(self, label: str, coeff: complex) -> None:
-        if len(label) != self.n_qubits:
-            raise ValueError(f"label {label!r} has wrong length for {self.n_qubits} qubits")
-        self._coeffs[label] = self._coeffs.get(label, 0.0) + complex(coeff)
-
-    @property
-    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
-        return tuple((c, PauliString(lbl)) for lbl, c in self._coeffs.items())
-
-    @property
-    def term_count(self) -> int:
-        return len(self._coeffs)
-
-    def imag_residue(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        return max(abs(c.imag) for c in self._coeffs.values())
-
-    def to_hamiltonian(self) -> PauliHamiltonian:
-        residue = self.imag_residue()
-        if residue > IMAG_TOL:
-            raise ValueError(
-                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.1e}; sum is not Hermitian"
-            )
-        terms = [
-            (c.real, lbl) for lbl, c in self._coeffs.items() if abs(c.real) >= PRUNE
-        ]
-        return PauliHamiltonian(self.n_qubits, terms)
+    merged: dict[str, complex] = {}
+    for coeff, label in terms:
+        merged[label] = merged.get(label, 0.0) + complex(coeff)
+    residue = max((abs(c.imag) for c in merged.values()), default=0.0)
+    if residue > IMAG_TOL:
+        raise ValueError(f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.1e}; sum is not Hermitian")
+    return PauliHamiltonian(n_qubits, [(c.real, lbl) for lbl, c in merged.items() if abs(c.real) >= PRUNE])
 
 
-def reconstruct(h: PauliHamiltonian | ComplexPauliSum) -> np.ndarray:
+def reconstruct(h: PauliHamiltonian) -> np.ndarray:
     """Dense matrix of a Pauli sum, built from each term's `basis_action`."""
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
@@ -229,12 +205,11 @@ def shift_and_square(h: PauliHamiltonian, shift: float) -> PauliHamiltonian:
     at most quadratically many terms and targets the eigenvalue nearest
     the shift when minimized.
     """
-    acc = ComplexPauliSum(h.n_qubits)
+    terms: list[tuple[complex, str]] = []
     for ci, pi in h.terms:
         for cj, pj in h.terms:
             phase, pk = multiply(pi, pj)
-            acc.add(pk.label, ci * cj * phase)
-    for c, p in h.terms:
-        acc.add(p.label, -2.0 * shift * c)
-    acc.add("I" * h.n_qubits, shift * shift)
-    return acc.to_hamiltonian()
+            terms.append((ci * cj * phase, pk.label))
+    terms += [(-2.0 * shift * c, p.label) for c, p in h.terms]
+    terms.append((shift * shift, "I" * h.n_qubits))
+    return _real_sum(h.n_qubits, terms)

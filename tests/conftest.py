@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vqesim import PauliHamiltonian, StateVector
+from vqesim import FermionOperator, PauliHamiltonian, StateVector, jordan_wigner, reconstruct
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -24,6 +24,19 @@ def all_labels(n_qubits: int) -> list[str]:
 def random_hamiltonian(rng: np.random.Generator, n_qubits: int, labels=None) -> PauliHamiltonian:
     labels = labels or all_labels(n_qubits)
     return PauliHamiltonian(n_qubits, [(rng.uniform(-1, 1), l) for l in labels])
+
+
+def fermion_matrix(op: FermionOperator) -> np.ndarray:
+    """Dense matrix of any fermionic operator O through vqesim's own mapping.
+
+    `jordan_wigner` maps Hermitian operators only, so O is split into
+    its Hermitian parts H1 = (O + O^dag)/2 and H2 = (O - O^dag)/(2i),
+    and the result is M(H1) + i M(H2).
+    """
+    adjoint = [(c.conjugate(), [(mode, not dag) for mode, dag in reversed(ops)]) for c, ops in op.terms]
+    h1 = FermionOperator(op.n_modes, [(c / 2, ops) for c, ops in op.terms] + [(c / 2, ops) for c, ops in adjoint])
+    h2 = FermionOperator(op.n_modes, [(c / 2j, ops) for c, ops in op.terms] + [(-c / 2j, ops) for c, ops in adjoint])
+    return reconstruct(jordan_wigner(h1)) + 1j * reconstruct(jordan_wigner(h2))
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

@@ -32,11 +32,11 @@ from vqesim import (
     tangle,
 )
 from vqesim.cli import RunConfig, run_config, validate_config
-from vqesim.fermion import FermionOperator, MolecularIntegrals, jw_matrix
+from vqesim.fermion import FermionOperator, MolecularIntegrals
 from vqesim.formats import write_scan
 from vqesim.synthetic import parabola_scan
 
-from conftest import load_script
+from conftest import fermion_matrix, load_script
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -141,11 +141,11 @@ def test_jordan_wigner_algebra():
     for n_modes in range(1, 5):
         eye = np.eye(1 << n_modes)
         create = {
-            j: jw_matrix(FermionOperator(n_modes, [(1.0, ((j, True),))]))
+            j: fermion_matrix(FermionOperator(n_modes, [(1.0, ((j, True),))]))
             for j in range(1, n_modes + 1)
         }
         annihilate = {
-            j: jw_matrix(FermionOperator(n_modes, [(1.0, ((j, False),))]))
+            j: fermion_matrix(FermionOperator(n_modes, [(1.0, ((j, False),))]))
             for j in range(1, n_modes + 1)
         }
         for i, j in itertools.product(range(1, n_modes + 1), repeat=2):

@@ -644,6 +644,54 @@ class TestMainEntry:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            ([[]] * 5, "[0]: no Hamiltonian terms found"),
+            # An empty point among 2-qubit ones used to be read as one qubit wide.
+            ([[[0.5, "ZZ"]], [], [[0.5, "ZZ"]], [[0.5, "ZZ"]], [[0.5, "ZZ"]]], "[1]: no Hamiltonian terms found"),
+        ],
+        ids=["every-point", "one-point"],
+    )
+    def test_scan_point_without_terms_is_input_error(self, tmp_path, capsys, command, terms, message):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps([{"R": r, "terms": t} for r, t in zip((1, 2, 3, 4, 5), terms)]))
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "scan", "--scan", str(path), "--seed", "1", "--exact", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}{message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "payload,reference,message",
+        [
+            ({"n_modes": 4}, "1100", "integrals produce no Hamiltonian terms"),
+            # Every coefficient of the image falls below pauli.PRUNE.
+            ({"n_modes": 4, "one_body": [[1, 1, 1e-13]]}, "1100", "integrals produce no Hamiltonian terms"),
+            # h_12 without h_21: the image keeps an imaginary weight.
+            ({"n_modes": 2, "one_body": [[1, 1, -1.0], [1, 2, 0.3]]}, "10", "integrals produce a non-Hermitian Hamiltonian"),
+        ],
+        ids=["no-entries", "pruned-away", "asymmetric"],
+    )
+    def test_integrals_without_a_hermitian_image_are_input_error(
+        self, tmp_path, capsys, command, payload, reference, message
+    ):
+        path = tmp_path / "integrals.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "run_out"
+        code = main(
+            [command, "--mode", "ucc", "--integrals", str(path), "--reference", reference, "--seed", "1", "--exact",
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path}: {message}" in err
+        assert not out.exists()
+
+
 class TestJobList:
     """`validate` budgets the minimizations that `run` executes, one by one."""
 

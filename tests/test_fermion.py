@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fermion_matrix
 from reference import coefficient, overlap
 from vqesim import (
     AnsatzSpec,
-    ComplexPauliSum,
     FermionOperator,
     MolecularIntegrals,
     NelderMeadConfig,
@@ -18,23 +18,28 @@ from vqesim import (
     exact_energy,
     exact_spectrum,
     jordan_wigner,
+    reconstruct,
     run_vqe,
     ucc_prepare,
 )
-from vqesim.fermion import jw_matrix, reference_index
+from vqesim.fermion import reference_index
 
 
 def ladder_matrix(mode: int, creation: bool, n_modes: int) -> np.ndarray:
-    return jw_matrix(FermionOperator(n_modes, [(1.0, ((mode, creation),))]))
+    return fermion_matrix(FermionOperator(n_modes, [(1.0, ((mode, creation),))]))
 
 
 class TestJordanWigner:
     def test_annihilation_on_two_modes(self):
-        mapped = jordan_wigner(FermionOperator(2, [(1.0, ((1, False),))]))
-        assert isinstance(mapped, ComplexPauliSum)
-        coeffs = {p.label: c for c, p in mapped.terms}
-        assert coeffs["XZ"] == pytest.approx(0.5)
-        assert coeffs["YZ"] == pytest.approx(0.5j)
+        # a_1 = (XZ + i YZ)/2, read through its two Hermitian parts.
+        a, a_dag = ((1, False),), ((1, True),)
+        assert jordan_wigner(FermionOperator(2, [(1.0, a), (1.0, a_dag)])) == PauliHamiltonian(2, [(1.0, "XZ")])
+        assert jordan_wigner(FermionOperator(2, [(1j, a_dag), (-1j, a)])) == PauliHamiltonian(2, [(1.0, "YZ")])
+
+    def test_non_hermitian_operator_refused(self):
+        # A lone a_1 keeps the imaginary weight 0.5 on YZ.
+        with pytest.raises(ValueError, match=r"^imaginary residue 5\.000e-01 exceeds 1\.0e-10; sum is not Hermitian$"):
+            jordan_wigner(FermionOperator(2, [(1.0, ((1, False),))]))
 
     def test_number_operator(self):
         mapped = jordan_wigner(FermionOperator(1, [(1.0, ((1, True), (1, False)))]))
@@ -42,7 +47,7 @@ class TestJordanWigner:
         assert coefficient(mapped, "I") == pytest.approx(0.5)
         assert coefficient(mapped, "Z") == pytest.approx(-0.5)
         # fixes the sign convention: |1> is the occupied state
-        dense = jw_matrix(FermionOperator(1, [(1.0, ((1, True), (1, False)))]))
+        dense = reconstruct(mapped)
         assert np.allclose(dense, np.diag([0.0, 1.0]))
 
     def test_mode_bounds(self):
@@ -85,7 +90,11 @@ class TestJordanWigner:
             assert np.max(np.abs(acomm)) < 1e-10
 
     def test_term_count_bound(self):
-        op = FermionOperator(3, [(0.5, ((1, True), (2, False))), (0.25, ((2, True), (3, True), (3, False), (1, False)))])
+        # A term and its adjoint expand over the same 2^k labels, one per X/Y choice at its k factors.
+        op = FermionOperator(3, [
+            (0.5, ((1, True), (2, False))), (0.5, ((2, True), (1, False))),
+            (0.25, ((2, True), (3, True), (3, False), (1, False))), (0.25, ((1, True), (3, True), (3, False), (2, False))),
+        ])
         mapped = jordan_wigner(op)
         assert len(mapped.terms) <= 2**2 + 2**4
 
@@ -96,7 +105,8 @@ class TestJordanWigner:
         )
         mapped = jordan_wigner(op)
         assert isinstance(mapped, PauliHamiltonian)
-        dense = jw_matrix(op)
+        dense = fermion_matrix(op)
+        assert np.max(np.abs(dense - reconstruct(mapped))) < 1e-12
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-10
 
 
@@ -116,7 +126,7 @@ class TestMolecularHamiltonian:
             one_body=[(1, 1, -1.2), (2, 2, -0.5), (1, 2, 0.3), (2, 1, 0.3)],
             two_body=[(1, 2, 2, 1, 0.4)],
         )
-        dense = jw_matrix(build_molecular_hamiltonian(integrals))
+        dense = fermion_matrix(build_molecular_hamiltonian(integrals))
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-10
 
     def test_index_bounds(self):
@@ -178,6 +188,17 @@ class TestCluster:
         excitation = ladder_matrix(2, True, 2) @ ladder_matrix(1, False, 2)
         generator = dense_generator(SINGLE, [0.1])
         assert np.allclose(generator, 0.1 * (excitation - excitation.conj().T), atol=1e-15)
+
+    @pytest.mark.parametrize("n_modes,reference", [(4, "1100"), (6, "111000")])
+    def test_generators_match_dense_excitations(self, n_modes, reference):
+        # Each stored G_k, mapped as the Hermitian iG_k, is the dense E_k - E_k^dag entry for entry.
+        ansatz = UccAnsatz.from_reference(n_modes, reference)
+        for excitation, (rows, cols, values) in zip(ansatz.excitations, ansatz.generators):
+            e = excitation_matrix(excitation, n_modes)
+            dense = e - e.conj().T
+            expected_rows, expected_cols = np.nonzero(dense)
+            assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+            assert np.array_equal(values, dense[expected_rows, expected_cols])
 
     def test_empty(self):
         # A full or empty reference has no excitation, so nothing to optimize.

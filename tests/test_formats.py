@@ -78,6 +78,11 @@ class TestScan:
         with pytest.raises(FormatError, match="nonempty"):
             parse_scan([])
 
+    def test_point_without_terms_rejected(self):
+        data = [{"R": 1.0, "terms": [[1.0, "Z"]]}, {"R": 2.0, "terms": []}]
+        with pytest.raises(FormatError, match=r"^<scan>\[1\]: no Hamiltonian terms found$"):
+            parse_scan(data)
+
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "scan.json"
         path.write_text("{not json")
