@@ -50,6 +50,12 @@ class TestJordanWigner:
         dense = reconstruct(mapped)
         assert np.allclose(dense, np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("n_modes", [True, 0, 2.0])
+    def test_mode_count_must_be_an_integer(self, n_modes):
+        # The mapping's qubit count is the operator's mode count, so it is checked there.
+        with pytest.raises(ValueError, match=f"^n_modes must be an integer >= 1, got {n_modes!r}$"):
+            FermionOperator(n_modes, [(1.0, ((1, True), (1, False)))])
+
     def test_mode_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             FermionOperator(2, [(1.0, ((3, False),))])
