@@ -288,9 +288,10 @@ def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], pol
     A scan runs one job per point and a folded run one per shift, each
     on its own derived seed; vqe and ucc run one job on the run seed.
     A shift so large that (H - lambda)^2 overflows, a precision so fine
-    that a term's shots do, or an operator whose squared coefficients
-    sum past the largest float is a config error. A finite sum bounds
-    every energy and every estimate's variance.
+    that a term's shots do, an operator whose squared coefficients sum
+    past the largest float, or one with no terms (as (H - lambda)^2 is
+    when H = lambda) is a config error. A finite sum bounds every energy
+    and every estimate's variance.
     """
     try:
         if config.mode == "scan":
@@ -310,6 +311,8 @@ def plan_jobs(config: RunConfig, loaded: PauliHamiltonian | list[ScanPoint], pol
             minimizations = [(label, loaded, config.seed, Path("trace.csv"))]
         jobs = []
         for label, operator, seed, trace in minimizations:
+            if not operator.terms:
+                raise ValueError(f"{label}: the operator has no terms")
             if not math.isfinite(sum(c * c for c, _ in operator.terms)):
                 raise ValueError(f"{label}: the squared coefficients sum past the largest float")
             jobs.append(Job(label, operator, seed, trace, shot_budget(operator, policy)))

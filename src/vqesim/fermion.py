@@ -31,7 +31,7 @@ import numpy as np
 
 from .analysis import MAX_SPECTRUM_QUBITS
 from .pauli import (
-    PauliHamiltonian, PauliString, _is_int, _is_real, _positive_count, _real_sum, multiply, reconstruct,
+    PauliHamiltonian, _is_int, _is_real, _positive_count, _product, _real_sum, reconstruct,
 )
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
@@ -75,14 +75,10 @@ class FermionOperator:
         return len(self.terms)
 
 
-def _ladder_expansion(mode: int, creation: bool, n_modes: int) -> list[tuple[complex, str]]:
-    """The two Pauli-string halves of one ladder operator."""
-    head = "I" * (mode - 1)
-    tail = "Z" * (n_modes - mode)
-    x_label = head + "X" + tail
-    y_label = head + "Y" + tail
-    y_coeff = -0.5j if creation else 0.5j
-    return [(0.5, x_label), (y_coeff, y_label)]
+def _ladder_expansion(mode: int, creation: bool, n_modes: int) -> list[tuple[complex, int, int]]:
+    """The two (coefficient, x, z) halves of one ladder operator: X or Y on qubit mode-1, Z on every later qubit."""
+    bit = 1 << (n_modes - mode)
+    return [(0.5, bit, bit - 1), (-0.5j if creation else 0.5j, bit, 2 * bit - 1)]
 
 
 def jordan_wigner(op: FermionOperator) -> PauliHamiltonian:
@@ -96,17 +92,16 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian:
     """
     if op.n_modes > MAX_QUBITS:
         raise ValueError(f"mapping over {op.n_modes} modes exceeds the {MAX_QUBITS}-mode guard")
-    identity = "I" * op.n_modes
-    terms: list[tuple[complex, str]] = []
+    terms: list[tuple[complex, int, int]] = []
     for coeff, ops in op.terms:
-        expansion: list[tuple[complex, str]] = [(coeff, identity)]
+        expansion: list[tuple[complex, int, int]] = [(coeff, 0, 0)]
         for mode, dag in ops:
             factor = _ladder_expansion(mode, dag, op.n_modes)
-            new_expansion: list[tuple[complex, str]] = []
-            for c1, label1 in expansion:
-                for c2, label2 in factor:
-                    phase, product = multiply(PauliString(label1), PauliString(label2))
-                    new_expansion.append((c1 * c2 * phase, product.label))
+            new_expansion: list[tuple[complex, int, int]] = []
+            for c1, x1, z1 in expansion:
+                for c2, x2, z2 in factor:
+                    phase, x, z = _product(x1, z1, x2, z2)
+                    new_expansion.append((c1 * c2 * phase, x, z))
             expansion = new_expansion
         terms += expansion
     return _real_sum(op.n_modes, terms)

@@ -7,6 +7,10 @@ Conventions used throughout the package:
   X on qubit 0 tensored with Z on qubit 1.
 * Amplitude indices read like binary numbers with qubit 0 as the most
   significant bit: index 2 of a 2-qubit vector is the basis state |10>.
+* A string also carries two bit masks, x and z, with qubit q at bit
+  n-1-q as in amplitude indices, and P = i^|x&z| X^x Z^z: X sets x, Z
+  sets z, Y sets both. "XYZI" has x = 0b1100 and z = 0b0110. Products
+  and basis actions are integer operations on these masks.
 * A Hamiltonian is a weighted sum of Pauli strings with real
   coefficients. Every operator the package maps or folds is Hermitian
   and becomes such a sum; complex weights live only while they merge.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -27,13 +31,10 @@ PAULI_CHARS = "IXYZ"
 IMAG_TOL = 1e-10  # the largest imaginary part a Hermitian Pauli sum's coefficient may keep
 PRUNE = 1e-12  # coefficients smaller than this are dropped
 
-# Single-qubit products a*b -> (result, phase); e.g. X*Y = +i Z.
-_MULT = {
-    ("I", "I"): ("I", 1), ("I", "X"): ("X", 1), ("I", "Y"): ("Y", 1), ("I", "Z"): ("Z", 1),
-    ("X", "I"): ("X", 1), ("X", "X"): ("I", 1), ("X", "Y"): ("Z", 1j), ("X", "Z"): ("Y", -1j),
-    ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
-    ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
-}
+# i^k for k = 0..3, the phase of every Pauli product.
+_PHASES = (1, 1j, -1, -1j)
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 def _is_int(value) -> bool:
@@ -60,9 +61,11 @@ def _positive_count(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-qubit Paulis, stored as its label."""
+    """Tensor product of single-qubit Paulis: its label and the label's (x, z) masks."""
 
     label: str
+    x: int = field(init=False, repr=False, compare=False)
+    z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -72,6 +75,8 @@ class PauliString:
                 raise ValueError(
                     f"invalid Pauli factor {ch!r} at position {pos} in {self.label!r}"
                 )
+        object.__setattr__(self, "x", int(self.label.translate(_X_DIGITS), 2))
+        object.__setattr__(self, "z", int(self.label.translate(_Z_DIGITS), 2))
 
     @property
     def n_qubits(self) -> int:
@@ -79,7 +84,22 @@ class PauliString:
 
     @property
     def is_identity(self) -> bool:
-        return set(self.label) == {"I"}
+        return not (self.x | self.z)
+
+
+def _product(px: int, pz: int, qx: int, qz: int) -> tuple[complex, int, int]:
+    """The product of the strings (px, pz) and (qx, qz) as (phase, x, z): P Q = phase R for R = (x, z).
+
+    Each string carries its own i^|x&z|, and moving Z^pz past X^qx gives (-1)^|pz&qx|.
+    """
+    x, z = px ^ qx, pz ^ qz
+    k = (px & pz).bit_count() + (qx & qz).bit_count() + 2 * (pz & qx).bit_count() - (x & z).bit_count()
+    return _PHASES[k % 4], x, z
+
+
+def _label(n_qubits: int, x: int, z: int) -> str:
+    """The label of the n-qubit string with masks (x, z)."""
+    return "".join("IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in reversed(range(n_qubits)))
 
 
 def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
@@ -92,13 +112,8 @@ def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
         raise ValueError(
             f"length mismatch: {p.n_qubits} vs {q.n_qubits} qubits"
         )
-    phase: complex = 1
-    out = []
-    for a, b in zip(p.label, q.label):
-        ch, ph = _MULT[(a, b)]
-        out.append(ch)
-        phase *= ph
-    return phase, PauliString("".join(out))
+    phase, x, z = _product(p.x, p.z, q.x, q.z)
+    return phase, PauliString(_label(p.n_qubits, x, z))
 
 
 @lru_cache(maxsize=8192)
@@ -106,26 +121,13 @@ def basis_action(label: str) -> tuple[np.ndarray, np.ndarray]:
     """How a Pauli string permutes and phases computational basis states.
 
     Returns (targets, phases) with P|j> = phases[j] |targets[j]>; both
-    arrays are cached and read-only.
+    arrays are cached and read-only. From P = i^|x&z| X^x Z^z,
+    P|j> = i^(|x&z| + 2|j&z|) |j^x>.
     """
     p = PauliString(label)
-    n = p.n_qubits
-    dim = 1 << n
-    idx = np.arange(dim)
-    targets = idx.copy()
-    phases = np.ones(dim, dtype=complex)
-    for q, ch in enumerate(label):
-        if ch == "I":
-            continue
-        mask = 1 << (n - 1 - q)
-        bit = (idx & mask) >> (n - 1 - q)
-        if ch == "Z":
-            phases = phases * (1 - 2 * bit)
-        elif ch == "X":
-            targets = targets ^ mask
-        else:  # Y|b> = i(-1)^b |1-b>
-            targets = targets ^ mask
-            phases = phases * (1j * (1 - 2 * bit))
+    idx = np.arange(1 << p.n_qubits)
+    targets = idx ^ p.x
+    phases = np.array(_PHASES)[((p.x & p.z).bit_count() + 2 * np.bitwise_count(idx & p.z)) % 4]
     targets.flags.writeable = False
     phases.flags.writeable = False
     return targets, phases
@@ -144,7 +146,7 @@ class PauliHamiltonian:
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliString | str]] = ()):
         n_qubits = _positive_count("n_qubits", n_qubits)
-        merged: dict[str, float] = {}
+        merged: dict[str, list] = {}  # label -> [coefficient, the first PauliString given]
         for coeff, string in terms:
             if isinstance(string, str):
                 string = PauliString(string)
@@ -158,33 +160,32 @@ class PauliHamiltonian:
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient for term {string.label!r}")
-            merged[string.label] = merged.get(string.label, 0.0) + coeff
+            merged.setdefault(string.label, [0.0, string])[0] += coeff
         object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((c, PauliString(lbl)) for lbl, c in merged.items()),
-        )
+        object.__setattr__(self, "terms", tuple((c, p) for c, p in merged.values()))
 
     @property
     def term_count(self) -> int:
         return len(self.terms)
 
 
-def _real_sum(n_qubits: int, terms: Iterable[tuple[complex, str]]) -> PauliHamiltonian:
-    """Merge complex-weighted Pauli labels into the real sum of a Hermitian operator.
+def _real_sum(n_qubits: int, terms: Iterable[tuple[complex, int, int]]) -> PauliHamiltonian:
+    """Merge complex-weighted (coefficient, x, z) strings into the real sum of a Hermitian operator.
 
     Coefficients add in order of first appearance. A merged imaginary
     part above IMAG_TOL means the operator is not Hermitian and raises
-    ValueError; real parts below PRUNE are dropped.
+    ValueError; real parts below PRUNE are dropped, and only the strings
+    kept get a label.
     """
-    merged: dict[str, complex] = {}
-    for coeff, label in terms:
-        merged[label] = merged.get(label, 0.0) + complex(coeff)
+    merged: dict[tuple[int, int], complex] = {}
+    for coeff, x, z in terms:
+        merged[x, z] = merged.get((x, z), 0.0) + complex(coeff)
     residue = max((abs(c.imag) for c in merged.values()), default=0.0)
     if residue > IMAG_TOL:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.1e}; sum is not Hermitian")
-    return PauliHamiltonian(n_qubits, [(c.real, lbl) for lbl, c in merged.items() if abs(c.real) >= PRUNE])
+    return PauliHamiltonian(
+        n_qubits, [(c.real, _label(n_qubits, x, z)) for (x, z), c in merged.items() if abs(c.real) >= PRUNE]
+    )
 
 
 def reconstruct(h: PauliHamiltonian) -> np.ndarray:
@@ -205,11 +206,11 @@ def shift_and_square(h: PauliHamiltonian, shift: float) -> PauliHamiltonian:
     at most quadratically many terms and targets the eigenvalue nearest
     the shift when minimized.
     """
-    terms: list[tuple[complex, str]] = []
+    terms: list[tuple[complex, int, int]] = []
     for ci, pi in h.terms:
         for cj, pj in h.terms:
-            phase, pk = multiply(pi, pj)
-            terms.append((ci * cj * phase, pk.label))
-    terms += [(-2.0 * shift * c, p.label) for c, p in h.terms]
-    terms.append((shift * shift, "I" * h.n_qubits))
+            phase, x, z = _product(pi.x, pi.z, pj.x, pj.z)
+            terms.append((ci * cj * phase, x, z))
+    terms += [(-2.0 * shift * c, p.x, p.z) for c, p in h.terms]
+    terms.append((shift * shift, 0, 0))
     return _real_sum(h.n_qubits, terms)

@@ -566,6 +566,19 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_folded_operator_with_no_terms_is_config_error(self, tmp_path, capsys, command):
+        # (I - 1)^2 is zero, so the folded job would minimize an operator with no terms.
+        path = tmp_path / "h.txt"
+        path.write_text("1.0 II\n")
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "folded", "--hamiltonian", str(path), "--lambda=1.0", "--seed", "1",
+                     "--nm-max-evaluations", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "lambda=1: the operator has no terms" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("coefficient", ["nan", "inf", "1e400"])
     def test_non_finite_coefficient_is_input_error(self, tmp_path, capsys, command, coefficient):
         path = tmp_path / "h.txt"

@@ -63,15 +63,26 @@ No pin moved when the optimizers began handing their independent points
 to the objective as one batch, prepared together: every row's amplitudes
 equal a batch of one byte for byte, and each row keeps its own step and
 RNG stream label.
+
+The operator digests pin the terms `jordan_wigner` and `shift_and_square`
+derive, coefficient bits and term order both, at a size no run maps:
+a dense 10-mode integral set and a 6-qubit, 30-term sum at three shifts.
+They were recorded before Pauli products moved from a per-character
+table to (x, z) bit masks, and that change kept them.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from vqesim import AnsatzSpec, GradientDescentConfig, NelderMeadConfig, ShotPolicy, run_vqe
+from conftest import all_labels
+from vqesim import (
+    AnsatzSpec, GradientDescentConfig, MolecularIntegrals, NelderMeadConfig, PauliHamiltonian, ShotPolicy,
+    build_molecular_hamiltonian, jordan_wigner, run_vqe, shift_and_square,
+)
 from vqesim.formats import load_hamiltonian, write_scan
 from vqesim.cli import main
 from vqesim.synthetic import parabola_scan
@@ -94,6 +105,14 @@ CLI_EXACT_MODE_SHA256 = {
     "folded": "831144e8ebdfaaca05c5b1bf7ce1eebf364f96e44cfe3ee251a65c372da7a58f",
     "scan": "a7c011b12188a684033fb42e78103462fffcd13a1a3777f25d25d2cad8556951",
     "ucc": "b629cb91ccda4dd87117adbd8045cf767601faaf74a349e649a12cf04aff4f8f",
+}
+
+# sha256 of the derived operators' (repr(coefficient), label) terms, in term order.
+JORDAN_WIGNER_SHA256 = "ea7e8962de74c230efc389e259781f225dfbaf6fa5bf11b6d3ec5e9176342edd"
+SHIFT_AND_SQUARE_SHA256 = {
+    -0.5: "5d3955b7f04ad7249332ed1f1a5353ad98e2ee0a2fd45969dde55fc9f88a5b27",
+    0.0: "172df58b0e2b97fe4e6792cbb5384282a4a65e64488d9c2ea92292c2c727900d",
+    1.3: "4056dc5e07b12cee9ba04f1307967bfe9e40c65731aecaa6def89693b4985d2e",
 }
 
 INTEGRALS = {
@@ -202,3 +221,36 @@ def test_cli_vqe_artifact_digests(tmp_path):
     assert code == 0
     assert _sha256((out / "trace.csv").read_bytes()) == CLI_TRACE_CSV_SHA256
     assert _sha256((out / "summary.json").read_bytes()) == CLI_SUMMARY_JSON_SHA256
+
+
+def _operator_digest(h) -> str:
+    """sha256 over each term's coefficient repr and label, in term order."""
+    return _sha256(repr([(repr(c), p.label) for c, p in h.terms]).encode())
+
+
+def test_jordan_wigner_operator_digest():
+    # A dense Hermitian 10-mode set: every one-body pair and every
+    # (p<q, r<s) two-body entry, 2125 fermion terms in all.
+    rng = np.random.default_rng(41)
+    n = 10
+    one = rng.uniform(-1, 1, (n, n))
+    one = (one + one.T) / 2
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    two = rng.uniform(-1, 1, (len(pairs), len(pairs)))
+    two = (two + two.T) / 2
+    integrals = MolecularIntegrals(
+        n,
+        [(p + 1, q + 1, one[p, q]) for p in range(n) for q in range(n)],
+        [(*pq, *rs, two[i, j]) for i, pq in enumerate(pairs) for j, rs in enumerate(pairs)],
+    )
+    mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
+    assert _operator_digest(mapped) == JORDAN_WIGNER_SHA256
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.0, 1.3])
+def test_shift_and_square_operator_digest(shift):
+    rng = np.random.default_rng(43)
+    labels = all_labels(6)
+    chosen = rng.choice(len(labels), size=30, replace=False)
+    h = PauliHamiltonian(6, [(rng.uniform(-1, 1), labels[k]) for k in chosen])
+    assert _operator_digest(shift_and_square(h, shift)) == SHIFT_AND_SQUARE_SHA256[shift]

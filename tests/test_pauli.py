@@ -24,11 +24,17 @@ class TestParse:
     def test_identity(self):
         assert PauliString("II").label == "II"
         assert PauliString("II").is_identity
+        # is_identity reads the masks: any X, Y or Z sets a bit.
+        assert (PauliString("II").x, PauliString("II").z) == (0, 0)
+        assert not any(PauliString(label).is_identity for label in ("XI", "IY", "ZI"))
 
     def test_direct_mapping(self):
         p = PauliString("XZ")
         assert p.label == "XZ"
         assert p.n_qubits == 2
+        # Qubit q is bit n-1-q of each mask, as in amplitude indices.
+        q = PauliString("XYZI")
+        assert q.x == 0b1100 and q.z == 0b0110
 
     def test_error_names_position(self):
         with pytest.raises(ValueError, match="position 0"):
@@ -65,7 +71,7 @@ class TestMatrix:
         targets, phases = basis_action(label)
         dense = np.zeros_like(m)
         dense[targets, np.arange(len(targets))] = phases
-        assert np.allclose(m, dense)
+        assert np.array_equal(m, dense)
 
     def test_hermitian_and_involutive(self):
         for label in all_labels(2):
