@@ -50,8 +50,8 @@ from .statevector import (
     AnsatzSpec,
     StateVector,
     exact_energy,
-    exact_expectation,
     prepare,
+    term_expectations,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "build_molecular_hamiltonian",
     "estimate_energy",
     "exact_energy",
-    "exact_expectation",
     "exact_spectrum",
     "fit_quadratic_minimum",
     "gradient_descent",
@@ -95,5 +94,6 @@ __all__ = [
     "shift_and_square",
     "shot_budget",
     "tangle",
+    "term_expectations",
     "ucc_prepare",
 ]

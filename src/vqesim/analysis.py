@@ -9,12 +9,13 @@ energy curve into a minimum location with uncertainties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, _is_int, basis_action, reconstruct
+from .pauli import PauliHamiltonian, _is_int, reconstruct
 from .statevector import StateVector
 
 # The widest dense 2^n x 2^n eigendecomposition: spectra and UCC preparation.
@@ -70,27 +71,24 @@ def ground_space_overlap(spectrum: Spectrum, state: StateVector) -> float:
 
     Equals |<psi_G|psi>| for a non-degenerate ground state; with
     degeneracy it measures distance to the subspace rather than to an
-    arbitrary eigenvector choice.
+    arbitrary eigenvector choice. The projection's components are
+    conj(<g_k|psi>), which have the same norm; both sums are einsums.
     """
-    basis = spectrum.ground_space
-    amplitudes = basis.conj().T @ state.amplitudes
-    return min(1.0, float(np.linalg.norm(amplitudes)))
+    components = np.einsum("ik,i->k", spectrum.ground_space, state.amplitudes.conj())
+    return min(1.0, math.sqrt(np.einsum("k,k->", components.conj(), components).real))
 
 
 def tangle(state: StateVector) -> float:
     """Absolute concurrence squared of a two-qubit pure state.
 
-    C = |<psi| Y(x)Y |psi*>| with the conjugate taken in the
-    computational basis; returns C^2 in [0, 1].
+    C = |<psi| Y(x)Y |psi*>| = 2|a00 a11 - a01 a10| in the computational
+    basis; returns C^2 in [0, 1].
     """
     if state.n_qubits != 2:
         raise ValueError(f"tangle is defined for 2 qubits, got {state.n_qubits}")
-    targets, phases = basis_action("YY")
-    flipped = np.zeros(4, dtype=complex)
-    conj = state.amplitudes.conj()
-    flipped[targets] = phases * conj
-    concurrence = abs(np.vdot(state.amplitudes, flipped))
-    return min(1.0, float(concurrence * concurrence))
+    a00, a01, a10, a11 = state.amplitudes.tolist()
+    concurrence = 2.0 * abs(a00 * a11 - a01 * a10)
+    return min(1.0, concurrence * concurrence)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Every objective evaluation is one optimization step j: the ansatz is
 prepared once, and that state feeds both the shot-based estimate and
 the noiseless diagnostics of its trace record: the exact energy, which
-the estimate computes from the same term expectations, the tangle on
-two qubits, and the overlap with the exact ground space. Repeated
+the estimate sums from the one reduction that gives every term's
+expectation, the tangle on two qubits, and the overlap with the exact
+ground space. These reductions run in numpy's own loops, not BLAS. On
+the layered ansatz only the overlap, through the spectrum's LAPACK
+eigenvectors, still depends on the host's BLAS kernel. Repeated
 evaluation of the same parameters draws fresh noise, as on real
 hardware, because the evaluation index labels the RNG stream.
 

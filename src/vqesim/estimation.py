@@ -19,11 +19,13 @@ is prepared once per evaluation and every term's count is drawn from
 it; that is statistically the same as re-preparing, and the term
 estimates stay independent.
 
-Randomness is fully deterministic: a 64-bit seed plus the evaluation's
-iteration index select one generator, and one vectorised binomial draw
-on it gives every term's count, in term order. The noiseless <H> of the
-same pass comes with the estimate, so the trace's diagnostics need not
-compute it again.
+Every term's noiseless expectation comes from one numpy reduction over
+the Hamiltonian's action table (`statevector.term_expectations`), not
+one call per term. Randomness is fully deterministic: a 64-bit seed plus
+the evaluation's iteration index select one generator, and one
+vectorised binomial draw on it gives every term's count, in term order.
+The noiseless <H> of the same pass comes with the estimate, so the
+trace's diagnostics need not compute it again.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliHamiltonian, _is_int, _is_real
-from .statevector import StateVector, exact_expectation
+from .statevector import StateVector, _weighted_sum, term_expectations
 
 # SeedSequence spawn-key namespaces; keeps sampling streams disjoint
 # from parameter-init, scan-point and Monte-Carlo streams.
@@ -185,10 +187,11 @@ def estimate_energy(
 ) -> EnergyEstimate:
     """Estimate <H> for a prepared state under a shot policy, in one pass.
 
-    Every term's noiseless expectation is computed once, in term order;
-    their weighted sum is `exact_value`, and in exact mode it is also the
-    estimate. Otherwise each term takes its `shot_budget` shots s, and a
-    measured term's +1 count is k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
+    Every term's noiseless expectation comes from one `term_expectations`
+    reduction; their weighted sum is `exact_value`, bit for bit what
+    `exact_energy` returns, and in exact mode it is also the estimate.
+    Otherwise each term takes its `shot_budget` shots s, and a measured
+    term's +1 count is k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
     all drawn at once on the evaluation's generator
     derived_generator(seed, STREAM_SAMPLING, iteration); on a noiseless
     statevector that is statistically the same as re-preparing the state
@@ -203,23 +206,22 @@ def estimate_energy(
         raise ValueError(
             f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
         )
-    terms = hamiltonian.terms
-    expectations = [exact_expectation(state, p) for _, p in terms]
-    exact_value = float(sum(c * e for (c, _), e in zip(terms, expectations)))
+    expectations = term_expectations(state, hamiltonian)
+    exact_value = _weighted_sum(hamiltonian, expectations)
     shots_used = shot_budget(hamiltonian, policy) if term_shots is None else term_shots
     if policy.mode == "exact":
         return EnergyEstimate(exact_value, 0.0, shots_used, exact_value)
 
     shots_vec = np.array(shots_used, dtype=np.int64)
     # Clipped: rounding can push <P> a hair outside [-1, 1].
-    p_plus = np.clip((1.0 + np.array(expectations)) / 2.0, 0.0, 1.0)
+    p_plus = np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
     sampled = shots_vec > 0
     generator = derived_generator(rng.seed, STREAM_SAMPLING, iteration)
     plus_counts = iter(generator.binomial(shots_vec[sampled], p_plus[sampled]).tolist())
 
     value = 0.0
     variance = 0.0
-    for (coeff, _), shots in zip(terms, shots_used):
+    for (coeff, _), shots in zip(hamiltonian.terms, shots_used):
         if not shots:  # identity term
             value += coeff
             continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -116,23 +116,6 @@ def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     return phase, PauliString(_label(p.n_qubits, x, z))
 
 
-@lru_cache(maxsize=8192)
-def basis_action(label: str) -> tuple[np.ndarray, np.ndarray]:
-    """How a Pauli string permutes and phases computational basis states.
-
-    Returns (targets, phases) with P|j> = phases[j] |targets[j]>; both
-    arrays are cached and read-only. From P = i^|x&z| X^x Z^z,
-    P|j> = i^(|x&z| + 2|j&z|) |j^x>.
-    """
-    p = PauliString(label)
-    idx = np.arange(1 << p.n_qubits)
-    targets = idx ^ p.x
-    phases = np.array(_PHASES)[((p.x & p.z).bit_count() + 2 * np.bitwise_count(idx & p.z)) % 4]
-    targets.flags.writeable = False
-    phases.flags.writeable = False
-    return targets, phases
-
-
 @dataclass(frozen=True, eq=True)
 class PauliHamiltonian:
     """Weighted sum of Pauli strings with real coefficients.
@@ -168,6 +151,23 @@ class PauliHamiltonian:
     def term_count(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def action_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """How every term permutes and phases computational basis states, built once.
+
+        Returns read-only (term_count, 2^n) arrays (targets, phases) with
+        P_t|j> = phases[t, j] |targets[t, j]> for term t. From
+        P = i^|x&z| X^x Z^z, P|j> = i^(|x&z| + 2|j&z|) |j^x>.
+        """
+        x = np.array([p.x for _, p in self.terms], dtype=np.int64)[:, None]
+        z = np.array([p.z for _, p in self.terms], dtype=np.int64)[:, None]
+        idx = np.arange(1 << self.n_qubits)
+        targets = idx ^ x
+        phases = np.array(_PHASES)[(np.bitwise_count(x & z) + 2 * np.bitwise_count(idx & z)) % 4]
+        targets.flags.writeable = False
+        phases.flags.writeable = False
+        return targets, phases
+
 
 def _real_sum(n_qubits: int, terms: Iterable[tuple[complex, int, int]]) -> PauliHamiltonian:
     """Merge complex-weighted (coefficient, x, z) strings into the real sum of a Hermitian operator.
@@ -189,12 +189,11 @@ def _real_sum(n_qubits: int, terms: Iterable[tuple[complex, int, int]]) -> Pauli
 
 
 def reconstruct(h: PauliHamiltonian) -> np.ndarray:
-    """Dense matrix of a Pauli sum, built from each term's `basis_action`."""
+    """Dense matrix of a Pauli sum, built from its `action_table`."""
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for coeff, p in h.terms:
-        targets, phases = basis_action(p.label)
+    for (coeff, _), targets, phases in zip(h.terms, *h.action_table):
         m[targets, cols] += coeff * phases
     return m
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vqesim import FermionOperator, PauliHamiltonian, StateVector, jordan_wigner, reconstruct
+from vqesim import FermionOperator, PauliHamiltonian, StateVector, jordan_wigner, reconstruct, term_expectations
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -15,6 +15,12 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_state(rng: np.random.Generator, n_qubits: int) -> StateVector:
     v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return StateVector(n_qubits, v / np.linalg.norm(v))
+
+
+def expectation(state: StateVector, label: str) -> float:
+    """<P> of one string through the library's one path, `term_expectations`."""
+    (value,) = term_expectations(state, PauliHamiltonian(state.n_qubits, [(1.0, label)]))
+    return float(value)
 
 
 def all_labels(n_qubits: int) -> list[str]:

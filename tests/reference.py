@@ -2,7 +2,7 @@
 
 No run path needs any of this, so it lives beside the tests rather than
 in the library. From vqesim it imports only the two containers,
-PauliHamiltonian and PauliString, never `basis_action` or `reconstruct`:
+PauliHamiltonian and PauliString, never `action_table` or `reconstruct`:
 a test that compares the library's permutation-and-phase route with
 these Kronecker products compares two independent constructions.
 
@@ -109,3 +109,14 @@ def apply_gate(amps: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 gate to one qubit of a single row of amplitudes, one einsum per gate."""
     block = amps.reshape(1 << qubit, 2, -1)
     return np.einsum("ts,asb->atb", gate, block).reshape(-1)
+
+
+def pauli_expectation(amps: np.ndarray, label: str) -> float:
+    """<psi|P|psi> with P applied as its Kronecker factors, one `apply_gate` per qubit.
+
+    Never forms the 2^n x 2^n matrix, so it serves at 12 qubits.
+    """
+    image = amps
+    for qubit, ch in enumerate(label):
+        image = apply_gate(image, _SINGLE[ch], qubit)
+    return float(np.vdot(amps, image).real)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_hamiltonian, random_state
-from reference import overlap
+from reference import overlap, pauli_matrix
 from vqesim import (
     PauliHamiltonian,
     QuadraticFit,
@@ -151,6 +151,16 @@ class TestTangle:
             u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             rotated = StateVector(2, np.kron(u1, u2) @ state.amplitudes)
             assert abs(tangle(state) - tangle(rotated)) < 1e-9
+
+    def test_closed_form_matches_the_yy_formula(self):
+        # C = |<psi| Y(x)Y |psi*>|, the product with the spin-flipped state.
+        yy = pauli_matrix("YY")
+        rng = np.random.default_rng(13)
+        states = [random_state(rng, 2) for _ in range(500)]
+        states += [schmidt_state(theta) for theta in np.linspace(0.0, np.pi / 2, 50)]
+        for state in states:
+            concurrence = abs(np.vdot(state.amplitudes, yy @ state.amplitudes.conj()))
+            assert abs(tangle(state) - min(1.0, concurrence * concurrence)) <= 1e-15
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,23 @@ to the objective as one batch, prepared together: every row's amplitudes
 equal a batch of one byte for byte, and each row keeps its own step and
 RNG stream label.
 
+Every run digest (ten pins: the two trace-record digests, the vqe
+trace.csv and the seven trees) was re-pinned together when the loop's
+reductions moved off BLAS: all term expectations of an evaluation
+became one einsum over the Hamiltonian's action table, the tangle its
+closed form 2|a00 a11 - a01 a10|, and the overlap an einsum, in place of
+`vdot`, `@` and `norm`. That new rounding is the one cause. In shot mode
+the counts, estimates, std errors and parameters kept their bytes, and
+so did the vqe summary.json; only the noiseless columns moved:
+exact_energy by at most 5.6e-16 on two qubits and 8.9e-16 on the ucc
+run, tangle by at most 4.4e-16, overlap by at most 2.2e-16, and the
+folded summaries' recovered_eigenvalue by at most 5.6e-17. Under
+--exact the optimizer reads the exact energy. The vqe, folded and ucc
+runs kept their paths, their energy columns moving as above (1.3e-15 at
+most, on ucc) and the vqe best_energy by 1.1e-16. Two of the five scan
+points took the other branch at a near-tie and diverged, which moved
+their traces, curve.csv and fit.json. No config.json moved.
+
 The operator digests pin the terms `jordan_wigner` and `shift_and_square`
 derive, coefficient bits and term order both, at a size no run maps:
 a dense 10-mode integral set and a 6-qubit, 30-term sum at three shifts.
@@ -89,22 +106,22 @@ from vqesim.synthetic import parabola_scan
 
 TWO_QUBIT_FILE = "0.3 II\n-0.6 ZI\n0.4 IZ\n-0.2 ZZ\n0.5 XX\n"
 
-TRACE_RECORDS_SHA256 = "b3d91cc9a58171281835018b69a705f853886047e1ba6cc438124c7329f2c55d"
-CLI_TRACE_CSV_SHA256 = "01a8c63c11b916cdbed5b88bb99bd0c7e3763009d7a681fc9e93ad00d03fe1ea"
+TRACE_RECORDS_SHA256 = "d8f54f63493f712aebc30ff2ce099e8351b8343f225ae7c2de4c786c4ef23b4f"
+CLI_TRACE_CSV_SHA256 = "3854213b52044eef59a187efcb5181739b81d881844b91cf76316c9dab3c1ec6"
 CLI_SUMMARY_JSON_SHA256 = "2b24d2a984fb78ba0056b96ed69ae57c5265fec7cae478b773c59344cf148d37"
-GD_TRACE_RECORDS_SHA256 = "40ec8b6bdd6b5963c651aa3a43b7da030042edd8eec89aab59654f807a4415f0"
+GD_TRACE_RECORDS_SHA256 = "0c5d60cbfe99e99e009ddd89bb9d867bcda9f78572d56bb0fa25d182c38b2f99"
 # sha256 over every artifact of one run, config.json included (see _tree_digest).
 CLI_MODE_SHA256 = {
-    "folded": "903b62523951d1ea4852a077f65f50bda72be5da7710613c1f94d6028abf15b4",
-    "scan": "3e129c6b3060ed77f0b8f78ebe3d968a216446b8ad5a01fb90e01f156a8228e7",
-    "ucc": "1ea423e351545f2ddae118bdf4f7544caca4392348ebecae68d6edb1d600c101",
+    "folded": "7fbbc876b7fa2f9253d9a236917a2c2334a996422405b30d593157fde6e0b279",
+    "scan": "556ac611616720526310b6ba65665dd7bb437c6472214ec7e10faeb651fe64bf",
+    "ucc": "0e9adb03051ac4cc98fe3b8b29d6ea6a556c6787a7bff3ec6cf9afbf82017040",
 }
 # The same digest for the noiseless (--exact) runs, which draw no shots.
 CLI_EXACT_MODE_SHA256 = {
-    "vqe": "9c0e109a194937329a4295373ed63ddae105ff26782e0112f19d61e019f96869",
-    "folded": "831144e8ebdfaaca05c5b1bf7ce1eebf364f96e44cfe3ee251a65c372da7a58f",
-    "scan": "a7c011b12188a684033fb42e78103462fffcd13a1a3777f25d25d2cad8556951",
-    "ucc": "b629cb91ccda4dd87117adbd8045cf767601faaf74a349e649a12cf04aff4f8f",
+    "vqe": "2419b56ffc1b3d43f754ad7369fcd67396c15df01f364d00e5daa7efe12e57f3",
+    "folded": "e511ef4988021272c356003286486efb8f5124b4c28c9fd90a4a33e323e4ffca",
+    "scan": "530eda1724cfc89feabbe2e528960cc2602c18a16c6abaa2cf0eb07b2cad0c95",
+    "ucc": "8ac5af6089017f923f7e650480ff58cbc85c4e88e59a59f6aa87a2047467e27d",
 }
 
 # sha256 of the derived operators' (repr(coefficient), label) terms, in term order.

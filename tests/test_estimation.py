@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hamiltonian, random_state
+from conftest import expectation, random_hamiltonian, random_state
+from reference import pauli_expectation
 from vqesim import (
     AnsatzSpec,
     NelderMeadConfig,
     PauliHamiltonian,
-    PauliString,
     RngStream,
     ShotPolicy,
     StateVector,
     estimate_energy,
     exact_energy,
-    exact_expectation,
+    prepare,
     run_vqe,
     shot_budget,
+    term_expectations,
 )
 from vqesim import estimation, statevector
 from vqesim.estimation import MAX_TERM_SHOTS
@@ -153,7 +154,7 @@ class TestSamplePauli:
 
     def test_unbiased_over_seeds(self):
         state = random_state(np.random.default_rng(8), 1)
-        truth = exact_expectation(state, PauliString("X"))
+        truth = expectation(state, "X")
         shots = 64
         means, errs = [], []
         for seed in range(1000):
@@ -238,8 +239,7 @@ class TestCountLaw:
     @pytest.mark.parametrize("shots", [10**12, MAX_TERM_SHOTS])
     def test_huge_shot_counts_need_no_shot_array(self, shots):
         state = random_state(np.random.default_rng(21), 2)
-        p = PauliString("XY")
-        truth = exact_expectation(state, p)
+        truth = expectation(state, "XY")
         start = time.perf_counter()
         mean, err = sample_term(state, "XY", shots, 8)
         assert time.perf_counter() - start < 1.0
@@ -255,7 +255,7 @@ class TestEstimateEnergy:
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
         estimate = estimate_energy(spec.prepare(params), h, ShotPolicy.exact(), RngStream(0))
         state = spec.prepare(params)
-        by_terms = sum(c * exact_expectation(state, p) for c, p in h.terms)
+        by_terms = sum(c * e for (c, _), e in zip(h.terms, term_expectations(state, h)))
         assert estimate.value == pytest.approx(by_terms, abs=1e-10)
         assert estimate.std_error == 0.0 and estimate.total_shots == 0
 
@@ -317,7 +317,7 @@ class TestEstimateEnergy:
 
 
 class TestOnePass:
-    """One evaluation computes each term's expectation once and draws once."""
+    """One evaluation reduces every term's expectation at once and draws once."""
 
     POLICIES = [ShotPolicy.exact(), ShotPolicy.fixed(100), ShotPolicy("precision", precision=0.05)]
 
@@ -335,7 +335,7 @@ class TestOnePass:
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
     def test_one_generator_and_one_expectation_per_term(self, monkeypatch, policy):
-        calls = {"derived_generator": 0, "exact_expectation": 0}
+        calls = {"derived_generator": 0, "term_expectations": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -344,26 +344,64 @@ class TestOnePass:
             return wrapper
 
         monkeypatch.setattr(estimation, "derived_generator", counted("derived_generator", estimation.derived_generator))
-        monkeypatch.setattr(estimation, "exact_expectation", counted("exact_expectation", estimation.exact_expectation))
+        monkeypatch.setattr(estimation, "term_expectations", counted("term_expectations", estimation.term_expectations))
         h = random_hamiltonian(np.random.default_rng(3), 2)
         estimate_energy(random_state(np.random.default_rng(4), 2), h, policy, RngStream(5), iteration=2)
-        assert calls["exact_expectation"] == h.term_count
+        # One table reduction gives every term's expectation.
+        assert calls["term_expectations"] == 1
         assert calls["derived_generator"] == (0 if policy.mode == "exact" else 1)
 
     def test_run_vqe_computes_each_expectation_once_per_evaluation(self, monkeypatch):
-        count = 0
+        calls = []
 
-        def counted(state, p):
-            nonlocal count
-            count += 1
-            return exact_expectation(state, p)
+        def counted(state, h):
+            calls.append(h)
+            return term_expectations(state, h)
 
         # Both names: the estimator's import and the one exact_energy uses.
-        monkeypatch.setattr(estimation, "exact_expectation", counted)
-        monkeypatch.setattr(statevector, "exact_expectation", counted)
+        monkeypatch.setattr(estimation, "term_expectations", counted)
+        monkeypatch.setattr(statevector, "term_expectations", counted)
         h = random_hamiltonian(np.random.default_rng(6), 2)
         result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), NelderMeadConfig(max_evaluations=20), seed=1)
-        assert count == result.trace.evaluations * h.term_count
+        assert len(calls) == result.trace.evaluations
+        assert all(c is h for c in calls)
+        # The table is built once per Hamiltonian and kept.
+        assert h.action_table is h.action_table
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 10, 12])
+    def test_table_matches_the_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        y_heavy = ["".join(rng.choice(list("IXYZ"), size=n, p=[0.1, 0.1, 0.7, 0.1])) for _ in range(12)]
+        mixed = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(12)]
+        labels = list(dict.fromkeys(["I" * n, "Y" * n, "X" * n, "Z" * n, *y_heavy, *mixed]))
+        h = PauliHamiltonian(n, [(1.0, label) for label in labels])
+        state = random_state(rng, n)
+        expected = [pauli_expectation(state.amplitudes, label) for label in labels]
+        assert np.max(np.abs(term_expectations(state, h) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 10, 12])
+    def test_each_term_has_the_bytes_of_that_term_alone(self, n):
+        # 40 terms span several chunks of the table at 10 and 12 qubits; alone, a term is one chunk.
+        rng = np.random.default_rng([n, 40])
+        labels = list(dict.fromkeys("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(40)))
+        h = PauliHamiltonian(n, [(1.0, label) for label in labels])
+        state = random_state(rng, n)
+        alone = [term_expectations(state, PauliHamiltonian(n, [(1.0, label)])) for label in labels]
+        assert term_expectations(state, h).tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 8, 10])
+    def test_batch_rows_give_the_bytes_of_a_batch_of_one(self, n):
+        rng = np.random.default_rng([n, 7])
+        h = random_hamiltonian(rng, n, labels=["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(20)])
+        spec = AnsatzSpec(n, 2)
+        # One row more than a 10-qubit chunk, so the 10-qubit batch spans two chunks.
+        batch = rng.uniform(-np.pi, np.pi, ((statevector._BATCH_AMPLITUDES >> 10) + 1, spec.parameter_count))
+        for params, state in zip(batch, prepare(spec, batch)):
+            alone = spec.prepare(params)
+            assert term_expectations(state, h).tobytes() == term_expectations(alone, h).tobytes()
+            assert estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(3)) == estimate_energy(
+                alone, h, ShotPolicy.fixed(100), RngStream(3)
+            )
 
     def test_precision_std_error_matches_spread(self):
         # Unequal per-term shots under the precision rule: 324, 36, 100 and 16.

@@ -15,7 +15,6 @@ from vqesim import (
     reconstruct,
     shift_and_square,
 )
-from vqesim.pauli import basis_action
 
 labels_st = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
@@ -66,9 +65,9 @@ class TestMatrix:
     @given(labels_st)
     @settings(max_examples=60)
     def test_matches_basis_action(self, label):
-        # kron chain vs permutation-and-phase route
+        # kron chain vs permutation-and-phase route: the one row of the term's action table
         m = pauli_matrix(PauliString(label))
-        targets, phases = basis_action(label)
+        (targets,), (phases,) = PauliHamiltonian(len(label), [(1.0, label)]).action_table
         dense = np.zeros_like(m)
         dense[targets, np.arange(len(targets))] = phases
         assert np.array_equal(m, dense)
@@ -233,7 +232,7 @@ class TestShiftAndSquare:
 
 
 def test_reference_oracles_are_built_apart_from_the_library():
-    """reference.py takes only the two containers from vqesim, never basis_action or reconstruct.
+    """reference.py takes only the two containers from vqesim, never an action table or reconstruct.
 
     TestMatrix.test_matches_basis_action and TestReconstruct.test_matches_kron_sum
     then compare two independent constructions.

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_hamiltonian, random_state
+from conftest import expectation, random_hamiltonian, random_state
 from reference import apply_gate, overlap, pauli_matrix
 from vqesim import (
     AnsatzSpec,
+    PauliHamiltonian,
     PauliString,
     StateVector,
     exact_energy,
-    exact_expectation,
     prepare,
     reconstruct,
+    term_expectations,
 )
 from vqesim.statevector import _BATCH_AMPLITUDES, MAX_QUBITS, basis_state, euler_gates
 
@@ -209,18 +210,18 @@ class TestEulerGates:
 
 class TestExactExpectation:
     def test_zero_state_z(self):
-        assert exact_expectation(basis_state(1, 0), PauliString("Z")) == pytest.approx(1.0)
+        assert expectation(basis_state(1, 0), "Z") == pytest.approx(1.0)
 
     def test_bell_xx(self):
-        assert exact_expectation(bell(), PauliString("XX")) == pytest.approx(1.0)
+        assert expectation(bell(), "XX") == pytest.approx(1.0)
 
     def test_plus_z(self):
         plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-        assert exact_expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(plus, "Z") == pytest.approx(0.0, abs=1e-12)
 
     def test_mismatch(self):
-        with pytest.raises(ValueError):
-            exact_expectation(basis_state(1, 0), PauliString("ZZ"))
+        with pytest.raises(ValueError, match="Hamiltonian acts on 2 qubits, state has 1"):
+            term_expectations(basis_state(1, 0), PauliHamiltonian(2, [(1.0, "ZZ")]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -229,9 +230,7 @@ class TestExactExpectation:
         state = random_state(rng, 2)
         label = "".join(rng.choice(list("IXYZ"), size=2))
         expected = np.vdot(state.amplitudes, pauli_matrix(PauliString(label)) @ state.amplitudes)
-        assert exact_expectation(state, PauliString(label)) == pytest.approx(
-            float(expected.real), abs=1e-10
-        )
+        assert expectation(state, label) == pytest.approx(float(expected.real), abs=1e-10)
 
 
 class TestExactEnergy:
@@ -241,10 +240,14 @@ class TestExactEnergy:
         assert exact_energy(basis_state(2, 0), h) == pytest.approx(2.0)
 
     def test_z_on_one(self):
-        from vqesim import PauliHamiltonian
-
         one = StateVector(1, np.array([0.0, 1.0], dtype=complex))
         assert exact_energy(one, PauliHamiltonian(1, [(1.0, "Z")])) == pytest.approx(-1.0)
+
+    def test_terms_add_left_to_right(self):
+        # Every <P> is exactly 1 on |00>, so the sum is 1e16 + 1 - 1e16 in float arithmetic,
+        # on every Python version (a compensated sum would give 1.0).
+        h = PauliHamiltonian(2, [(1e16, "ZI"), (1.0, "IZ"), (-1e16, "ZZ")])
+        assert exact_energy(basis_state(2, 0), h) == 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
