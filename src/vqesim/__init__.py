@@ -19,7 +19,6 @@ from .driver import (
 )
 from .estimation import (
     EnergyEstimate,
-    RngStream,
     ShotPolicy,
     estimate_energy,
     shot_budget,
@@ -68,7 +67,6 @@ __all__ = [
     "PauliHamiltonian",
     "PauliString",
     "QuadraticFit",
-    "RngStream",
     "ShotPolicy",
     "Spectrum",
     "StateVector",

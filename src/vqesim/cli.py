@@ -16,8 +16,8 @@ Every run is one checked plan, built by `validate_config`: the loaded
 inputs, the ansatz, the shot policy, the optimizer config and the jobs
 of `plan_jobs`, one minimization each (vqe and ucc one, scan one per
 point, folded one per shift on (H - lambda)^2) with its label,
-operator, seed, trace file and per-term shots from `shot_budget`, the
-estimator's own allocation. `validate` prints the plan and `run`
+operator, seed, trace file and per-term shots from `shot_budget`, which
+every estimate of the job draws. `validate` prints the plan and `run`
 executes it in one loop, so the printed budget is what each evaluation
 spends.
 
@@ -63,7 +63,6 @@ from .estimation import (
     MAX_SEED,
     STREAM_MC,
     STREAM_SCAN,
-    RngStream,
     ShotPolicy,
     derive_seed,
     derived_generator,
@@ -216,10 +215,10 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return config_from_mapping(mapping)
 
 
-def _fit_selection(points: list, fit_window: tuple[float, float] | None):
-    """The fit window (default: the whole scan) and the points inside it."""
-    window = fit_window or (points[0].label, points[-1].label)
-    return window, [point for point in points if window[0] <= point.label <= window[1]]
+def _fit_selection(labels: list[float], fit_window: tuple[float, float] | None):
+    """The fit window (default: the whole scan) and the indices of the labels inside it."""
+    window = fit_window or (labels[0], labels[-1])
+    return window, [i for i, label in enumerate(labels) if window[0] <= label <= window[1]]
 
 
 def _check_width(n_qubits: int, source: str) -> None:
@@ -242,7 +241,7 @@ def load_inputs(
     if config.mode == "scan":
         points = load_scan(config.scan)
         _check_width(points[0].hamiltonian.n_qubits, config.scan)
-        window, selected = _fit_selection(points, config.fit_window)
+        window, selected = _fit_selection([point.label for point in points], config.fit_window)
         if len(selected) < MIN_FIT_POINTS:
             raise ConfigError(
                 f"fit window [{window[0]:g}, {window[1]:g}] selects {len(selected)} scan "
@@ -431,71 +430,38 @@ def _folded_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     return collective
 
 
-@dataclass
-class ScanRow:
-    """One curve point: freshly re-measured energy at the optimized parameters."""
-
-    label: float
-    energy_estimate: float
-    exact_ground: float
-    std_error: float
-
-
-def _fit_variances(std_errors: list[float]) -> list[float]:
-    # Exact-mode scans have zero measurement variance; fall back to
-    # equal unit weights so the fit stays defined.
-    if all(err > 0 for err in std_errors):
-        return [err * err for err in std_errors]
-    return [1.0] * len(std_errors)
-
-
-def scan_fit(
-    rows: list[ScanRow],
-    fit_window: tuple[float, float] | None,
-    mc_samples: int,
-    seed: int,
-):
-    """Weighted quadratic fit over the window plus Monte-Carlo uncertainties."""
-    window, selected = _fit_selection(rows, fit_window)
-    variances = _fit_variances([row.std_error for row in selected])
-    fit = fit_quadratic_minimum(
-        [(row.label, row.energy_estimate, var) for row, var in zip(selected, variances)]
-    )
-    uncertainty = monte_carlo_minimum_uncertainty(
-        fit, mc_samples, derived_generator(seed, STREAM_MC)
-    )
-    return fit, uncertainty, window, len(selected)
-
-
 def _scan_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
-    """The curve and its fit.
+    """The curve, and a weighted quadratic fit over its window with Monte-Carlo uncertainties.
 
     Each curve value is re-measured at the point's best parameters with
-    a fresh stream label: the running best of noisy evaluations is
-    selection-biased low, a fresh estimate is not.
+    the job's own shots and a fresh stream label: the running best of
+    noisy evaluations is selection-biased low, a fresh estimate is not.
     """
     config = plan.config
-    rows = []
+    rows = []  # (R, E_est, E_exact, std_error) per point
     for point, job, result in zip(plan.loaded, plan.jobs, results):
         estimate = estimate_energy(
             plan.ansatz.prepare(result.best_parameters),
             job.operator,
-            plan.policy,
-            RngStream(job.seed),
+            job.term_shots,
+            job.seed,
             iteration=result.trace.evaluations,
         )
-        rows.append(ScanRow(point.label, estimate.value, result.exact_ground_energy, estimate.std_error))
+        rows.append((point.label, estimate.value, result.exact_ground_energy, estimate.std_error))
 
     with (out / "curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["R", "E_est", "E_exact", "std_error"])
-        for row in rows:
-            writer.writerow(
-                [repr(row.label), repr(row.energy_estimate), repr(row.exact_ground), repr(row.std_error)]
-            )
+        writer.writerows([repr(v) for v in row] for row in rows)
 
-    fit, uncertainty, window, points_used = scan_fit(
-        rows, config.fit_window, config.mc_samples, config.seed
+    window, indices = _fit_selection([row[0] for row in rows], config.fit_window)
+    selected = [rows[i] for i in indices]
+    # Exact-mode scans have zero measurement variance; fall back to
+    # equal unit weights so the fit stays defined.
+    weighted = all(err > 0 for *_, err in selected)
+    fit = fit_quadratic_minimum([(r, e, err * err if weighted else 1.0) for r, e, _, err in selected])
+    uncertainty = monte_carlo_minimum_uncertainty(
+        fit, config.mc_samples, derived_generator(config.seed, STREAM_MC)
     )
     fit_payload = {
         "coefficients": {"a": fit.a, "b": fit.b, "c": fit.c},
@@ -507,7 +473,7 @@ def _scan_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
         "discarded_fraction": uncertainty.discarded_fraction,
         "warning_high_discard": uncertainty.warning,
         "fit_window": list(window),
-        "points_used": points_used,
+        "points_used": len(selected),
         "mc_samples": config.mc_samples,
     }
     _write_json(out / "fit.json", fit_payload)

@@ -1,5 +1,8 @@
 """The variational loop: estimator-driven minimization with diagnostics.
 
+A run prices its shots once, with `shot_budget` under its policy, and
+every estimate draws exactly those per-term shots; under the exact
+policy no term takes a shot, so every estimate is the noiseless <H>.
 Every objective evaluation is one optimization step j: the ansatz is
 prepared once, and that state feeds both the shot-based estimate and
 the noiseless diagnostics of its trace record: the exact energy, which
@@ -26,8 +29,9 @@ import numpy as np
 from .analysis import exact_spectrum, ground_space_overlap, tangle
 from .estimation import (
     STREAM_INIT,
-    RngStream,
+    STREAM_SAMPLING,
     ShotPolicy,
+    _seed_sequence,
     derived_generator,
     estimate_energy,
     shot_budget,
@@ -104,14 +108,17 @@ def run_vqe(
     state of each row of a (B, parameter_count) array, in row order.
     The optimizer calls the objective with such a batch and gets its B
     estimated energies back; row b of a batch is step len(records) + b,
-    estimated on that step's RNG stream with the shots `shot_budget`
-    prices once for the run. The default optimizer is Nelder-Mead with
-    restarts; pass a GradientDescentConfig for the baseline.
+    estimated on that step's RNG stream with the per-term shots that
+    `shot_budget(hamiltonian, policy)` prices once for the run (none
+    under the exact policy, so every estimate is exact). A seed outside
+    [0, 2**64 - 1] raises ValueError before the first evaluation. The
+    default optimizer is Nelder-Mead with restarts; pass a
+    GradientDescentConfig for the baseline.
     Deterministic given (inputs, config, seed).
     """
     config = config or NelderMeadConfig()
     spectrum = exact_spectrum(hamiltonian)
-    rng = RngStream(seed)
+    _seed_sequence(seed, STREAM_SAMPLING)  # the seed check, before any evaluation
     if x0 is None:
         x0 = random_initial_parameters(ansatz.parameter_count, seed)
     else:
@@ -134,9 +141,7 @@ def run_vqe(
         values = []
         for params, state in zip(batch, ansatz.prepare_batch(batch)):
             step = len(records)
-            estimate = estimate_energy(
-                state, hamiltonian, policy, rng, iteration=step, term_shots=term_shots
-            )
+            estimate = estimate_energy(state, hamiltonian, term_shots, seed, iteration=step)
             records.append(
                 TraceRecord(
                     iteration=step,

@@ -10,8 +10,10 @@ Binomial(s, (1 + <P>)/2), so each term is one binomial count: mean
 coefficient h to precision p therefore costs ceil(h^2/p^2) shots. An
 identity term is a constant and is never measured, so the per-evaluation
 budget is the sum of that rule over the measured terms. `shot_budget` is
-the rule's only home: the estimator draws exactly the shots it
-allocates, and the CLI prices a run with the same call.
+the rule's only home: a run prices its terms once with it, and the
+estimator draws exactly the per-term shots it is handed. An estimate in
+which no term takes a shot is exact (the exact policy prices every term
+at 0).
 
 On hardware every term needs a fresh preparation. On a noiseless
 statevector a re-preparation returns the same amplitudes, so the state
@@ -24,6 +26,8 @@ the Hamiltonian's action table (`statevector.term_expectations`), not
 one call per term. Randomness is fully deterministic: a 64-bit seed plus
 the evaluation's iteration index select one generator, and one
 vectorised binomial draw on it gives every term's count, in term order.
+Every generator and child seed derives from one `SeedSequence` helper,
+which holds the one seed range check.
 The noiseless <H> of the same pass comes with the estimate, so the
 trace's diagnostics need not compute it again.
 """
@@ -50,36 +54,26 @@ MAX_SEED = 2**64 - 1
 MAX_TERM_SHOTS = 2**63 - 1
 
 
+def _seed_sequence(seed: int, namespace: int, *key: int) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, namespace, key...); a seed past 64 unsigned bits raises ValueError."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return np.random.SeedSequence(entropy=seed, spawn_key=(namespace, *key))
+
+
 def derived_generator(seed: int, namespace: int, *key: int) -> np.random.Generator:
     """Deterministic generator for (seed, namespace, key...)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, *key))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(seed, namespace, *key))
 
 
 def derive_seed(seed: int, namespace: int, *key: int) -> int:
     """Deterministic 64-bit child seed, e.g. one per scan point."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, *key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """The run seed that every evaluation's sampling generator derives from.
-
-    Evaluation j draws on derived_generator(seed, STREAM_SAMPLING, j), so
-    identical (seed, iteration) pairs reproduce identical counts.
-    """
-
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError("seed must fit in 64 unsigned bits")
+    return int(_seed_sequence(seed, namespace, *key).generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)
 class ShotPolicy:
-    """How energies are estimated: noiseless, fixed shots, or target precision."""
+    """How a run prices its shots (see `shot_budget`): none, a fixed count, or a target precision."""
 
     mode: str
     shots: int | None = None
@@ -133,10 +127,10 @@ class ShotPolicy:
 class EnergyEstimate:
     """One estimated <H>: value, combined standard error, shot bookkeeping.
 
-    `term_shots` are the shots drawn per term, in term order, as
-    `shot_budget` allocates them. `exact_value` is the noiseless <H> of
-    the same state, computed from the same term expectations the counts
-    were drawn with.
+    `term_shots` are the shots drawn per term, in term order, as the
+    caller priced them with `shot_budget`. `exact_value` is the noiseless
+    <H> of the same state, computed from the same term expectations the
+    counts were drawn with.
     """
 
     value: float
@@ -180,49 +174,57 @@ def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[int,
 def estimate_energy(
     state: StateVector,
     hamiltonian: PauliHamiltonian,
-    policy: ShotPolicy,
-    rng: RngStream,
+    term_shots: tuple[int, ...],
+    seed: int,
     iteration: int = 0,
-    term_shots: tuple[int, ...] | None = None,
 ) -> EnergyEstimate:
-    """Estimate <H> for a prepared state under a shot policy, in one pass.
+    """Estimate <H> for a prepared state, drawing exactly `term_shots`, in one pass.
 
+    `term_shots` holds each term's shots in term order, as `shot_budget`
+    prices them; a caller that estimates many times prices them once.
     Every term's noiseless expectation comes from one `term_expectations`
     reduction; their weighted sum is `exact_value`, bit for bit what
-    `exact_energy` returns, and in exact mode it is also the estimate.
-    Otherwise each term takes its `shot_budget` shots s, and a measured
-    term's +1 count is k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
+    `exact_energy` returns, and when no term takes a shot it is also the
+    estimate; only a Hamiltonian of identity terms alone, a constant,
+    estimates as the exact sum of its coefficients. Otherwise a term with
+    s shots has the +1 count k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
     all drawn at once on the evaluation's generator
     derived_generator(seed, STREAM_SAMPLING, iteration); on a noiseless
     statevector that is statistically the same as re-preparing the state
-    for every term, so the term estimates are independent. A term's mean
-    is (2k - s)/s and its standard error the ddof=1 figure of its +-1
-    outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0 for one shot); the errors
-    combine in quadrature. Identity terms add their coefficient.
-    `term_shots` is `shot_budget(hamiltonian, policy)` when a caller that
-    estimates many times has priced it once; otherwise it is priced here.
+    for every term, so the term estimates are independent. A term's mean is (2k - s)/s and its standard error the
+    ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0
+    for one shot); the errors combine in quadrature. An identity term
+    without shots adds its coefficient. A `term_shots` of the wrong
+    length, or a measured term with 0 shots in a sampled estimate,
+    raises ValueError.
     """
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError(
             f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
         )
+    if len(term_shots) != hamiltonian.term_count:
+        raise ValueError(
+            f"term_shots has {len(term_shots)} entries, the Hamiltonian {hamiltonian.term_count} terms"
+        )
     expectations = term_expectations(state, hamiltonian)
     exact_value = _weighted_sum(hamiltonian, expectations)
-    shots_used = shot_budget(hamiltonian, policy) if term_shots is None else term_shots
-    if policy.mode == "exact":
-        return EnergyEstimate(exact_value, 0.0, shots_used, exact_value)
+    # Identity terms alone are a constant, which the loop below adds exactly.
+    if not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms):
+        return EnergyEstimate(exact_value, 0.0, term_shots, exact_value)
 
-    shots_vec = np.array(shots_used, dtype=np.int64)
+    shots_vec = np.array(term_shots, dtype=np.int64)
     # Clipped: rounding can push <P> a hair outside [-1, 1].
     p_plus = np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
     sampled = shots_vec > 0
-    generator = derived_generator(rng.seed, STREAM_SAMPLING, iteration)
+    generator = derived_generator(seed, STREAM_SAMPLING, iteration)
     plus_counts = iter(generator.binomial(shots_vec[sampled], p_plus[sampled]).tolist())
 
     value = 0.0
     variance = 0.0
-    for (coeff, _), shots in zip(hamiltonian.terms, shots_used):
-        if not shots:  # identity term
+    for (coeff, pauli), shots in zip(hamiltonian.terms, term_shots):
+        if not shots:
+            if not pauli.is_identity:
+                raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
             value += coeff
             continue
         # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
@@ -230,4 +232,4 @@ def estimate_energy(
         value += coeff * mean
         if shots > 1:
             variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
-    return EnergyEstimate(value, math.sqrt(variance), shots_used, exact_value)
+    return EnergyEstimate(value, math.sqrt(variance), term_shots, exact_value)

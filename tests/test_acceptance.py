@@ -18,7 +18,6 @@ from vqesim import (
     AnsatzSpec,
     NelderMeadConfig,
     PauliHamiltonian,
-    RngStream,
     ShotPolicy,
     StateVector,
     UccAnsatz,
@@ -29,6 +28,7 @@ from vqesim import (
     jordan_wigner,
     run_vqe,
     shift_and_square,
+    shot_budget,
     tangle,
 )
 from vqesim.cli import RunConfig, run_config, validate_config
@@ -118,7 +118,7 @@ def test_shot_noise_scaling():
     log_std = []
     for shots in shot_grid:
         estimates = [
-            estimate_energy(plus, z, ShotPolicy.fixed(shots), RngStream(seed), iteration=shots).value
+            estimate_energy(plus, z, shot_budget(z, ShotPolicy.fixed(shots)), seed, iteration=shots).value
             for seed in range(200)
         ]
         log_std.append(math.log(float(np.std(estimates))))

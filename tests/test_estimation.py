@@ -11,18 +11,19 @@ from vqesim import (
     AnsatzSpec,
     NelderMeadConfig,
     PauliHamiltonian,
-    RngStream,
     ShotPolicy,
     StateVector,
     estimate_energy,
     exact_energy,
     prepare,
+    random_initial_parameters,
     run_vqe,
     shot_budget,
     term_expectations,
 )
+import vqesim.driver
 from vqesim import estimation, statevector
-from vqesim.estimation import MAX_TERM_SHOTS
+from vqesim.estimation import MAX_TERM_SHOTS, STREAM_INIT, STREAM_SCAN, derive_seed, derived_generator
 from vqesim.statevector import basis_state
 
 
@@ -33,7 +34,7 @@ def plus() -> StateVector:
 def sample_term(state: StateVector, label: str, shots: int, seed: int, iteration: int = 0):
     """(mean, std error) of one term: <H> for H = 1.0 * label at `shots` shots."""
     h = PauliHamiltonian(state.n_qubits, [(1.0, label)])
-    estimate = estimate_energy(state, h, ShotPolicy.fixed(shots), RngStream(seed), iteration)
+    estimate = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(shots)), seed, iteration)
     return estimate.value, estimate.std_error
 
 
@@ -49,22 +50,51 @@ class TestRngStream:
     def test_same_label_reproduces(self):
         h = random_hamiltonian(np.random.default_rng(1), 2)
         state = random_state(np.random.default_rng(2), 2)
-        a = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=7)
-        b = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=7)
+        a = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
+        b = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
         assert a == b
 
     def test_labels_decorrelate(self):
         h = random_hamiltonian(np.random.default_rng(1), 2)
         state = random_state(np.random.default_rng(2), 2)
-        a = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=0)
-        b = estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(9), iteration=1)
+        a = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=0)
+        b = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=1)
         assert a.value != b.value
 
     def test_negative_label_rejected(self):
         with pytest.raises(ValueError):
             sample_term(plus(), "Z", 10, 9, iteration=-1)
-        with pytest.raises(ValueError, match="64 unsigned bits"):
-            RngStream(2**64)
+
+
+class TestSeedRule:
+    """Every generator and child seed checks the seed the same way."""
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda seed: estimate_energy(plus(), PauliHamiltonian(1, [(1.0, "Z")]), (10,), seed),
+            lambda seed: derive_seed(seed, STREAM_SCAN, 0),
+            lambda seed: derived_generator(seed, STREAM_INIT),
+            lambda seed: random_initial_parameters(3, seed),
+        ],
+        ids=["estimate_energy", "derive_seed", "derived_generator", "random_initial_parameters"],
+    )
+    def test_seed_past_64_bits_rejected(self, derive):
+        derive(2**64 - 1)
+        for bad in (2**64, -1):
+            with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+                derive(bad)
+
+    @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)], ids=ShotPolicy.describe)
+    @pytest.mark.parametrize("x0", [None, np.zeros(6)], ids=["random-x0", "given-x0"])
+    def test_run_vqe_rejects_the_seed_before_any_evaluation(self, monkeypatch, policy, x0):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated with a bad seed")
+
+        monkeypatch.setattr(vqesim.driver, "estimate_energy", no_evaluation)
+        h = PauliHamiltonian(1, [(1.0, "Z"), (0.5, "X")])
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            run_vqe(h, AnsatzSpec(1, 1), policy, NelderMeadConfig(max_evaluations=5), seed=2**64, x0=x0)
 
 
 class TestShotPolicy:
@@ -135,7 +165,7 @@ class TestSamplePauli:
     def test_mismatch(self):
         h = PauliHamiltonian(2, [(1.0, "ZZ")])
         with pytest.raises(ValueError):
-            estimate_energy(plus(), h, ShotPolicy.fixed(5), RngStream(1))
+            estimate_energy(plus(), h, shot_budget(h, ShotPolicy.fixed(5)), 1)
 
     def test_reproducible(self):
         state = random_state(np.random.default_rng(2), 2)
@@ -253,7 +283,7 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy(spec.prepare(params), h, ShotPolicy.exact(), RngStream(0))
+        estimate = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.exact()), 0)
         state = spec.prepare(params)
         by_terms = sum(c * e for (c, _), e in zip(h.terms, term_expectations(state, h)))
         assert estimate.value == pytest.approx(by_terms, abs=1e-10)
@@ -263,7 +293,7 @@ class TestEstimateEnergy:
         h = PauliHamiltonian(2, [(2.0, "II")])
         spec = AnsatzSpec(2, 1)
         estimate = estimate_energy(
-            spec.prepare(np.zeros(12)), h, ShotPolicy.fixed(100), RngStream(1)
+            spec.prepare(np.zeros(12)), h, shot_budget(h, ShotPolicy.fixed(100)), 1
         )
         assert estimate.value == 2.0 and estimate.std_error == 0.0
         assert estimate.total_shots == 0
@@ -272,7 +302,7 @@ class TestEstimateEnergy:
         h = PauliHamiltonian(1, [(1.0, "Z")])
         spec = AnsatzSpec(1, 1)
         estimate = estimate_energy(
-            spec.prepare(np.zeros(6)), h, ShotPolicy("precision", precision=0.01), RngStream(2)
+            spec.prepare(np.zeros(6)), h, shot_budget(h, ShotPolicy("precision", precision=0.01)), 2
         )
         assert estimate.term_shots == (10_000,)
         assert estimate.total_shots == 10_000
@@ -282,7 +312,7 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(100_000), RngStream(3))
+        estimate = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(100_000)), 3)
         truth = exact_energy(spec.prepare(params), h)
         assert abs(estimate.value - truth) <= 5.0 * estimate.std_error
 
@@ -291,8 +321,8 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
-        b = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=4)
+        a = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
+        b = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
         assert a == b
 
     def test_iteration_label_changes_noise(self):
@@ -300,20 +330,48 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=0)
-        b = estimate_energy(spec.prepare(params), h, ShotPolicy.fixed(500), RngStream(11), iteration=1)
+        a = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=0)
+        b = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=1)
         assert a.value != b.value
 
     def test_callable_preparation(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
-        estimate = estimate_energy(basis_state(1, 0), h, ShotPolicy.fixed(50), RngStream(0))
+        estimate = estimate_energy(basis_state(1, 0), h, shot_budget(h, ShotPolicy.fixed(50)), 0)
         assert estimate.value == 1.0
 
     @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)])
     def test_state_size_checked_for_identity_only(self, policy):
         h = PauliHamiltonian(2, [(2.0, "II")])
         with pytest.raises(ValueError, match="prepared state has 1 qubits"):
-            estimate_energy(plus(), h, policy, RngStream(0))
+            estimate_energy(plus(), h, shot_budget(h, policy), 0)
+
+
+class TestTermShots:
+    """The estimator draws exactly the shots it is given, one entry per term."""
+
+    H = PauliHamiltonian(1, [(0.5, "I"), (1.0, "X"), (2.0, "Z")])
+
+    @pytest.mark.parametrize("term_shots", [(100, 100), (0, 100, 100, 100), ()])
+    def test_wrong_length_names_both_counts(self, term_shots):
+        message = f"term_shots has {len(term_shots)} entries, the Hamiltonian 3 terms"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+
+    @pytest.mark.parametrize("term_shots,label", [((0, 100, 0), "Z"), ((0, 0, 100), "X")])
+    def test_measured_term_without_shots_names_its_label(self, term_shots, label):
+        with pytest.raises(ValueError, match=f"^term {label} is measured but takes 0 shots$"):
+            estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+
+    def test_identity_terms_alone_are_their_coefficient_sum(self):
+        # <II> of this state rounds to 1 - 2**-53; a constant is read exactly under any shots.
+        state = random_state(np.random.default_rng(0), 2)
+        h = PauliHamiltonian(2, [(1.0, "II")])
+        assert estimate_energy(state, h, (0,), 1).value == 1.0 != exact_energy(state, h)
+
+    def test_no_shots_is_exact(self):
+        estimate = estimate_energy(basis_state(1, 1), self.H, (0, 0, 0), 1)
+        assert estimate.value == estimate.exact_value == exact_energy(basis_state(1, 1), self.H) == -1.5
+        assert estimate.std_error == 0.0 and estimate.total_shots == 0
 
 
 class TestOnePass:
@@ -328,7 +386,7 @@ class TestOnePass:
         n = 1 + seed % 3
         h = random_hamiltonian(rng, n)
         state = random_state(rng, n)
-        estimate = estimate_energy(state, h, policy, RngStream(seed), iteration=seed)
+        estimate = estimate_energy(state, h, shot_budget(h, policy), seed, iteration=seed)
         assert estimate.exact_value == exact_energy(state, h)
         if policy.mode == "exact":
             assert estimate.value == estimate.exact_value
@@ -346,7 +404,7 @@ class TestOnePass:
         monkeypatch.setattr(estimation, "derived_generator", counted("derived_generator", estimation.derived_generator))
         monkeypatch.setattr(estimation, "term_expectations", counted("term_expectations", estimation.term_expectations))
         h = random_hamiltonian(np.random.default_rng(3), 2)
-        estimate_energy(random_state(np.random.default_rng(4), 2), h, policy, RngStream(5), iteration=2)
+        estimate_energy(random_state(np.random.default_rng(4), 2), h, shot_budget(h, policy), 5, iteration=2)
         # One table reduction gives every term's expectation.
         assert calls["term_expectations"] == 1
         assert calls["derived_generator"] == (0 if policy.mode == "exact" else 1)
@@ -399,8 +457,8 @@ class TestOnePass:
         for params, state in zip(batch, prepare(spec, batch)):
             alone = spec.prepare(params)
             assert term_expectations(state, h).tobytes() == term_expectations(alone, h).tobytes()
-            assert estimate_energy(state, h, ShotPolicy.fixed(100), RngStream(3)) == estimate_energy(
-                alone, h, ShotPolicy.fixed(100), RngStream(3)
+            assert estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 3) == estimate_energy(
+                alone, h, shot_budget(h, ShotPolicy.fixed(100)), 3
             )
 
     def test_precision_std_error_matches_spread(self):
@@ -408,7 +466,7 @@ class TestOnePass:
         h = PauliHamiltonian(2, [(0.9, "ZI"), (0.3, "XX"), (-0.5, "IZ"), (0.2, "YY"), (0.4, "II")])
         policy = ShotPolicy("precision", precision=0.05)
         state = random_state(np.random.default_rng(10), 2)
-        estimates = [estimate_energy(state, h, policy, RngStream(12), iteration=j) for j in range(2000)]
+        estimates = [estimate_energy(state, h, shot_budget(h, policy), 12, iteration=j) for j in range(2000)]
         assert estimates[0].term_shots == (324, 36, 100, 16, 0)
         values = np.array([e.value for e in estimates])
         reported = math.sqrt(np.mean([e.std_error**2 for e in estimates]))
@@ -439,13 +497,14 @@ class TestShotBudget:
     )
     def test_estimate_draws_the_budget(self, policy):
         h = PauliHamiltonian(2, [(0.3, "II"), (-0.6, "ZI"), (0.5, "XX")])
-        estimate = estimate_energy(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, policy, RngStream(4))
+        estimate = estimate_energy(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, shot_budget(h, policy), 4)
         per_term = shot_budget(h, policy)
         assert estimate.term_shots == per_term and estimate.total_shots == sum(per_term)
 
     def test_numpy_integer_shots_stay_exact(self):
         # 2k - s for counts near 2**63 fits only in Python ints.
         policy = ShotPolicy.fixed(np.int64(MAX_TERM_SHOTS))
-        estimate = estimate_energy(plus(), PauliHamiltonian(1, [(1.0, "X")]), policy, RngStream(3))
+        h = PauliHamiltonian(1, [(1.0, "X")])
+        estimate = estimate_energy(plus(), h, shot_budget(h, policy), 3)
         assert estimate.term_shots == (MAX_TERM_SHOTS,) and type(estimate.term_shots[0]) is int
         assert -1.0 <= estimate.value <= 1.0
