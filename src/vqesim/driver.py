@@ -22,7 +22,7 @@ had come alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,7 +113,8 @@ def run_vqe(
     under the exact policy, so every estimate is exact). A seed outside
     [0, 2**64 - 1] raises ValueError before the first evaluation. The
     default optimizer is Nelder-Mead with restarts; pass a
-    GradientDescentConfig for the baseline.
+    GradientDescentConfig for the baseline. The optimizer runs once;
+    then the records at its `restart_steps` are flagged `restart`.
     Deterministic given (inputs, config, seed).
     """
     config = config or NelderMeadConfig()
@@ -130,14 +131,8 @@ def run_vqe(
 
     term_shots = shot_budget(hamiltonian, policy)
     records: list[TraceRecord] = []
-    restart_pending = False
-
-    def mark_restart() -> None:
-        nonlocal restart_pending
-        restart_pending = True
 
     def objective(batch: np.ndarray) -> list[float]:
-        nonlocal restart_pending
         values = []
         for params, state in zip(batch, ansatz.prepare_batch(batch)):
             step = len(records)
@@ -151,17 +146,17 @@ def run_vqe(
                     exact_energy=estimate.exact_value,
                     tangle=tangle(state) if hamiltonian.n_qubits == 2 else None,
                     overlap=ground_space_overlap(spectrum, state),
-                    restart=restart_pending,
+                    restart=False,
                 )
             )
-            restart_pending = False
             values.append(estimate.value)
         return values
 
-    if isinstance(config, GradientDescentConfig):
-        opt = gradient_descent(objective, x0, config)
-    else:
-        opt = nelder_mead(objective, x0, config, on_restart=mark_restart)
+    optimizer = gradient_descent if isinstance(config, GradientDescentConfig) else nelder_mead
+    opt = optimizer(objective, x0, config)
+    for step in opt.restart_steps:
+        if step < len(records):  # a restart the budget cut short has no record
+            records[step] = replace(records[step], restart=True)
 
     trace = VqeTrace(
         records=records,

@@ -55,7 +55,9 @@ MAX_TERM_SHOTS = 2**63 - 1
 
 
 def _seed_sequence(seed: int, namespace: int, *key: int) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, namespace, key...); a seed past 64 unsigned bits raises ValueError."""
+    """The SeedSequence of (seed, namespace, key...); a seed that is no integer in [0, MAX_SEED] raises ValueError."""
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must fit in 64 unsigned bits")
     return np.random.SeedSequence(entropy=seed, spawn_key=(namespace, *key))

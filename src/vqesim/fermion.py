@@ -15,7 +15,8 @@ Cluster operators follow t_p^r a_p^dag a_r: the first index creates
 linear in the amplitudes, so a `UccAnsatz` maps each excitation E_k to
 its qubit-space generator G_k = E_k - E_k^dag once, when it is built.
 `jordan_wigner` maps Hermitian operators only, so the ansatz maps iG_k,
-a Pauli sum with real weights, and keeps -i times its matrix. Each
+a Pauli sum with real weights, and reads -i times its matrix from the
+sum's action table, one entry per basis state it moves. Each
 state preparation then only sums sum_k t_k G_k and evaluates
 exp(T - T^dag) exactly by eigendecomposition. No circuit compilation
 happens at this scale.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .analysis import MAX_SPECTRUM_QUBITS
 from .pauli import (
-    PauliHamiltonian, _is_int, _is_real, _positive_count, _product, _real_sum, reconstruct,
+    PauliHamiltonian, _is_int, _is_real, _positive_count, _product, _real_sum,
 )
 from .statevector import MAX_QUBITS, StateVector, basis_state
 
@@ -200,12 +201,14 @@ class UccAnsatz:
 
     The parameter vector holds one amplitude per excitation in the
     fixed `excitations` ordering; entries are ("s", p, r) or
-    ("d", p, q, r, s), the creation indices before the annihilation
-    ones. Construction checks the mode cap, the reference and that there
-    is at least one excitation, and stores each excitation's generator
-    G_k = E_k - E_k^dag as the nonzero (rows, cols, values) of its
-    qubit-space matrix: -i times the matrix of the Jordan-Wigner image
-    of the Hermitian iG_k.
+    ("d", p, q, r, s) over distinct modes, the creation indices before
+    the annihilation ones. Construction checks the mode cap, the
+    reference, that there is at least one excitation and that each has
+    one of those two shapes (else ValueError naming it), and stores each
+    excitation's generator G_k = E_k - E_k^dag as the nonzero (rows,
+    cols, values) of its qubit-space matrix, in row order: -i times the
+    matrix of the Jordan-Wigner image of the Hermitian iG_k, read from
+    that image's `action_table`.
     """
 
     n_modes: int
@@ -226,12 +229,18 @@ class UccAnsatz:
             )
         generators = []
         for exc in self.excitations:
+            shape = (exc[0], len(exc)) if isinstance(exc, tuple) and exc else None
+            if shape not in (("s", 3), ("d", 5)) or len(set(exc[1:])) < len(exc) - 1:
+                raise ValueError(f"excitation {exc!r} is not ('s', p, r) or ('d', p, q, r, s) over distinct modes")
             modes = exc[1:]
             ops = [(mode, i < len(modes) // 2) for i, mode in enumerate(modes)]
             adjoint = [(mode, not dag) for mode, dag in reversed(ops)]
-            generator = -1j * reconstruct(jordan_wigner(FermionOperator(self.n_modes, [(1j, ops), (-1j, adjoint)])))
-            rows, cols = np.nonzero(generator)
-            generators.append((rows, cols, generator[rows, cols]))
+            image = jordan_wigner(FermionOperator(self.n_modes, [(1j, ops), (-1j, adjoint)]))
+            targets, phases = image.action_table
+            # Every term flips the same modes, so row r's one entry is in column targets[0, r].
+            values = -1j * sum(c * p for (c, _), p in zip(image.terms, phases))[targets[0]]
+            rows = np.arange(1 << self.n_modes)[values != 0]
+            generators.append((rows, targets[0, rows], values[rows]))
         object.__setattr__(self, "generators", tuple(generators))
 
     @property

@@ -104,9 +104,13 @@ class OptimizerResult:
     x_best: np.ndarray
     f_best: float
     evaluations: int
-    restarts: int
+    restart_steps: tuple[int, ...]  # the evaluation index where each restart's simplex began
     converged: bool
     reason: str
+
+    @property
+    def restarts(self) -> int:
+        return len(self.restart_steps)
 
 
 class _BudgetExhausted(Exception):
@@ -157,15 +161,14 @@ class _CountingObjective:
         return float(self(x[None])[0])
 
 
-def _finalize(f: _CountingObjective, restarts: int, converged: bool, reason: str) -> OptimizerResult:
-    return OptimizerResult(f.x_best.copy(), f.f_best, f.evaluations, restarts, converged, reason)
+def _finalize(f: _CountingObjective, restart_steps: list[int], converged: bool, reason: str) -> OptimizerResult:
+    return OptimizerResult(f.x_best.copy(), f.f_best, f.evaluations, tuple(restart_steps), converged, reason)
 
 
 def nelder_mead(
     objective: Objective,
     x0: Sequence[float],
     config: NelderMeadConfig | None = None,
-    on_restart: Callable[[], None] | None = None,
 ) -> OptimizerResult:
     """Minimize with the four Nelder-Mead simplex moves, plus restarts.
 
@@ -174,7 +177,7 @@ def nelder_mead(
     the simplex around the best point seen so far (the incumbent is kept
     as a vertex and re-evaluated), up to `restart_limit` times; the best
     point ever evaluated is returned regardless of where the final
-    simplex sits.
+    simplex sits, with each restart's first evaluation index.
     """
     cfg = config or NelderMeadConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -182,7 +185,7 @@ def nelder_mead(
     if dims == 0:
         raise ValueError("Nelder-Mead needs at least one parameter; x0 is empty")
     f = _CountingObjective(objective, cfg.max_evaluations)
-    restarts = 0
+    restart_steps: list[int] = []
 
     def build_simplex(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = np.repeat(center[None], dims + 1, axis=0)
@@ -202,13 +205,11 @@ def nelder_mead(
             elif f.evaluations - f.last_improvement > cfg.stagnation_window:
                 trigger = "stagnation"
             if trigger is not None:
-                if restarts >= cfg.restart_limit:
+                if len(restart_steps) >= cfg.restart_limit:
                     converged = trigger == "tolerance"
                     reason = REASON_TOLERANCE if converged else REASON_RESTART_LIMIT
-                    return _finalize(f, restarts, converged, reason)
-                restarts += 1
-                if on_restart is not None:
-                    on_restart()
+                    return _finalize(f, restart_steps, converged, reason)
+                restart_steps.append(f.evaluations)
                 xs, vals = build_simplex(f.x_best)
                 f.last_improvement = f.evaluations
                 continue
@@ -241,7 +242,7 @@ def nelder_mead(
                     xs[1:] = xs[0] + SHRINK * (xs[1:] - xs[0])
                     vals[1:] = f(xs[1:])
     except _BudgetExhausted:
-        return _finalize(f, restarts, False, REASON_BUDGET)
+        return _finalize(f, restart_steps, False, REASON_BUDGET)
 
 
 def gradient_descent(
@@ -271,4 +272,4 @@ def gradient_descent(
             x = x - cfg.step_size * grad
             f.one(x)
     except _BudgetExhausted:
-        return _finalize(f, 0, False, REASON_BUDGET)
+        return _finalize(f, [], False, REASON_BUDGET)

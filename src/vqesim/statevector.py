@@ -79,15 +79,11 @@ def euler_gates(angles: np.ndarray) -> np.ndarray:
 def _cnot_ladder(n_qubits: int) -> np.ndarray:
     """One gather for CNOT(0,1), CNOT(1,2), ..., CNOT(n-2,n-1) in that order.
 
-    Gathering with the composed permutation moves the same amplitudes as
-    the gate-by-gate ladder, so the result is bit-identical.
+    The ladder's composed permutation is the Gray code j ^ (j >> 1), so the
+    gather moves the same amplitudes as the gate-by-gate ladder, bit for bit.
     """
     idx = np.arange(1 << n_qubits)
-    perm = idx
-    for control in range(n_qubits - 1):
-        cmask = 1 << (n_qubits - 1 - control)
-        tmask = cmask >> 1
-        perm = perm[np.where(idx & cmask, idx ^ tmask, idx)]
+    perm = idx ^ (idx >> 1)
     perm.flags.writeable = False
     return perm
 

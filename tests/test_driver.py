@@ -11,9 +11,11 @@ from vqesim import (
     ShotPolicy,
     exact_energy,
     exact_spectrum,
+    nelder_mead,
     run_vqe,
     shift_and_square,
 )
+import vqesim.driver
 
 
 def quick_nm(**overrides):
@@ -125,6 +127,25 @@ class TestTraceContract:
         _, result = noisy_result
         flagged = sum(rec.restart for rec in result.trace.records)
         assert flagged == result.trace.restarts
+
+    def test_restart_flags_are_the_optimizer_restart_steps(self, monkeypatch):
+        # The budget ends the run just as the fifth restart begins: that step equals the
+        # evaluation count and has no record to flag.
+        results = []
+
+        def recording_nelder_mead(*args):
+            results.append(nelder_mead(*args))
+            return results[-1]
+
+        monkeypatch.setattr(vqesim.driver, "nelder_mead", recording_nelder_mead)
+        h = random_hamiltonian(np.random.default_rng(11), 2)
+        cfg = quick_nm(max_evaluations=283, stagnation_window=20)
+        result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), cfg, seed=2)
+        (opt,) = results
+        assert opt.restarts == result.trace.restarts == 5
+        assert opt.restart_steps[-1] == result.trace.evaluations == 283
+        flagged = [rec.iteration for rec in result.trace.records if rec.restart]
+        assert flagged == [step for step in opt.restart_steps if step < result.trace.evaluations]
 
     def test_evaluation_count_matches_records(self, noisy_result):
         _, result = noisy_result

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestSeedRule:
         for bad in (2**64, -1):
             with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
                 derive(bad)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda seed: run_vqe(PauliHamiltonian(1, [(1.0, "Z")]), AnsatzSpec(1, 1), ShotPolicy.exact(),
+                                 NelderMeadConfig(max_evaluations=5), seed=seed),
+            lambda seed: derive_seed(seed, STREAM_SCAN, 0),
+            lambda seed: derived_generator(seed, STREAM_INIT),
+            lambda seed: random_initial_parameters(3, seed),
+        ],
+        ids=["run_vqe", "derive_seed", "derived_generator", "random_initial_parameters"],
+    )
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, np.float64(2.0)], ids=repr)
+    def test_bool_or_float_seed_rejected(self, derive, bad):
+        # True would run as seed 1, and 1.5 failed inside numpy with a TypeError.
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            derive(bad)
 
     @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)], ids=ShotPolicy.describe)
     @pytest.mark.parametrize("x0", [None, np.zeros(6)], ids=["random-x0", "given-x0"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestCluster:
         generator = dense_generator(SINGLE, [0.1])
         assert np.allclose(generator, 0.1 * (excitation - excitation.conj().T), atol=1e-15)
 
-    @pytest.mark.parametrize("n_modes,reference", [(4, "1100"), (6, "111000")])
+    @pytest.mark.parametrize("n_modes,reference", [(4, "1100"), (6, "111000"), (8, "11110000")])
     def test_generators_match_dense_excitations(self, n_modes, reference):
         # Each stored G_k, mapped as the Hermitian iG_k, is the dense E_k - E_k^dag entry for entry.
         ansatz = UccAnsatz.from_reference(n_modes, reference)
@@ -213,6 +214,16 @@ class TestCluster:
                 UccAnsatz.from_reference(2, reference)
         with pytest.raises(ValueError, match="^no excitation out of reference '10'"):
             UccAnsatz(2, "10", ())
+
+    @pytest.mark.parametrize(
+        "excitation",
+        [("s", 1, 1), ("d", 3, 3, 1, 2), ("s", 1), ("s", 3, 1, 2), ("x", 3, 1)],
+        ids=["repeated-single", "repeated-double", "short-single", "long-single", "unknown-kind"],
+    )
+    def test_malformed_excitation_refused(self, excitation):
+        # A repeated mode gives a zero generator; a wrong length changes the particle number.
+        with pytest.raises(ValueError, match=f"^excitation {re.escape(repr(excitation))} is not"):
+            UccAnsatz(4, "1100", (("s", 3, 1), excitation))
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=25, deadline=None)

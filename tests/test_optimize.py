@@ -119,7 +119,6 @@ class TestNelderMead:
         assert result.f_best == min(seen)
 
     def test_restart_rebuilds_around_incumbent(self):
-        restarts = []
         evaluated = []
 
         def noisy(x):
@@ -132,12 +131,11 @@ class TestNelderMead:
             batched(noisy),
             np.array([1.0, 1.0]),
             NelderMeadConfig(max_evaluations=400, restart_limit=3, stagnation_window=40),
-            on_restart=lambda: restarts.append(len(evaluated)),
         )
-        assert result.restarts == len(restarts) <= 3
+        assert 0 < result.restarts == len(result.restart_steps) <= 3
         # the incumbent best-so-far survives every restart as the first
         # vertex of the rebuilt simplex
-        for eval_count in restarts:
+        for eval_count in result.restart_steps:
             values = [sphere(x) + 0.05 * np.sin(1000.0 * float(np.sum(x))) for x in evaluated[:eval_count]]
             incumbent = evaluated[int(np.argmin(values))]
             assert np.array_equal(evaluated[eval_count], incumbent)

@@ -153,7 +153,8 @@ class TestAnsatz:
         b = spec.prepare(params).amplitudes
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n,layers", [(1, 1), (2, 1), (3, 2), (8, 1), (10, 2)])
+    # Every width, with a second layer at 3 and 10 qubits.
+    @pytest.mark.parametrize("n,layers", [(n, 2 if n in (3, 10) else 1) for n in range(1, MAX_QUBITS + 1)])
     def test_composed_ladder_matches_gate_by_gate(self, n, layers):
         spec = AnsatzSpec(n, layers)
         params = np.random.default_rng(n).uniform(-np.pi, np.pi, spec.parameter_count)
