@@ -25,9 +25,7 @@ from .estimation import (
 )
 from .fermion import (
     FermionOperator,
-    MolecularIntegrals,
     UccAnsatz,
-    build_molecular_hamiltonian,
     jordan_wigner,
     ucc_prepare,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "FermionOperator",
     "GradientDescentConfig",
     "MinimumUncertainty",
-    "MolecularIntegrals",
     "NelderMeadConfig",
     "OptimizerResult",
     "PauliHamiltonian",
@@ -74,7 +71,6 @@ __all__ = [
     "UccAnsatz",
     "VqeResult",
     "VqeTrace",
-    "build_molecular_hamiltonian",
     "estimate_energy",
     "exact_energy",
     "exact_spectrum",

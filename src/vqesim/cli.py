@@ -29,7 +29,8 @@ unless `validate` would pass. That includes the scan rule (the fit
 window, by default the whole scan, must select at least 4 scan points,
 the minimum of the quadratic fit with a covariance) and the width rule
 (no Hamiltonian, scan point or Jordan-Wigner image over 10 qubits, the
-limit of the dense spectrum every run computes). An operator with no
+limit of the dense spectrum every run computes) and the parameter cap
+(no ansatz over `MAX_PARAMETERS` parameters). An operator with no
 terms is an input error in every format: a Hamiltonian file, a scan
 point, or integrals whose Jordan-Wigner image is empty once pruned.
 
@@ -69,7 +70,7 @@ from .estimation import (
     estimate_energy,
     shot_budget,
 )
-from .fermion import UccAnsatz, build_molecular_hamiltonian, jordan_wigner
+from .fermion import UccAnsatz, jordan_wigner
 from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
 from .optimize import NelderMeadConfig
 from .pauli import PauliHamiltonian, _is_int, _is_real, shift_and_square
@@ -221,6 +222,11 @@ def _fit_selection(labels: list[float], fit_window: tuple[float, float] | None):
     return window, [i for i, label in enumerate(labels) if window[0] <= label <= window[1]]
 
 
+# A 2-qubit exact run at 2046 parameters peaks at 300-400 MB (2100-6000 evaluations), and
+# the simplex and its prepared batch grow as the square of the count. UCC needs at most 125.
+MAX_PARAMETERS = 2048
+
+
 def _check_width(n_qubits: int, source: str) -> None:
     if n_qubits > MAX_SPECTRUM_QUBITS:
         raise ConfigError(
@@ -239,35 +245,40 @@ def load_inputs(
     on its inputs before it writes any file.
     """
     if config.mode == "scan":
-        points = load_scan(config.scan)
-        _check_width(points[0].hamiltonian.n_qubits, config.scan)
-        window, selected = _fit_selection([point.label for point in points], config.fit_window)
+        loaded = load_scan(config.scan)
+        _check_width(loaded[0].hamiltonian.n_qubits, config.scan)
+        window, selected = _fit_selection([point.label for point in loaded], config.fit_window)
         if len(selected) < MIN_FIT_POINTS:
             raise ConfigError(
                 f"fit window [{window[0]:g}, {window[1]:g}] selects {len(selected)} scan "
                 f"points; the quadratic fit needs at least {MIN_FIT_POINTS}"
             )
-        return points, AnsatzSpec(points[0].hamiltonian.n_qubits, config.layers)
-    if config.mode == "ucc":
-        integrals = load_integrals(config.integrals)
+        ansatz = AnsatzSpec(loaded[0].hamiltonian.n_qubits, config.layers)
+    elif config.mode == "ucc":
+        operator = load_integrals(config.integrals)
         # The Jordan-Wigner image has one qubit per mode.
-        _check_width(integrals.n_modes, config.integrals)
-        operator = build_molecular_hamiltonian(integrals)
+        _check_width(operator.n_modes, config.integrals)
         try:
-            mapped = jordan_wigner(operator)
+            loaded = jordan_wigner(operator)
         except ValueError:  # an imaginary residue: the integrals are not symmetric
             raise FormatError(f"{config.integrals}: integrals produce a non-Hermitian Hamiltonian") from None
         # Checked after mapping, so that terms which all prune away are caught too.
-        if not mapped.terms:
+        if not loaded.terms:
             raise FormatError(f"{config.integrals}: integrals produce no Hamiltonian terms")
         try:
-            ansatz = UccAnsatz.from_reference(integrals.n_modes, config.reference)
+            ansatz = UccAnsatz.from_reference(operator.n_modes, config.reference)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return mapped, ansatz
-    hamiltonian = load_hamiltonian(config.hamiltonian)
-    _check_width(hamiltonian.n_qubits, config.hamiltonian)
-    return hamiltonian, AnsatzSpec(hamiltonian.n_qubits, config.layers)
+    else:
+        loaded = load_hamiltonian(config.hamiltonian)
+        _check_width(loaded.n_qubits, config.hamiltonian)
+        ansatz = AnsatzSpec(loaded.n_qubits, config.layers)
+    if ansatz.parameter_count > MAX_PARAMETERS:
+        raise ConfigError(
+            f"{ansatz.parameter_count} ansatz parameters exceed the {MAX_PARAMETERS}-parameter limit; "
+            "the optimizer's memory grows as their square"
+        )
+    return loaded, ansatz
 
 
 @dataclass(frozen=True)

@@ -155,8 +155,7 @@ def run_vqe(
     optimizer = gradient_descent if isinstance(config, GradientDescentConfig) else nelder_mead
     opt = optimizer(objective, x0, config)
     for step in opt.restart_steps:
-        if step < len(records):  # a restart the budget cut short has no record
-            records[step] = replace(records[step], restart=True)
+        records[step] = replace(records[step], restart=True)
 
     trace = VqeTrace(
         records=records,

@@ -10,6 +10,9 @@ With this sign choice the number operator a_j^dag a_j maps to
 (I - Z)/2 on qubit j-1, i.e. |1> marks an occupied mode, and a
 reference occupation bitstring doubles as a computational basis label.
 
+An integrals file loads as a `FermionOperator` (`formats.load_integrals`),
+whose constructor is the one check of every mode range and coefficient.
+
 Cluster operators follow t_p^r a_p^dag a_r: the first index creates
 (virtual orbital), the second annihilates (occupied orbital). T is
 linear in the amplitudes, so a `UccAnsatz` maps each excitation E_k to
@@ -108,65 +111,12 @@ def jordan_wigner(op: FermionOperator) -> PauliHamiltonian:
     return _real_sum(op.n_modes, terms)
 
 
-@dataclass(frozen=True)
-class MolecularIntegrals:
-    """Sparse one- and two-body coefficients with explicit 1-based indices."""
-
-    n_modes: int
-    one_body: tuple[tuple[int, int, float], ...]
-    two_body: tuple[tuple[int, int, int, int, float], ...]
-
-    def __init__(
-        self,
-        n_modes: int,
-        one_body: Iterable[tuple[int, int, float]] = (),
-        two_body: Iterable[tuple[int, int, int, int, float]] = (),
-    ):
-        n_modes = _positive_count("n_modes", n_modes)
-
-        def entry(indices: tuple, value) -> tuple:
-            for idx in indices:
-                if not _is_int(idx):
-                    raise ValueError(f"orbital index must be an integer, got {idx!r}")
-            for idx in indices:
-                if not 1 <= idx <= n_modes:
-                    raise ValueError(f"orbital index {idx} out of range [1, {n_modes}]")
-            # A float may still be inf or nan; that has its own message.
-            if not _is_real(value) and not isinstance(value, (float, np.floating)):
-                raise ValueError(f"integral value must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError("non-finite integral value")
-            return (*map(int, indices), float(value))
-
-        one = tuple(entry((p, q), v) for p, q, v in one_body)
-        two = tuple(entry((p, q, r, s), v) for p, q, r, s, v in two_body)
-        object.__setattr__(self, "n_modes", n_modes)
-        object.__setattr__(self, "one_body", one)
-        object.__setattr__(self, "two_body", two)
-
-
-def build_molecular_hamiltonian(integrals: MolecularIntegrals) -> FermionOperator:
-    """Sum of h_pq a_p^dag a_q and h_pqrs a_p^dag a_q^dag a_r a_s terms.
-
-    Index tuples are applied literally in the stored order; no
-    chemists'/physicists' reordering is attempted.
-    """
-    terms: list[tuple[complex, tuple[tuple[int, bool], ...]]] = []
-    for p, q, v in integrals.one_body:
-        terms.append((v, ((p, True), (q, False))))
-    for p, q, r, s, v in integrals.two_body:
-        terms.append((v, ((p, True), (q, True), (r, False), (s, False))))
-    return FermionOperator(integrals.n_modes, terms)
-
-
 def reference_index(reference: str, n_modes: int) -> int:
     if len(reference) != n_modes or set(reference) - {"0", "1"}:
         raise ValueError(
             f"reference must be a {n_modes}-character bitstring over 0/1, got {reference!r}"
         )
     return int(reference, 2)
-
-
 
 
 def ucc_prepare(ansatz: "UccAnsatz", parameters: np.ndarray) -> StateVector:

@@ -9,12 +9,15 @@ objects with strictly increasing R, a common qubit count and at least
 one term per point.
 
 Integrals: JSON {"n_modes": N, "one_body": [[p, q, value], ...],
-"two_body": [[p, q, r, s, value], ...]} with 1-based indices.
+"two_body": [[p, q, r, s, value], ...]} with 1-based indices, loaded as
+the `FermionOperator` of h_pq a_p^dag a_q then h_pqrs a_p^dag a_q^dag
+a_r a_s terms in file order; no chemists'/physicists' reordering.
 
 JSON values are taken as they are typed: R, coefficients and integral
 values must be finite JSON numbers, `n_modes` and indices JSON
 integers. A boolean, a string or a fractional index is an error, never
-read as the number it resembles.
+read as the number it resembles. Those types are checked here; index
+ranges are `FermionOperator`'s to check.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fermion import MolecularIntegrals
+from .fermion import FermionOperator
 from .pauli import PauliHamiltonian, PauliString, _is_int, _is_real
 
 
@@ -142,7 +145,7 @@ def write_scan(path: str | Path, points: list[ScanPoint]) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _integral_entries(data: dict, key: str, n_indices: int, source: str) -> list[tuple]:
+def _integral_entries(data: dict, key: str, n_indices: int, source: str) -> list[list]:
     entries = data.get(key, [])
     if not isinstance(entries, list):
         raise FormatError(f"{source}: {key} must be a JSON list")
@@ -156,22 +159,24 @@ def _integral_entries(data: dict, key: str, n_indices: int, source: str) -> list
             raise FormatError(
                 f"{source}: {key}[{index}] is {entry!r}; expected {n_indices} integer indices and a finite value"
             )
-    return [tuple(entry) for entry in entries]
+    return entries
 
 
-def parse_integrals(data, source: str = "<integrals>") -> MolecularIntegrals:
+def parse_integrals(data, source: str = "<integrals>") -> FermionOperator:
     if not isinstance(data, dict) or "n_modes" not in data:
         raise FormatError(f"{source}: expected a JSON object with 'n_modes'")
     if not _is_int(data["n_modes"]):
         raise FormatError(f"{source}: n_modes is {data['n_modes']!r}; expected an integer")
     one_body = _integral_entries(data, "one_body", 2, source)
     two_body = _integral_entries(data, "two_body", 4, source)
+    terms = [(v, ((p, True), (q, False))) for p, q, v in one_body]
+    terms += [(v, ((p, True), (q, True), (r, False), (s, False))) for p, q, r, s, v in two_body]
     try:
-        return MolecularIntegrals(data["n_modes"], one_body, two_body)
-    except (TypeError, ValueError) as exc:
+        return FermionOperator(data["n_modes"], terms)
+    except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from None
 
 
-def load_integrals(path: str | Path) -> MolecularIntegrals:
+def load_integrals(path: str | Path) -> FermionOperator:
     path = Path(path)
     return parse_integrals(_read_json(path), source=str(path))

@@ -177,7 +177,8 @@ def nelder_mead(
     the simplex around the best point seen so far (the incumbent is kept
     as a vertex and re-evaluated), up to `restart_limit` times; the best
     point ever evaluated is returned regardless of where the final
-    simplex sits, with each restart's first evaluation index.
+    simplex sits, with each restart's first evaluation index. A restart
+    the budget leaves no evaluation for is not made, and not counted.
     """
     cfg = config or NelderMeadConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -209,6 +210,8 @@ def nelder_mead(
                     converged = trigger == "tolerance"
                     reason = REASON_TOLERANCE if converged else REASON_RESTART_LIMIT
                     return _finalize(f, restart_steps, converged, reason)
+                if f.evaluations >= cfg.max_evaluations:  # no evaluation left for the new simplex
+                    return _finalize(f, restart_steps, False, REASON_BUDGET)
                 restart_steps.append(f.evaluations)
                 xs, vals = build_simplex(f.x_best)
                 f.last_improvement = f.evaluations

@@ -21,7 +21,6 @@ from vqesim import (
     ShotPolicy,
     StateVector,
     UccAnsatz,
-    build_molecular_hamiltonian,
     estimate_energy,
     exact_energy,
     exact_spectrum,
@@ -32,8 +31,8 @@ from vqesim import (
     tangle,
 )
 from vqesim.cli import RunConfig, run_config, validate_config
-from vqesim.fermion import FermionOperator, MolecularIntegrals
-from vqesim.formats import write_scan
+from vqesim.fermion import FermionOperator
+from vqesim.formats import parse_integrals, write_scan
 from vqesim.synthetic import parabola_scan
 
 from conftest import fermion_matrix, load_script
@@ -168,19 +167,19 @@ def test_jordan_wigner_algebra():
 
 
 def _toy_molecule():
-    integrals = MolecularIntegrals(
-        4,
-        one_body=[
-            (1, 1, -1.8), (2, 2, -1.3), (3, 3, -0.4), (4, 4, -0.2),
-            (1, 3, 0.25), (3, 1, 0.25), (2, 4, 0.18), (4, 2, 0.18),
+    integrals = parse_integrals({
+        "n_modes": 4,
+        "one_body": [
+            [1, 1, -1.8], [2, 2, -1.3], [3, 3, -0.4], [4, 4, -0.2],
+            [1, 3, 0.25], [3, 1, 0.25], [2, 4, 0.18], [4, 2, 0.18],
         ],
-        two_body=[
-            (1, 2, 2, 1, 0.6), (2, 1, 1, 2, 0.6),
-            (1, 4, 4, 1, 0.22), (4, 1, 1, 4, 0.22),
-            (3, 4, 4, 3, 0.35), (4, 3, 3, 4, 0.35),
+        "two_body": [
+            [1, 2, 2, 1, 0.6], [2, 1, 1, 2, 0.6],
+            [1, 4, 4, 1, 0.22], [4, 1, 1, 4, 0.22],
+            [3, 4, 4, 3, 0.35], [4, 3, 3, 4, 0.35],
         ],
-    )
-    return jordan_wigner(build_molecular_hamiltonian(integrals))
+    })
+    return jordan_wigner(integrals)
 
 
 def test_ucc_sanity():

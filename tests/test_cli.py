@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqesim import exact_spectrum
 from vqesim.cli import (
+    MAX_PARAMETERS,
     ConfigError,
     RunConfig,
     build_parser,
@@ -703,6 +704,36 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "input error" in err and f"{path}: {message}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "mode,layers,count",
+        [("vqe", 341, 2052), ("vqe", 10**9, 6000000006), ("folded", 341, 2052), ("scan", 682, 2049)],
+        ids=["vqe", "vqe-huge", "folded", "scan"],
+    )
+    def test_parameters_past_the_cap_are_config_error(
+        self, hamiltonian_file, scan_file, tmp_path, capsys, command, mode, layers, count
+    ):
+        # 3 * qubits * (layers + 1) parameters: 2 qubits in the Hamiltonian file, 1 per scan point.
+        inputs = {
+            "vqe": ["--hamiltonian", str(hamiltonian_file)],
+            "folded": ["--hamiltonian", str(hamiltonian_file), "--lambda=0.5"],
+            "scan": ["--scan", str(scan_file)],
+        }[mode]
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", mode, *inputs, "--layers", str(layers), "--exact", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        message = f"config error: {count} ansatz parameters exceed the {MAX_PARAMETERS}-parameter limit"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parameters_at_the_cap_validate(self, hamiltonian_file, capsys):
+        # 2046 = 3 * 2 * (340 + 1), the largest 2-qubit count within the cap.
+        assert MAX_PARAMETERS == 2048
+        code = main(["validate", "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), "--layers", "340",
+                     "--exact", "--seed", "1"])
+        assert code == 0
+        assert "parameters: 2046" in capsys.readouterr().out
 
 
 class TestJobList:

@@ -97,10 +97,10 @@ import pytest
 
 from conftest import all_labels
 from vqesim import (
-    AnsatzSpec, GradientDescentConfig, MolecularIntegrals, NelderMeadConfig, PauliHamiltonian, ShotPolicy,
-    build_molecular_hamiltonian, jordan_wigner, run_vqe, shift_and_square,
+    AnsatzSpec, GradientDescentConfig, NelderMeadConfig, PauliHamiltonian, ShotPolicy, jordan_wigner, run_vqe,
+    shift_and_square,
 )
-from vqesim.formats import load_hamiltonian, write_scan
+from vqesim.formats import load_hamiltonian, parse_integrals, write_scan
 from vqesim.cli import main
 from vqesim.synthetic import parabola_scan
 
@@ -255,12 +255,12 @@ def test_jordan_wigner_operator_digest():
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     two = rng.uniform(-1, 1, (len(pairs), len(pairs)))
     two = (two + two.T) / 2
-    integrals = MolecularIntegrals(
-        n,
-        [(p + 1, q + 1, one[p, q]) for p in range(n) for q in range(n)],
-        [(*pq, *rs, two[i, j]) for i, pq in enumerate(pairs) for j, rs in enumerate(pairs)],
-    )
-    mapped = jordan_wigner(build_molecular_hamiltonian(integrals))
+    integrals = parse_integrals({
+        "n_modes": n,
+        "one_body": [[p + 1, q + 1, one[p, q]] for p in range(n) for q in range(n)],
+        "two_body": [[*pq, *rs, two[i, j]] for i, pq in enumerate(pairs) for j, rs in enumerate(pairs)],
+    })
+    mapped = jordan_wigner(integrals)
     assert _operator_digest(mapped) == JORDAN_WIGNER_SHA256
 
 

@@ -10,12 +10,10 @@ from reference import coefficient, overlap
 from vqesim import (
     AnsatzSpec,
     FermionOperator,
-    MolecularIntegrals,
     NelderMeadConfig,
     PauliHamiltonian,
     ShotPolicy,
     UccAnsatz,
-    build_molecular_hamiltonian,
     exact_energy,
     exact_spectrum,
     jordan_wigner,
@@ -24,6 +22,7 @@ from vqesim import (
     ucc_prepare,
 )
 from vqesim.fermion import reference_index
+from vqesim.formats import parse_integrals
 
 
 def ladder_matrix(mode: int, creation: bool, n_modes: int) -> np.ndarray:
@@ -119,54 +118,27 @@ class TestJordanWigner:
 
 class TestMolecularHamiltonian:
     def test_single_one_body_term(self):
-        integrals = MolecularIntegrals(1, one_body=[(1, 1, -1.0)])
-        op = build_molecular_hamiltonian(integrals)
+        op = parse_integrals({"n_modes": 1, "one_body": [[1, 1, -1.0]]})
         assert op.terms == ((complex(-1.0), ((1, True), (1, False))),)
 
     def test_empty(self):
-        op = build_molecular_hamiltonian(MolecularIntegrals(2))
+        op = parse_integrals({"n_modes": 2})
         assert op.term_count == 0
 
     def test_symmetric_integrals_give_hermitian_image(self):
-        integrals = MolecularIntegrals(
-            2,
-            one_body=[(1, 1, -1.2), (2, 2, -0.5), (1, 2, 0.3), (2, 1, 0.3)],
-            two_body=[(1, 2, 2, 1, 0.4)],
-        )
-        dense = fermion_matrix(build_molecular_hamiltonian(integrals))
+        op = parse_integrals({
+            "n_modes": 2,
+            "one_body": [[1, 1, -1.2], [2, 2, -0.5], [1, 2, 0.3], [2, 1, 0.3]],
+            "two_body": [[1, 2, 2, 1, 0.4]],
+        })
+        dense = fermion_matrix(op)
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-10
 
-    def test_index_bounds(self):
-        with pytest.raises(ValueError, match="out of range"):
-            MolecularIntegrals(2, one_body=[(1, 3, 0.1)])
-
-    @pytest.mark.parametrize(
-        "n_modes,one_body",
-        [
-            (2.9, [(1.7, True, "0.5")]),
-            (2.0, []),
-            (True, []),
-            (2, [(1.7, 1, 0.5)]),
-            (2, [(True, 1, 0.5)]),
-            (2, [(1, 1, "0.5")]),
-            (2, [(1, 1, False)]),
-            (2, [(1, 1, 1j)]),
-        ],
-    )
-    def test_non_integer_index_or_non_real_value_rejected(self, n_modes, one_body):
-        with pytest.raises(ValueError, match="integer|real number"):
-            MolecularIntegrals(n_modes, one_body)
-
-    def test_two_body_entries_checked_alike(self):
-        with pytest.raises(ValueError, match="integer"):
-            MolecularIntegrals(2, two_body=[(2, 1, 1, 2.9, 0.5)])
-        with pytest.raises(ValueError, match="real number"):
-            MolecularIntegrals(2, two_body=[(2, 1, 1, 2, False)])
-
     def test_numpy_scalars_accepted(self):
-        integrals = MolecularIntegrals(np.int64(2), [(np.int32(1), np.int64(2), np.float32(0.5))])
-        assert integrals.n_modes == 2 and type(integrals.n_modes) is int
-        assert integrals.one_body == ((1, 2, 0.5),)
+        op = FermionOperator(np.int64(2), [(np.float32(0.5), ((np.int32(1), np.bool_(True)), (np.int64(2), False)))])
+        assert op.n_modes == 2 and type(op.n_modes) is int
+        assert op.terms == ((0.5 + 0j, ((1, True), (2, False))),)
+        assert all(type(mode) is int and type(dag) is bool for mode, dag in op.terms[0][1])
 
 
 def dense_generator(ansatz: UccAnsatz, parameters) -> np.ndarray:
@@ -300,19 +272,19 @@ class TestUccPrepare:
             assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
 
 
-def toy_integrals() -> MolecularIntegrals:
-    return MolecularIntegrals(
-        4,
-        one_body=[
-            (1, 1, -1.8), (2, 2, -1.3), (3, 3, -0.4), (4, 4, -0.2),
-            (1, 3, 0.25), (3, 1, 0.25), (2, 4, 0.18), (4, 2, 0.18),
+def toy_integrals() -> FermionOperator:
+    return parse_integrals({
+        "n_modes": 4,
+        "one_body": [
+            [1, 1, -1.8], [2, 2, -1.3], [3, 3, -0.4], [4, 4, -0.2],
+            [1, 3, 0.25], [3, 1, 0.25], [2, 4, 0.18], [4, 2, 0.18],
         ],
-        two_body=[
-            (1, 2, 2, 1, 0.6), (2, 1, 1, 2, 0.6),
-            (1, 4, 4, 1, 0.22), (4, 1, 1, 4, 0.22),
-            (3, 4, 4, 3, 0.35), (4, 3, 3, 4, 0.35),
+        "two_body": [
+            [1, 2, 2, 1, 0.6], [2, 1, 1, 2, 0.6],
+            [1, 4, 4, 1, 0.22], [4, 1, 1, 4, 0.22],
+            [3, 4, 4, 3, 0.35], [4, 3, 3, 4, 0.35],
         ],
-    )
+    })
 
 
 class TestUccAnsatz:
@@ -331,7 +303,7 @@ class TestUccAnsatz:
 
 class TestUccVqe:
     def test_iteration_zero_is_reference_energy(self):
-        mapped = jordan_wigner(build_molecular_hamiltonian(toy_integrals()))
+        mapped = jordan_wigner(toy_integrals())
         ansatz = UccAnsatz.from_reference(4, "1100")
         result = run_vqe(
             mapped,
@@ -345,7 +317,7 @@ class TestUccVqe:
         assert result.trace.records[0].energy_estimate == pytest.approx(reference_energy)
 
     def test_exact_mode_variational_window(self):
-        mapped = jordan_wigner(build_molecular_hamiltonian(toy_integrals()))
+        mapped = jordan_wigner(toy_integrals())
         ansatz = UccAnsatz.from_reference(4, "1100")
         result = run_vqe(
             mapped,

@@ -11,6 +11,7 @@ from vqesim.formats import (
     load_integrals,
     load_scan,
     parse_hamiltonian_text,
+    parse_integrals,
     parse_scan,
 )
 from vqesim.synthetic import ground_curve_value, parabola_scan
@@ -102,9 +103,13 @@ class TestIntegrals:
                 }
             )
         )
-        integrals = load_integrals(path)
-        assert integrals.n_modes == 2
-        assert integrals.one_body == ((1, 1, -1.0), (2, 2, -0.5))
+        operator = load_integrals(path)
+        assert operator.n_modes == 2
+        assert operator.terms == (
+            (-1.0 + 0j, ((1, True), (1, False))),
+            (-0.5 + 0j, ((2, True), (2, False))),
+            (0.3 + 0j, ((1, True), (2, True), (2, False), (1, False))),
+        )
 
     def test_missing_n_modes(self, tmp_path):
         path = tmp_path / "integrals.json"
@@ -115,8 +120,35 @@ class TestIntegrals:
     def test_bad_index(self, tmp_path):
         path = tmp_path / "integrals.json"
         path.write_text(json.dumps({"n_modes": 2, "one_body": [[1, 5, 0.1]]}))
-        with pytest.raises(FormatError, match="out of range"):
+        with pytest.raises(FormatError, match=r"integrals.json: mode index 5 out of range \[1, 2\]"):
             load_integrals(path)
+        with pytest.raises(FormatError, match=r"mode index 3 out of range \[1, 2\]"):
+            parse_integrals({"n_modes": 2, "one_body": [[1, 3, 0.1]]})
+        with pytest.raises(FormatError, match=r"mode index 0 out of range \[1, 2\]"):
+            parse_integrals({"n_modes": 2, "two_body": [[2, 1, 0, 2, 0.5]]})
+
+    @pytest.mark.parametrize(
+        "n_modes,one_body",
+        [
+            (2.9, [[1.7, True, "0.5"]]),
+            (2.0, []),
+            (True, []),
+            (2, [[1.7, 1, 0.5]]),
+            (2, [[True, 1, 0.5]]),
+            (2, [[1, 1, "0.5"]]),
+            (2, [[1, 1, False]]),
+            (2, [[1, 1, 1j]]),
+        ],
+    )
+    def test_non_integer_index_or_non_real_value_rejected(self, n_modes, one_body):
+        with pytest.raises(FormatError, match="expected (an integer|2 integer indices and a finite value)"):
+            parse_integrals({"n_modes": n_modes, "one_body": one_body})
+
+    def test_two_body_entries_checked_alike(self):
+        with pytest.raises(FormatError, match=r"two_body\[0\] is \[2, 1, 1, 2.9, 0.5\]; expected 4 integer"):
+            parse_integrals({"n_modes": 2, "two_body": [[2, 1, 1, 2.9, 0.5]]})
+        with pytest.raises(FormatError, match=r"two_body\[0\] is \[2, 1, 1, 2, False\]; expected 4 integer"):
+            parse_integrals({"n_modes": 2, "two_body": [[2, 1, 1, 2, False]]})
 
 
 class TestSyntheticScan:
