@@ -125,6 +125,12 @@ class TestMolecularHamiltonian:
         op = parse_integrals({"n_modes": 2})
         assert op.term_count == 0
 
+    def test_index_bounds(self):
+        with pytest.raises(ValueError, match=r"mode index 3 out of range \[1, 2\]"):
+            parse_integrals({"n_modes": 2, "one_body": [[1, 3, 0.1]]})
+        with pytest.raises(ValueError, match=r"mode index 0 out of range \[1, 2\]"):
+            parse_integrals({"n_modes": 2, "two_body": [[2, 1, 0, 2, 0.5]]})
+
     def test_symmetric_integrals_give_hermitian_image(self):
         op = parse_integrals({
             "n_modes": 2,

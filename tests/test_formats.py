@@ -122,10 +122,6 @@ class TestIntegrals:
         path.write_text(json.dumps({"n_modes": 2, "one_body": [[1, 5, 0.1]]}))
         with pytest.raises(FormatError, match=r"integrals.json: mode index 5 out of range \[1, 2\]"):
             load_integrals(path)
-        with pytest.raises(FormatError, match=r"mode index 3 out of range \[1, 2\]"):
-            parse_integrals({"n_modes": 2, "one_body": [[1, 3, 0.1]]})
-        with pytest.raises(FormatError, match=r"mode index 0 out of range \[1, 2\]"):
-            parse_integrals({"n_modes": 2, "two_body": [[2, 1, 0, 2, 0.5]]})
 
     @pytest.mark.parametrize(
         "n_modes,one_body",
