@@ -39,7 +39,6 @@ from .optimize import (
 from .pauli import (
     PauliHamiltonian,
     PauliString,
-    multiply,
     reconstruct,
     shift_and_square,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "ground_space_overlap",
     "jordan_wigner",
     "monte_carlo_minimum_uncertainty",
-    "multiply",
     "nelder_mead",
     "prepare",
     "random_initial_parameters",

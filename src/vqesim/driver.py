@@ -61,27 +61,27 @@ class TraceRecord:
 
 @dataclass
 class VqeTrace:
+    """The records of a run, one per evaluation in step order; its counts are read from them."""
+
     records: list[TraceRecord]
-    best_parameters: np.ndarray
-    best_energy: float
-    evaluations: int
-    restarts: int
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.records)
+
+    @property
+    def restarts(self) -> int:
+        return sum(r.restart for r in self.records)
 
 
 @dataclass
 class VqeResult:
     trace: VqeTrace
+    best_parameters: np.ndarray
+    best_energy: float
     converged: bool
     reason: str
     exact_ground_energy: float
-
-    @property
-    def best_energy(self) -> float:
-        return self.trace.best_energy
-
-    @property
-    def best_parameters(self) -> np.ndarray:
-        return self.trace.best_parameters
 
 
 def random_initial_parameters(count: int, seed: int) -> np.ndarray:
@@ -111,14 +111,15 @@ def run_vqe(
     estimated on that step's RNG stream with the per-term shots that
     `shot_budget(hamiltonian, policy)` prices once for the run (none
     under the exact policy, so every estimate is exact). A seed outside
-    [0, 2**64 - 1] raises ValueError before the first evaluation. The
-    default optimizer is Nelder-Mead with restarts; pass a
-    GradientDescentConfig for the baseline. The optimizer runs once;
-    then the records at its `restart_steps` are flagged `restart`.
+    [0, 2**64 - 1], or an x0 of the wrong shape or with a non-finite
+    entry, raises ValueError before the spectrum is built. The default
+    optimizer is Nelder-Mead with restarts; pass a GradientDescentConfig
+    for the baseline. The optimizer runs once; then the records at its
+    `restart_steps` are flagged `restart`, and the trace's evaluation
+    and restart counts are read from its records.
     Deterministic given (inputs, config, seed).
     """
     config = config or NelderMeadConfig()
-    spectrum = exact_spectrum(hamiltonian)
     _seed_sequence(seed, STREAM_SAMPLING)  # the seed check, before any evaluation
     if x0 is None:
         x0 = random_initial_parameters(ansatz.parameter_count, seed)
@@ -128,6 +129,9 @@ def run_vqe(
             raise ValueError(
                 f"x0 has shape {x0.shape}, ansatz takes {ansatz.parameter_count} parameters"
             )
+        if not np.isfinite(x0).all():
+            raise ValueError("non-finite parameter")
+    spectrum = exact_spectrum(hamiltonian)
 
     term_shots = shot_budget(hamiltonian, policy)
     records: list[TraceRecord] = []
@@ -157,17 +161,11 @@ def run_vqe(
     for step in opt.restart_steps:
         records[step] = replace(records[step], restart=True)
 
-    trace = VqeTrace(
-        records=records,
+    return VqeResult(
+        trace=VqeTrace(records),
         best_parameters=opt.x_best,
         best_energy=opt.f_best,
-        evaluations=opt.evaluations,
-        restarts=opt.restarts,
-    )
-    return VqeResult(
-        trace=trace,
         converged=opt.converged,
         reason=opt.reason,
         exact_ground_energy=spectrum.ground_energy(),
     )
-

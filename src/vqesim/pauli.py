@@ -102,20 +102,6 @@ def _label(n_qubits: int, x: int, z: int) -> str:
     return "".join("IZXY"[2 * (x >> k & 1) + (z >> k & 1)] for k in reversed(range(n_qubits)))
 
 
-def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """Product of two Pauli strings as (phase, string).
-
-    The dense matrices satisfy P Q = phase R for the result R; the phase
-    is one of {1, -1, 1j, -1j}.
-    """
-    if p.n_qubits != q.n_qubits:
-        raise ValueError(
-            f"length mismatch: {p.n_qubits} vs {q.n_qubits} qubits"
-        )
-    phase, x, z = _product(p.x, p.z, q.x, q.z)
-    return phase, PauliString(_label(p.n_qubits, x, z))
-
-
 @dataclass(frozen=True, eq=True)
 class PauliHamiltonian:
     """Weighted sum of Pauli strings with real coefficients.

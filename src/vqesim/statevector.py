@@ -137,6 +137,8 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> list[StateVector]:
         raise ValueError(
             f"expected rows of {spec.parameter_count} parameters, got shape {batch.shape}"
         )
+    if not np.isfinite(batch).all():
+        raise ValueError("non-finite parameter")
     n, layers = spec.n_qubits, spec.layer_count
     gates = euler_gates(batch.reshape(len(batch), layers + 1, n, 3))
     rows = max(1, _BATCH_AMPLITUDES >> n)

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -298,6 +300,21 @@ class TestMainEntry:
         assert code == 3
         err = capsys.readouterr().err
         assert "input error" in err and ":2:" in err
+
+    @pytest.mark.parametrize(
+        "seed,code,stream,line",
+        [("1", 0, "stdout", "mode: vqe"), ("-1", 2, "stderr", "config error: seed must be an integer")],
+    )
+    def test_python_dash_m_runs_main(self, hamiltonian_file, seed, code, stream, line):
+        """`python -m vqesim` is the same entry point as the installed `vqesim` script."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        args = ["validate", "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), "--seed", seed]
+        done = subprocess.run(
+            [sys.executable, "-m", "vqesim", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == code, done.stderr
+        assert getattr(done, stream).splitlines()[0].startswith(line)
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = main(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from vqesim import (
     NelderMeadConfig,
     PauliHamiltonian,
     ShotPolicy,
+    TraceRecord,
+    VqeResult,
+    VqeTrace,
     exact_energy,
     exact_spectrum,
     nelder_mead,
@@ -67,6 +72,27 @@ class TestRunVqeExact:
                 quick_nm(),
                 seed=0,
                 x0=np.zeros(5),
+            )
+
+    @pytest.mark.parametrize(
+        "seed,entry,message",
+        [
+            (0, np.nan, "^non-finite parameter$"),
+            (0, np.inf, "^non-finite parameter$"),
+            (0, -np.inf, "^non-finite parameter$"),
+            (-1, 0.0, "^seed must fit in 64 unsigned bits$"),
+        ],
+    )
+    def test_bad_seed_or_x0_refused_before_the_spectrum(self, monkeypatch, seed, entry, message):
+        def no_spectrum(hamiltonian):
+            raise AssertionError("the spectrum was built before the inputs were checked")
+
+        monkeypatch.setattr(vqesim.driver, "exact_spectrum", no_spectrum)
+        x0 = np.zeros(6)
+        x0[2] = entry
+        with pytest.raises(ValueError, match=message):
+            run_vqe(
+                PauliHamiltonian(1, [(1.0, "Z")]), AnsatzSpec(1, 1), ShotPolicy.exact(), quick_nm(), seed=seed, x0=x0
             )
 
 
@@ -151,6 +177,17 @@ class TestTraceContract:
     def test_evaluation_count_matches_records(self, noisy_result):
         _, result = noisy_result
         assert result.trace.evaluations == len(result.trace.records)
+
+    def test_counts_are_read_from_the_records(self):
+        def record(step, restart):
+            return TraceRecord(step, np.zeros(1), 0.0, 0.0, 0.0, None, 1.0, restart)
+
+        trace = VqeTrace([record(j, j in (2, 5)) for j in range(7)])
+        assert (trace.evaluations, trace.restarts) == (7, 2)
+        trace.records.append(record(7, True))
+        assert (trace.evaluations, trace.restarts) == (8, 3)
+        assert [f.name for f in dataclasses.fields(VqeTrace)] == ["records"]
+        assert not [name for name, value in vars(VqeResult).items() if isinstance(value, property)]
 
     def test_deterministic_given_seed(self):
         h = random_hamiltonian(np.random.default_rng(10), 2)

@@ -195,6 +195,17 @@ class TestPrepareBatch:
         with pytest.raises(ValueError, match=re.escape(f"expected rows of 12 parameters, got shape {shape}")):
             prepare(AnsatzSpec(2, 1), np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_refused(self, bad):
+        """Refused before any gate is built, so numpy warns of nothing first."""
+        spec = AnsatzSpec(2, 1)
+        batch = np.zeros((3, spec.parameter_count))
+        batch[1, 4] = bad
+        with pytest.raises(ValueError, match="^non-finite parameter$"):
+            prepare(spec, batch)
+        with pytest.raises(ValueError, match="^non-finite parameter$"):
+            spec.prepare(batch[1])
+
 
 _SPECIAL_ANGLES = st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi])
 _ANGLES = st.one_of(_SPECIAL_ANGLES, st.floats(-2 * np.pi, 2 * np.pi))
