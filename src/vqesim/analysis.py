@@ -67,28 +67,43 @@ def exact_spectrum(h: PauliHamiltonian) -> Spectrum:
 
 
 def ground_space_overlap(spectrum: Spectrum, state: StateVector) -> float:
-    """Norm of the state's projection onto the lowest eigenspace.
+    """Norm of the state's projection onto the lowest eigenspace: a batch of one."""
+    return ground_space_overlaps(spectrum, state.amplitudes[None])[0]
+
+
+def ground_space_overlaps(spectrum: Spectrum, amplitudes: np.ndarray) -> list[float]:
+    """Norm of each row's projection onto the lowest eigenspace, for (B, 2^n) amplitudes.
 
     Equals |<psi_G|psi>| for a non-degenerate ground state; with
     degeneracy it measures distance to the subspace rather than to an
     arbitrary eigenvector choice. The projection's components are
-    conj(<g_k|psi>), which have the same norm; both sums are einsums.
+    conj(<g_k|psi>), which have the same norm; both sums are einsums
+    over the whole batch, and each row's value has the bytes of that
+    row alone.
     """
-    components = np.einsum("ik,i->k", spectrum.ground_space, state.amplitudes.conj())
-    return min(1.0, math.sqrt(np.einsum("k,k->", components.conj(), components).real))
+    components = np.einsum("ik,bi->bk", spectrum.ground_space, amplitudes.conj())
+    squares = np.einsum("bk,bk->b", components.conj(), components).real
+    return [min(1.0, math.sqrt(v)) for v in squares.tolist()]
 
 
 def tangle(state: StateVector) -> float:
-    """Absolute concurrence squared of a two-qubit pure state.
-
-    C = |<psi| Y(x)Y |psi*>| = 2|a00 a11 - a01 a10| in the computational
-    basis; returns C^2 in [0, 1].
-    """
+    """Absolute concurrence squared of a two-qubit pure state: a batch of one."""
     if state.n_qubits != 2:
         raise ValueError(f"tangle is defined for 2 qubits, got {state.n_qubits}")
-    a00, a01, a10, a11 = state.amplitudes.tolist()
-    concurrence = 2.0 * abs(a00 * a11 - a01 * a10)
-    return min(1.0, concurrence * concurrence)
+    return tangles(state.amplitudes[None])[0]
+
+
+def tangles(amplitudes: np.ndarray) -> list[float]:
+    """Absolute concurrence squared of each row of (B, 4) two-qubit amplitudes.
+
+    C = |<psi| Y(x)Y |psi*>| = 2|a00 a11 - a01 a10| in the computational
+    basis, in Python complex arithmetic row by row; returns C^2 in [0, 1].
+    """
+    values = []
+    for a00, a01, a10, a11 in amplitudes.tolist():
+        concurrence = 2.0 * abs(a00 * a11 - a01 * a10)
+        values.append(min(1.0, concurrence * concurrence))
+    return values
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ evaluation of the same parameters draws fresh noise, as on real
 hardware, because the evaluation index labels the RNG stream.
 
 The optimizers hand the objective a batch of points at a time (see
-`optimize`). The batch's states are prepared together; then each row
-is estimated, diagnosed and recorded on its own step, exactly as if it
-had come alone.
+`optimize`), and the batch is the unit of evaluation: its amplitudes
+are prepared as one (B, 2^n) array, and one reduction each gives every
+row's term expectations, overlaps and tangles. Each row is then
+estimated and recorded on its own step, with the bytes it would have if
+it had come alone.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import exact_spectrum, ground_space_overlap, tangle
+from .analysis import exact_spectrum, ground_space_overlaps, tangles
 from .estimation import (
     STREAM_INIT,
-    STREAM_SAMPLING,
+    Measurement,
     ShotPolicy,
-    _seed_sequence,
     derived_generator,
     estimate_energy,
     shot_budget,
@@ -43,6 +44,7 @@ from .optimize import (
     nelder_mead,
 )
 from .pauli import PauliHamiltonian
+from .statevector import batch_term_expectations
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,9 @@ def run_vqe(
     """Minimize the estimated energy over ansatz parameters.
 
     `ansatz` is anything with a `parameter_count` attribute and a
-    `prepare_batch(batch) -> list[StateVector]` method that returns the
-    state of each row of a (B, parameter_count) array, in row order.
+    `prepare_batch(batch)` method that returns the checked (B, 2^n)
+    amplitudes of the rows of a (B, parameter_count) array, in row
+    order.
     The optimizer calls the objective with such a batch and gets its B
     estimated energies back; row b of a batch is step len(records) + b,
     estimated on that step's RNG stream with the per-term shots that
@@ -120,7 +123,7 @@ def run_vqe(
     Deterministic given (inputs, config, seed).
     """
     config = config or NelderMeadConfig()
-    _seed_sequence(seed, STREAM_SAMPLING)  # the seed check, before any evaluation
+    measurement = Measurement(hamiltonian, shot_budget(hamiltonian, policy), seed)  # checks the seed
     if x0 is None:
         x0 = random_initial_parameters(ansatz.parameter_count, seed)
     else:
@@ -132,24 +135,26 @@ def run_vqe(
         if not np.isfinite(x0).all():
             raise ValueError("non-finite parameter")
     spectrum = exact_spectrum(hamiltonian)
-
-    term_shots = shot_budget(hamiltonian, policy)
     records: list[TraceRecord] = []
 
     def objective(batch: np.ndarray) -> list[float]:
+        amplitudes = ansatz.prepare_batch(batch)
+        expectations = batch_term_expectations(amplitudes, hamiltonian)
+        overlaps = ground_space_overlaps(spectrum, amplitudes)
+        two_qubit = tangles(amplitudes) if hamiltonian.n_qubits == 2 else [None] * len(amplitudes)
         values = []
-        for params, state in zip(batch, ansatz.prepare_batch(batch)):
+        for params, row, tangle, overlap in zip(np.array(batch, dtype=float), expectations, two_qubit, overlaps):
             step = len(records)
-            estimate = estimate_energy(state, hamiltonian, term_shots, seed, iteration=step)
+            estimate = estimate_energy(row, hamiltonian, measurement.term_shots, measurement, iteration=step)
             records.append(
                 TraceRecord(
                     iteration=step,
-                    parameters=np.array(params, dtype=float),
+                    parameters=params,
                     energy_estimate=estimate.value,
                     std_error=estimate.std_error,
                     exact_energy=estimate.exact_value,
-                    tangle=tangle(state) if hamiltonian.n_qubits == 2 else None,
-                    overlap=ground_space_overlap(spectrum, state),
+                    tangle=tangle,
+                    overlap=overlap,
                     restart=False,
                 )
             )

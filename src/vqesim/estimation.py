@@ -23,11 +23,14 @@ estimates stay independent.
 
 Every term's noiseless expectation comes from one numpy reduction over
 the Hamiltonian's action table (`statevector.term_expectations`), not
-one call per term. Randomness is fully deterministic: a 64-bit seed plus
-the evaluation's iteration index select one generator, and one
-vectorised binomial draw on it gives every term's count, in term order.
-Every generator and child seed derives from one `SeedSequence` helper,
-which holds the one seed range check.
+one call per term; a run reduces a whole batch of states at once and
+hands each row to `estimate_energy`. What a run fixes (the Hamiltonian,
+its per-term shots and the seed) is checked once, in a `Measurement`.
+Randomness is fully deterministic: a 64-bit seed plus the evaluation's
+iteration index select one generator, and one vectorised binomial draw
+on it gives every term's count, in term order. Every generator and
+child seed derives from one `SeedSequence` helper, which holds the one
+seed range check.
 The noiseless <H> of the same pass comes with the estimate, so the
 trace's diagnostics need not compute it again.
 """
@@ -86,8 +89,9 @@ class ShotPolicy:
             if self.shots is not None or self.precision is not None:
                 raise ValueError("exact mode takes no shots or precision")
         elif self.mode == "shots":
-            if not _is_int(self.shots) or not 1 <= self.shots <= MAX_TERM_SHOTS:
-                raise ValueError(f"fixed-shot mode requires an integer 1 <= shots <= 2**63 - 1, got {self.shots!r}")
+            # One shot has no spread, so it could report no standard error.
+            if not _is_int(self.shots) or not 2 <= self.shots <= MAX_TERM_SHOTS:
+                raise ValueError(f"fixed-shot mode requires an integer 2 <= shots <= 2**63 - 1, got {self.shots!r}")
         elif self.mode == "precision":
             if not _is_real(self.precision) or not 0.0 < self.precision <= 1.0:
                 raise ValueError(f"precision mode requires a number 0 < precision <= 1, got {self.precision!r}")
@@ -149,8 +153,9 @@ def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[int,
     """Shots per term of one evaluation, in term order: the cost rule's only home.
 
     Exact mode and identity terms (constants, never measured) take 0; a
-    measured term takes the fixed count, or max(1, ceil(h^2/p^2)) for
-    coefficient h at precision p. A count past MAX_TERM_SHOTS raises
+    measured term takes the fixed count, or max(2, ceil(h^2/p^2)) for
+    coefficient h at precision p: two shots are the fewest whose spread
+    gives a standard error. A count past MAX_TERM_SHOTS raises
     ValueError.
     """
     if policy.mode == "exact":
@@ -162,7 +167,7 @@ def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[int,
     per_term = []
     for coefficient, p in hamiltonian.terms:
         try:
-            shots = 0 if p.is_identity else max(1, math.ceil(coefficient * coefficient / p2))
+            shots = 0 if p.is_identity else max(2, math.ceil(coefficient * coefficient / p2))
         except (ZeroDivisionError, OverflowError):  # 1/p^2 is not finite
             shots = MAX_TERM_SHOTS + 1
         if shots > MAX_TERM_SHOTS:
@@ -173,17 +178,72 @@ def shot_budget(hamiltonian: PauliHamiltonian, policy: ShotPolicy) -> tuple[int,
     return tuple(per_term)
 
 
+class Measurement:
+    """What every estimate of one run shares, checked once when the run starts.
+
+    It holds the Hamiltonian, the per-term shots `shot_budget` priced for
+    it, and the seed of the run's sampling stream. A `term_shots` of the
+    wrong length, a seed outside [0, MAX_SEED], or, when any term takes
+    shots, a measured term with fewer than 2 raises ValueError.
+    """
+
+    def __init__(self, hamiltonian: PauliHamiltonian, term_shots: tuple[int, ...], seed: int):
+        if len(term_shots) != hamiltonian.term_count:
+            raise ValueError(
+                f"term_shots has {len(term_shots)} entries, the Hamiltonian {hamiltonian.term_count} terms"
+            )
+        _seed_sequence(seed, STREAM_SAMPLING)
+        self.hamiltonian, self.term_shots, self.seed = hamiltonian, term_shots, seed
+        # Identity terms alone are a constant, which `estimate` adds exactly.
+        self.exact = not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms)
+        if not self.exact:
+            for (_, pauli), shots in zip(hamiltonian.terms, term_shots):
+                if not shots and not pauli.is_identity:
+                    raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
+                if shots == 1:
+                    raise ValueError(f"term {pauli.label} takes 1 shot; a standard error needs 2")
+        self._sampled = np.array([shots > 0 for shots in term_shots])
+        self._shots = np.array([shots for shots in term_shots if shots], dtype=np.int64)
+        self._terms = [(coeff, shots) for (coeff, _), shots in zip(hamiltonian.terms, term_shots)]
+
+    def estimate(self, expectations: np.ndarray, iteration: int) -> EnergyEstimate:
+        """The estimate for one state's term expectations, drawn on the stream labelled `iteration`."""
+        exact_value = _weighted_sum(self.hamiltonian, expectations)
+        if self.exact:
+            return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
+        # Clipped: rounding can push <P> a hair outside [-1, 1].
+        p_plus = np.clip((1.0 + expectations[self._sampled]) / 2.0, 0.0, 1.0)
+        generator = derived_generator(self.seed, STREAM_SAMPLING, iteration)
+        plus_counts = iter(generator.binomial(self._shots, p_plus).tolist())
+        value = 0.0
+        variance = 0.0
+        for coeff, shots in self._terms:
+            if not shots:
+                value += coeff
+                continue
+            # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
+            mean = (2 * next(plus_counts) - shots) / shots
+            value += coeff * mean
+            variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
+        return EnergyEstimate(value, math.sqrt(variance), self.term_shots, exact_value)
+
+
 def estimate_energy(
-    state: StateVector,
+    state: StateVector | np.ndarray,
     hamiltonian: PauliHamiltonian,
     term_shots: tuple[int, ...],
-    seed: int,
+    seed: int | Measurement,
     iteration: int = 0,
 ) -> EnergyEstimate:
     """Estimate <H> for a prepared state, drawing exactly `term_shots`, in one pass.
 
     `term_shots` holds each term's shots in term order, as `shot_budget`
-    prices them; a caller that estimates many times prices them once.
+    prices them. `state` is a prepared StateVector, or the row of term
+    expectations that `batch_term_expectations` gave for it; `seed` is
+    the run seed, or the `Measurement` a run made once from its
+    Hamiltonian, shots and seed, passed with that same Hamiltonian and
+    shots (other objects raise ValueError), so that nothing fixed for
+    the run is checked again.
     Every term's noiseless expectation comes from one `term_expectations`
     reduction; their weighted sum is `exact_value`, bit for bit what
     `exact_energy` returns, and when no term takes a shot it is also the
@@ -193,45 +253,23 @@ def estimate_energy(
     all drawn at once on the evaluation's generator
     derived_generator(seed, STREAM_SAMPLING, iteration); on a noiseless
     statevector that is statistically the same as re-preparing the state
-    for every term, so the term estimates are independent. A term's mean is (2k - s)/s and its standard error the
-    ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1)) (0.0
-    for one shot); the errors combine in quadrature. An identity term
-    without shots adds its coefficient. A `term_shots` of the wrong
-    length, or a measured term with 0 shots in a sampled estimate,
-    raises ValueError.
+    for every term, so the term estimates are independent. A term's mean
+    is (2k - s)/s and its standard error the ddof=1 figure of its +-1
+    outcomes, sqrt((1 - mean^2)/(s - 1)); the errors combine in
+    quadrature. An identity term without shots adds its coefficient. A
+    `term_shots` of the wrong length, or a measured term with 0 or 1
+    shots in a sampled estimate, raises ValueError.
     """
-    if state.n_qubits != hamiltonian.n_qubits:
-        raise ValueError(
-            f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
-        )
-    if len(term_shots) != hamiltonian.term_count:
-        raise ValueError(
-            f"term_shots has {len(term_shots)} entries, the Hamiltonian {hamiltonian.term_count} terms"
-        )
-    expectations = term_expectations(state, hamiltonian)
-    exact_value = _weighted_sum(hamiltonian, expectations)
-    # Identity terms alone are a constant, which the loop below adds exactly.
-    if not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms):
-        return EnergyEstimate(exact_value, 0.0, term_shots, exact_value)
-
-    shots_vec = np.array(term_shots, dtype=np.int64)
-    # Clipped: rounding can push <P> a hair outside [-1, 1].
-    p_plus = np.clip((1.0 + expectations) / 2.0, 0.0, 1.0)
-    sampled = shots_vec > 0
-    generator = derived_generator(seed, STREAM_SAMPLING, iteration)
-    plus_counts = iter(generator.binomial(shots_vec[sampled], p_plus[sampled]).tolist())
-
-    value = 0.0
-    variance = 0.0
-    for (coeff, pauli), shots in zip(hamiltonian.terms, term_shots):
-        if not shots:
-            if not pauli.is_identity:
-                raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
-            value += coeff
-            continue
-        # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
-        mean = (2 * next(plus_counts) - shots) / shots
-        value += coeff * mean
-        if shots > 1:
-            variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
-    return EnergyEstimate(value, math.sqrt(variance), term_shots, exact_value)
+    if isinstance(seed, Measurement):
+        if seed.hamiltonian is not hamiltonian or seed.term_shots is not term_shots:
+            raise ValueError("the Measurement was made for another Hamiltonian or other term_shots")
+        measurement = seed
+    else:
+        measurement = Measurement(hamiltonian, term_shots, seed)
+    if isinstance(state, StateVector):
+        if state.n_qubits != hamiltonian.n_qubits:
+            raise ValueError(
+                f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
+            )
+        state = term_expectations(state, hamiltonian)
+    return measurement.estimate(state, iteration)

@@ -216,9 +216,9 @@ class UccAnsatz:
     def prepare(self, parameters: np.ndarray) -> StateVector:
         return ucc_prepare(self, parameters)
 
-    def prepare_batch(self, batch: np.ndarray) -> list[StateVector]:
-        """The states for the rows of a (B, parameter_count) batch: one `ucc_prepare` each."""
-        return [ucc_prepare(self, row) for row in batch]
+    def prepare_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The (B, 2^n) amplitudes of the rows of a (B, parameter_count) batch: one `ucc_prepare` each."""
+        return np.stack([ucc_prepare(self, row).amplitudes for row in batch])
 
     def reference_state(self) -> StateVector:
         return basis_state(self.n_modes, int(self.reference, 2))

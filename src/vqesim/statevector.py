@@ -1,9 +1,12 @@
 """Simulated QPU: n-qubit pure states, gates, the layered ansatz and noiseless term expectations.
 
-States are immutable; every operation returns a new StateVector with
-unit norm. Rotation conventions are Ry(t) = exp(-i t Y / 2) and
-Rz(t) = exp(-i t Z / 2). The ansatz applies each Rz(a), Ry(b), Rz(c)
-triple as one fused gate, Rz(c) Ry(b) Rz(a) in closed form:
+A batch of states is a C-contiguous (B, 2^n) complex array, each row
+checked to unit norm; `prepare` returns one, and
+`batch_term_expectations` reduces one. A `StateVector` is a single
+state at the public boundary: immutable, with unit norm. Rotation
+conventions are Ry(t) = exp(-i t Y / 2) and Rz(t) = exp(-i t Z / 2).
+The ansatz applies each Rz(a), Ry(b), Rz(c) triple as one fused gate,
+Rz(c) Ry(b) Rz(a) in closed form:
 [[e^{-i(a+c)/2} cos(b/2), -e^{i(a-c)/2} sin(b/2)],
  [e^{-i(a-c)/2} sin(b/2), e^{i(a+c)/2} cos(b/2)]]. Global phase is
 never compared: the loop's state diagnostic,
@@ -12,7 +15,6 @@ analysis.ground_space_overlap, is a projection norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,11 +46,20 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex, order="C")
         if amps.shape != (dim,):
             raise ValueError(f"expected {dim} amplitudes, got shape {amps.shape}")
-        # The squares of the real and imaginary parts, summed in numpy's own loop.
-        norm = math.sqrt(np.add.reduce(np.square(amps.view(float))))
-        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails
-            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
+        _check_norms(amps[None])
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _check_norms(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every row of a C-contiguous (B, 2^n) array has unit norm to 1e-10.
+
+    Each row's squares of real and imaginary parts are summed in numpy's
+    own loop, all rows in one reduction.
+    """
+    norms = np.sqrt(np.add.reduce(np.square(amplitudes.view(float)), axis=1))
+    bad = ~(np.abs(norms - 1.0) <= 1e-10)  # written so that a NaN norm fails
+    if bad.any():
+        raise ValueError(f"state norm {norms[bad][0]} deviates from 1 beyond 1e-10")
 
 
 def _dimension(n_qubits: int) -> int:
@@ -116,21 +127,22 @@ class AnsatzSpec:
 
     def prepare(self, params: np.ndarray) -> StateVector:
         """The state for one parameter vector: a batch of one."""
-        return prepare(self, np.asarray(params, dtype=float)[None])[0]
+        return StateVector(self.n_qubits, prepare(self, np.asarray(params, dtype=float)[None])[0])
 
-    def prepare_batch(self, batch: np.ndarray) -> list[StateVector]:
-        """The states for the rows of a (B, parameter_count) batch, in row order."""
+    def prepare_batch(self, batch: np.ndarray) -> np.ndarray:
+        """The (B, 2^n) amplitudes of the rows of a (B, parameter_count) batch, in row order."""
         return prepare(self, batch)
 
 
-def prepare(spec: AnsatzSpec, batch: np.ndarray) -> list[StateVector]:
+def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
     """Run the ansatz on |0...0> for each row of a (B, parameter_count) batch, in row order.
 
-    Every fused gate of the batch is built at once; then each chunk of
-    rows takes one einsum per (layer, qubit) and one CNOT-ladder gather
-    per layer. The einsum adds the same two products per amplitude as
-    for a single row, in any loop order, so each row's bytes do not
-    depend on its batch.
+    Returns the C-contiguous (B, 2^n) amplitudes, every row's norm
+    checked in one reduction. Every fused gate of the batch is built at
+    once; then each chunk of rows takes one einsum per (layer, qubit)
+    and one CNOT-ladder gather per layer. The einsum adds the same two
+    products per amplitude as for a single row, in any loop order, so
+    each row's bytes do not depend on its batch.
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != spec.parameter_count:
@@ -142,7 +154,7 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> list[StateVector]:
     n, layers = spec.n_qubits, spec.layer_count
     gates = euler_gates(batch.reshape(len(batch), layers + 1, n, 3))
     rows = max(1, _BATCH_AMPLITUDES >> n)
-    states = []
+    chunks = []
     for start in range(0, len(batch), rows):
         chunk = gates[start:start + rows]
         k = len(chunk)
@@ -158,33 +170,49 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> list[StateVector]:
                 amps = np.einsum("kts,kasb->katb", chunk[:, layer, q], block, order=order).reshape(k, -1)
             if layer < layers:
                 amps = amps[:, _cnot_ladder(n)]
-        states.extend(StateVector(n, row) for row in amps)
-    return states
+        chunks.append(amps)
+    amps = np.ascontiguousarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+    _check_norms(amps)
+    return amps
 
 
 def term_expectations(state: StateVector, h: PauliHamiltonian) -> np.ndarray:
-    """Noiseless <psi|P_t|psi> of every term t of h, in term order; real and in [-1, 1].
-
-    With h's `action_table`, <psi|P_t|psi> = sum_j conj(psi[targets[t, j]])
-    phases[t, j] psi[j]. One einsum per chunk of at most _BATCH_AMPLITUDES
-    table entries sums the terms in numpy's own loops, not BLAS, so the
-    values depend neither on the host's BLAS kernel nor on the chunking.
-    Chunks keep the two complex temporaries small: over the whole table
-    of a dense 10-mode Jordan-Wigner image (2546 terms), one einsum made
-    two 42 MB temporaries and took three times as long.
-    """
+    """Noiseless <psi|P_t|psi> of every term t of h, in term order: a batch of one."""
     if h.n_qubits != state.n_qubits:
         raise ValueError(
             f"Hamiltonian acts on {h.n_qubits} qubits, state has {state.n_qubits}"
         )
+    return batch_term_expectations(state.amplitudes[None], h)[0]
+
+
+def batch_term_expectations(amplitudes: np.ndarray, h: PauliHamiltonian) -> np.ndarray:
+    """The (B, T) noiseless <psi_b|P_t|psi_b> of the rows of (B, 2^n) amplitudes; real, in [-1, 1].
+
+    With h's `action_table`, <psi|P_t|psi> = sum_j conj(psi[targets[t, j]])
+    phases[t, j] psi[j]. One einsum per block of rows and terms, at most
+    _BATCH_AMPLITUDES table entries, sums over j in numpy's own loops,
+    not BLAS, so a value depends neither on the host's BLAS kernel nor on
+    the blocking: each row's terms have the bytes of that row alone, and
+    each term those of that term alone. Blocks keep the two complex
+    temporaries small: over the whole table of a dense 10-mode
+    Jordan-Wigner image (2546 terms), one einsum made two 42 MB
+    temporaries and took three times as long, and an unblocked 8-qubit
+    batch ran 18% slower.
+    """
     targets, phases = h.action_table
-    amps = state.amplitudes
-    conj = amps.conj()
-    rows = max(1, _BATCH_AMPLITUDES >> state.n_qubits)
-    values = np.empty(len(targets))
-    for start in range(0, len(targets), rows):
-        chunk = slice(start, start + rows)
-        values[chunk] = np.einsum("ti,ti->t", conj[targets[chunk]], phases[chunk] * amps).real
+    term_count, dim = targets.shape
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != dim:
+        raise ValueError(f"Hamiltonian acts on {h.n_qubits} qubits, amplitudes have shape {amplitudes.shape}")
+    terms = max(1, _BATCH_AMPLITUDES // dim)
+    rows = max(1, terms // term_count)
+    terms = min(terms, term_count)
+    conj = amplitudes.conj()
+    values = np.empty((len(amplitudes), term_count))
+    for r in range(0, len(amplitudes), rows):
+        for t in range(0, term_count, terms):
+            block = np.s_[r:r + rows], np.s_[t:t + terms]
+            products = phases[block[1]] * amplitudes[block[0], None]
+            values[block] = np.einsum("bti,bti->bt", conj[block[0]][:, targets[block[1]]], products).real
     return values
 
 

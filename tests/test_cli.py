@@ -417,6 +417,16 @@ class TestMainEntry:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_one_shot_per_term_is_config_error(self, hamiltonian_file, tmp_path, capsys, command):
+        """One shot has no spread, so its term could report no standard error."""
+        out = tmp_path / "run_out"
+        code = main([command, "--mode", "vqe", "--hamiltonian", str(hamiltonian_file), "--shots", "1", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: fixed-shot mode requires an integer 2 <= shots" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     def test_fit_window_with_too_few_points(self, scan_file, tmp_path, capsys, command):
         out = tmp_path / "run_out"
         # The scan has R = 1, 2, 3, 4, 5; this window holds only 2, 3 and 4.

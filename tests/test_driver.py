@@ -267,6 +267,37 @@ class TestOnePreparationPerEvaluation:
         assert result.exact_ground_energy == exact_spectrum(h).ground_energy()
 
 
+class TestBatchInvariance:
+    """A batch gives the records its rows would give one at a time."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(100)], ids=["exact", "shots100"])
+    def test_rows_one_by_one_give_the_same_records(self, monkeypatch, policy, n):
+        h = random_hamiltonian(np.random.default_rng([37, n]), n)
+        config = GradientDescentConfig(max_evaluations=150)
+        batches = []
+        gradient_descent = vqesim.driver.gradient_descent
+
+        def one_by_one(objective, x0, config):
+            def rows(batch):
+                batches.append(len(batch))
+                return [value for row in batch for value in objective(row[None])]
+
+            return gradient_descent(rows, x0, config)
+
+        batched = run_vqe(h, AnsatzSpec(n, 1), policy, config, seed=3)
+        monkeypatch.setattr(vqesim.driver, "gradient_descent", one_by_one)
+        split = run_vqe(h, AnsatzSpec(n, 1), policy, config, seed=3)
+        # Each gradient is one batch of 2 * dims central-difference probes.
+        assert max(batches) == 2 * AnsatzSpec(n, 1).parameter_count
+        assert len(batched.trace.records) == len(split.trace.records) == 150
+        for a, b in zip(batched.trace.records, split.trace.records):
+            assert a.parameters.tobytes() == b.parameters.tobytes()
+            assert dataclasses.replace(a, parameters=None) == dataclasses.replace(b, parameters=None)
+        assert batched.best_parameters.tobytes() == split.best_parameters.tobytes()
+        assert (batched.best_energy, batched.reason) == (split.best_energy, split.reason)
+
+
 def _run_folded(hamiltonian, shift, seed):
     """Minimize <(H - shift)^2>; return the folded and plain energies of the best state."""
     ansatz = AnsatzSpec(2, 1)

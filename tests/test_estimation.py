@@ -25,7 +25,8 @@ from vqesim import (
 import vqesim.driver
 from vqesim import estimation, statevector
 from vqesim.estimation import MAX_TERM_SHOTS, STREAM_INIT, STREAM_SCAN, derive_seed, derived_generator
-from vqesim.statevector import basis_state
+from vqesim.estimation import Measurement
+from vqesim.statevector import basis_state, batch_term_expectations
 
 
 def plus() -> StateVector:
@@ -133,7 +134,7 @@ class TestShotPolicy:
         assert repr(text) in message
         assert all(form in message for form in ("exact", "shots:<integer>", "precision:<number>"))
 
-    @pytest.mark.parametrize("bad", [0, -5, 2**63, 2.7, 100.0, True, "100", None])
+    @pytest.mark.parametrize("bad", [0, 1, -5, 2**63, 2.7, 100.0, True, "100", None])
     def test_shots_validated(self, bad):
         with pytest.raises(ValueError):
             ShotPolicy.fixed(bad)
@@ -149,7 +150,9 @@ class TestShotPolicy:
         policy = ShotPolicy("precision", precision=0.01)
         assert term_budget(policy, 1.0) == 10_000
         assert term_budget(policy, 0.5) == 2_500
-        assert term_budget(policy, 0.0) == 1
+        # Two shots are the fewest whose spread gives a standard error.
+        assert term_budget(policy, 0.0) == 2
+        assert term_budget(ShotPolicy("precision", precision=0.1), 0.05) == 2
 
     def test_precision_shot_count_bounded(self):
         # h^2 / p^2 shots: 2**62 fits a 64-bit count, 2**64 does not.
@@ -380,6 +383,20 @@ class TestTermShots:
         with pytest.raises(ValueError, match=f"^term {label} is measured but takes 0 shots$"):
             estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
 
+    def test_measured_term_with_one_shot_is_refused(self):
+        with pytest.raises(ValueError, match="^term X takes 1 shot; a standard error needs 2$"):
+            estimate_energy(basis_state(1, 1), self.H, (0, 1, 100), 1)
+
+    def test_measurement_serves_only_its_own_terms_and_shots(self):
+        term_shots = (0, 100, 100)
+        measurement = Measurement(self.H, term_shots, 1)
+        row = term_expectations(basis_state(1, 1), self.H)
+        assert estimate_energy(row, self.H, term_shots, measurement) == estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+        other = PauliHamiltonian(1, self.H.terms)
+        for h, shots in ((other, term_shots), (self.H, tuple(list(term_shots)))):
+            with pytest.raises(ValueError, match="^the Measurement was made for another Hamiltonian or other term_shots$"):
+                estimate_energy(row, h, shots, measurement)
+
     def test_identity_terms_alone_are_their_coefficient_sum(self):
         # <II> of this state rounds to 1 - 2**-53; a constant is read exactly under any shots.
         state = random_state(np.random.default_rng(0), 2)
@@ -428,19 +445,25 @@ class TestOnePass:
         assert calls["derived_generator"] == (0 if policy.mode == "exact" else 1)
 
     def test_run_vqe_computes_each_expectation_once_per_evaluation(self, monkeypatch):
-        calls = []
+        rows = []
 
-        def counted(state, h):
-            calls.append(h)
-            return term_expectations(state, h)
+        def counted(amplitudes, h):
+            rows.append((len(amplitudes), h))
+            return batch_term_expectations(amplitudes, h)
 
+        def single(state, h):
+            raise AssertionError("a run reduces each batch once, never a single state")
+
+        monkeypatch.setattr(vqesim.driver, "batch_term_expectations", counted)
         # Both names: the estimator's import and the one exact_energy uses.
-        monkeypatch.setattr(estimation, "term_expectations", counted)
-        monkeypatch.setattr(statevector, "term_expectations", counted)
+        monkeypatch.setattr(estimation, "term_expectations", single)
+        monkeypatch.setattr(statevector, "term_expectations", single)
         h = random_hamiltonian(np.random.default_rng(6), 2)
         result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), NelderMeadConfig(max_evaluations=20), seed=1)
-        assert len(calls) == result.trace.evaluations
-        assert all(c is h for c in calls)
+        # One reduction per batch: the 13-vertex simplex, then single points.
+        assert [n for n, _ in rows][:2] == [13, 1]
+        assert sum(n for n, _ in rows) == result.trace.evaluations
+        assert all(c is h for _, c in rows)
         # The table is built once per Hamiltonian and kept.
         assert h.action_table is h.action_table
 
@@ -472,12 +495,12 @@ class TestOnePass:
         spec = AnsatzSpec(n, 2)
         # One row more than a 10-qubit chunk, so the 10-qubit batch spans two chunks.
         batch = rng.uniform(-np.pi, np.pi, ((statevector._BATCH_AMPLITUDES >> 10) + 1, spec.parameter_count))
-        for params, state in zip(batch, prepare(spec, batch)):
+        term_shots = shot_budget(h, ShotPolicy.fixed(100))
+        measurement = Measurement(h, term_shots, 3)
+        for params, row in zip(batch, batch_term_expectations(prepare(spec, batch), h)):
             alone = spec.prepare(params)
-            assert term_expectations(state, h).tobytes() == term_expectations(alone, h).tobytes()
-            assert estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 3) == estimate_energy(
-                alone, h, shot_budget(h, ShotPolicy.fixed(100)), 3
-            )
+            assert row.tobytes() == term_expectations(alone, h).tobytes()
+            assert estimate_energy(row, h, term_shots, measurement) == estimate_energy(alone, h, term_shots, 3)
 
     def test_precision_std_error_matches_spread(self):
         # Unequal per-term shots under the precision rule: 324, 36, 100 and 16.
@@ -494,6 +517,20 @@ class TestOnePass:
 
 
 class TestShotBudget:
+    def test_smallest_precision_budget_reports_its_spread(self):
+        # precision:0.1 prices a 0.05 coefficient at the floor of 2 shots; one shot would report 0.0.
+        h = PauliHamiltonian(1, [(0.05, "Z")])
+        term_shots = shot_budget(h, ShotPolicy("precision", precision=0.1))
+        assert term_shots == (2,)
+        measurement = Measurement(h, term_shots, 12)
+        row = term_expectations(z_eigen_mix(0.3), h)
+        estimates = [estimate_energy(row, h, term_shots, measurement, iteration=j) for j in range(4000)]
+        values = np.array([e.value for e in estimates])
+        reported = math.sqrt(np.mean([e.std_error**2 for e in estimates]))
+        # 0.05 * sqrt((1 - 0.3^2) / 2) = 0.0337; the ddof=1 variance is unbiased, so its mean matches.
+        assert reported == pytest.approx(0.05 * math.sqrt(0.91 / 2), rel=0.05)
+        assert np.std(values, ddof=1) == pytest.approx(reported, rel=0.05)
+
     def test_literal_rule_over_all_terms(self):
         h = PauliHamiltonian(2, [(1.0, "II"), (0.5, "ZZ")])
         per_term = shot_budget(h, ShotPolicy("precision", precision=0.1))

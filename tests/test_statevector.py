@@ -185,10 +185,10 @@ class TestPrepareBatch:
         spec = AnsatzSpec(n, layers)
         rows = 2 * max(1, _BATCH_AMPLITUDES >> n) + 1
         batch = np.random.default_rng([n, layers, rows]).uniform(-np.pi, np.pi, (rows, spec.parameter_count))
-        states = prepare(spec, batch)
-        assert len(states) == rows
-        for params, state in zip(batch, states):
-            assert state.amplitudes.tobytes() == spec.prepare(params).amplitudes.tobytes()
+        amplitudes = prepare(spec, batch)
+        assert amplitudes.shape == (rows, 1 << n) and amplitudes.flags.c_contiguous
+        for params, row in zip(batch, amplitudes):
+            assert row.tobytes() == spec.prepare(params).amplitudes.tobytes()
 
     @pytest.mark.parametrize("shape", [(12,), (2, 11), (1, 2, 12)])
     def test_batch_shape_checked(self, shape):
