@@ -26,11 +26,12 @@ the Hamiltonian's action table (`statevector.term_expectations`), not
 one call per term; a run reduces a whole batch of states at once and
 hands each row to `estimate_energy`. What a run fixes (the Hamiltonian,
 its per-term shots and the seed) is checked once, in a `Measurement`.
-Randomness is fully deterministic: a 64-bit seed plus the evaluation's
-iteration index select one generator, and one vectorised binomial draw
-on it gives every term's count, in term order. Every generator and
-child seed derives from one `SeedSequence` helper, which holds the one
-seed range check.
+Randomness is fully deterministic: a run keys one counter-based Philox
+stream from its 64-bit seed, the evaluation's iteration index labels
+the stream's counter, and one vectorised binomial draw at that label
+gives every term's count, in term order. Every generator and child seed
+derives from one `SeedSequence` helper, which holds the one seed range
+check.
 The noiseless <H> of the same pass comes with the estimate, so the
 trace's diagnostics need not compute it again.
 """
@@ -182,9 +183,17 @@ class Measurement:
     """What every estimate of one run shares, checked once when the run starts.
 
     It holds the Hamiltonian, the per-term shots `shot_budget` priced for
-    it, and the seed of the run's sampling stream. A `term_shots` of the
-    wrong length, a seed outside [0, MAX_SEED], or, when any term takes
-    shots, a measured term with fewer than 2 raises ValueError.
+    it, and the run's sampling stream: one counter-based Philox generator
+    (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as
+    1, 2, 3", SC'11), keyed once from
+    `_seed_sequence(seed, STREAM_SAMPLING)`. Each estimate relabels it:
+    the counter is set to (0, 0, iteration, 0) with an empty buffer, which
+    gives exactly the draws of a fresh `Philox(key=key, counter=(0, 0,
+    iteration, 0))`, whatever was drawn before. Philox increments word 0
+    and carries upward, so each label has 2^128 blocks before it could
+    meet the next. A `term_shots` of the wrong length, a seed outside
+    [0, MAX_SEED], or, when any term takes shots, a measured term with
+    fewer than 2 raises ValueError.
     """
 
     def __init__(self, hamiltonian: PauliHamiltonian, term_shots: tuple[int, ...], seed: int):
@@ -192,8 +201,11 @@ class Measurement:
             raise ValueError(
                 f"term_shots has {len(term_shots)} entries, the Hamiltonian {hamiltonian.term_count} terms"
             )
-        _seed_sequence(seed, STREAM_SAMPLING)
-        self.hamiltonian, self.term_shots, self.seed = hamiltonian, term_shots, seed
+        self._bit_generator = np.random.Philox(_seed_sequence(seed, STREAM_SAMPLING))
+        self._generator = np.random.Generator(self._bit_generator)
+        self._label = self._bit_generator.state
+        self._label.update(buffer_pos=4, has_uint32=0)
+        self.hamiltonian, self.term_shots = hamiltonian, term_shots
         # Identity terms alone are a constant, which `estimate` adds exactly.
         self.exact = not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms)
         if not self.exact:
@@ -206,6 +218,14 @@ class Measurement:
         self._shots = np.array([shots for shots in term_shots if shots], dtype=np.int64)
         self._terms = [(coeff, shots) for (coeff, _), shots in zip(hamiltonian.terms, term_shots)]
 
+    def stream(self, iteration: int) -> np.random.Generator:
+        """The run's generator, relabelled to `iteration`, an integer in [0, 2**64 - 1] (else ValueError)."""
+        if not _is_int(iteration) or not 0 <= iteration <= MAX_SEED:
+            raise ValueError(f"stream label must be an integer in [0, 2**64 - 1], got {iteration!r}")
+        self._label["state"]["counter"][2] = iteration
+        self._bit_generator.state = self._label
+        return self._generator
+
     def estimate(self, expectations: np.ndarray, iteration: int) -> EnergyEstimate:
         """The estimate for one state's term expectations, drawn on the stream labelled `iteration`."""
         exact_value = _weighted_sum(self.hamiltonian, expectations)
@@ -213,8 +233,7 @@ class Measurement:
             return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
         # Clipped: rounding can push <P> a hair outside [-1, 1].
         p_plus = np.clip((1.0 + expectations[self._sampled]) / 2.0, 0.0, 1.0)
-        generator = derived_generator(self.seed, STREAM_SAMPLING, iteration)
-        plus_counts = iter(generator.binomial(self._shots, p_plus).tolist())
+        plus_counts = iter(self.stream(iteration).binomial(self._shots, p_plus).tolist())
         value = 0.0
         variance = 0.0
         for coeff, shots in self._terms:
@@ -250,8 +269,8 @@ def estimate_energy(
     estimate; only a Hamiltonian of identity terms alone, a constant,
     estimates as the exact sum of its coefficients. Otherwise a term with
     s shots has the +1 count k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
-    all drawn at once on the evaluation's generator
-    derived_generator(seed, STREAM_SAMPLING, iteration); on a noiseless
+    all drawn at once on the run's stream labelled `iteration` (see
+    `Measurement`); on a noiseless
     statevector that is statistically the same as re-preparing the state
     for every term, so the term estimates are independent. A term's mean
     is (2k - s)/s and its standard error the ddof=1 figure of its +-1

@@ -81,6 +81,21 @@ most, on ucc) and the vqe best_energy by 1.1e-16. Two of the five scan
 points took the other branch at a near-tie and diverged, which moved
 their traces, curve.csv and fit.json. No config.json moved.
 
+No pin moved when the loop began handling the optimizer's batch as
+arrays: one (B, 2^n) amplitude array per batch, one blocked einsum for
+every row's term expectations, and one call each for the overlaps and
+tangles. Every row's values keep the bytes of a batch of one.
+
+The six shot-mode digests were then re-pinned together when sampling
+moved from one `SeedSequence`-derived generator per (seed, iteration)
+to one counter-based Philox stream per run: the run keys it once from
+(seed, STREAM_SAMPLING), and each evaluation relabels its counter to
+(0, 0, iteration, 0). The Binomial count law, the per-term shots, the
+stream labels and every noiseless value are unchanged, so the stream
+is the one cause; the code one step before this change reproduced
+every old pin. The --exact digests and the operator digests draw
+nothing and kept their pins.
+
 The operator digests pin the terms `jordan_wigner` and `shift_and_square`
 derive, coefficient bits and term order both, at a size no run maps:
 a dense 10-mode integral set and a 6-qubit, 30-term sum at three shifts.
@@ -106,15 +121,15 @@ from vqesim.synthetic import parabola_scan
 
 TWO_QUBIT_FILE = "0.3 II\n-0.6 ZI\n0.4 IZ\n-0.2 ZZ\n0.5 XX\n"
 
-TRACE_RECORDS_SHA256 = "d8f54f63493f712aebc30ff2ce099e8351b8343f225ae7c2de4c786c4ef23b4f"
-CLI_TRACE_CSV_SHA256 = "3854213b52044eef59a187efcb5181739b81d881844b91cf76316c9dab3c1ec6"
-CLI_SUMMARY_JSON_SHA256 = "2b24d2a984fb78ba0056b96ed69ae57c5265fec7cae478b773c59344cf148d37"
-GD_TRACE_RECORDS_SHA256 = "0c5d60cbfe99e99e009ddd89bb9d867bcda9f78572d56bb0fa25d182c38b2f99"
+TRACE_RECORDS_SHA256 = "a4590aa95d998a3bbeb947131a2953a7a2f192b8408cdd3599f6bc44caf32a86"
+CLI_TRACE_CSV_SHA256 = "46d63d4bbb570253627b85c32900e258d88ece4c738a82b56557d8505bba8c70"
+CLI_SUMMARY_JSON_SHA256 = "7c54d4d31409cd5f73b1c08aadebc6f9acf2bb903baa232c5c7a5b6e293600d4"
+GD_TRACE_RECORDS_SHA256 = "86e18180a65e6a733e095cc0e6cef61926cb627f676d159c282e214f27f8afe5"
 # sha256 over every artifact of one run, config.json included (see _tree_digest).
 CLI_MODE_SHA256 = {
-    "folded": "7fbbc876b7fa2f9253d9a236917a2c2334a996422405b30d593157fde6e0b279",
-    "scan": "556ac611616720526310b6ba65665dd7bb437c6472214ec7e10faeb651fe64bf",
-    "ucc": "0e9adb03051ac4cc98fe3b8b29d6ea6a556c6787a7bff3ec6cf9afbf82017040",
+    "folded": "295134ba3028735aab9550cc4ca5cce8091f471fa4e75ba642493d33dc8c4bdb",
+    "scan": "1f1e9d083dd9235864b7a26d17c1fe71693d340ad32701e27691c89ccda8d31b",
+    "ucc": "afe6e36cc29b3a1235d95ec0b79140ff0dced852d56674f1f975365e5079a62a",
 }
 # The same digest for the noiseless (--exact) runs, which draw no shots.
 CLI_EXACT_MODE_SHA256 = {

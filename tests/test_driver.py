@@ -156,7 +156,11 @@ class TestTraceContract:
 
     def test_restart_flags_are_the_optimizer_restart_steps(self, monkeypatch):
         # The budget ends the run just as a fifth restart would begin: with no evaluation
-        # left for its simplex, it is not a restart.
+        # left for its simplex, it is not a restart. That step is read from a longer run on
+        # the same stream, whose first evaluations are the same.
+        h = random_hamiltonian(np.random.default_rng(11), 2)
+        longer = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), quick_nm(stagnation_window=20), seed=2)
+        budget = [rec.iteration for rec in longer.trace.records if rec.restart][4]
         results = []
 
         def recording_nelder_mead(*args):
@@ -164,12 +168,11 @@ class TestTraceContract:
             return results[-1]
 
         monkeypatch.setattr(vqesim.driver, "nelder_mead", recording_nelder_mead)
-        h = random_hamiltonian(np.random.default_rng(11), 2)
-        cfg = quick_nm(max_evaluations=283, stagnation_window=20)
+        cfg = quick_nm(max_evaluations=budget, stagnation_window=20)
         result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), cfg, seed=2)
         (opt,) = results
         assert opt.restarts == result.trace.restarts == 4
-        assert result.trace.evaluations == 283
+        assert result.trace.evaluations == budget
         assert all(step < result.trace.evaluations for step in opt.restart_steps)
         flagged = [rec.iteration for rec in result.trace.records if rec.restart]
         assert flagged == list(opt.restart_steps) and len(flagged) == 4

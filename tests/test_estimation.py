@@ -68,6 +68,65 @@ class TestRngStream:
             sample_term(plus(), "Z", 10, 9, iteration=-1)
 
 
+class TestStreamContract:
+    """A run keys one Philox stream; each evaluation's label is its counter (0, 0, iteration, 0)."""
+
+    SHOTS = np.array([10, 1000, 10**6, 7])
+    P_PLUS = np.array([0.5, 0.1, 0.93, 1.0])
+
+    @staticmethod
+    def draws(generator):
+        return generator.binomial(TestStreamContract.SHOTS, TestStreamContract.P_PLUS).tolist() + generator.integers(
+            0, 2**63, size=3
+        ).tolist()
+
+    @pytest.mark.parametrize("label", [0, 1, 2**32, 2**64 - 1])
+    def test_relabelled_stream_is_a_fresh_philox(self, label):
+        h = PauliHamiltonian(1, [(1.0, "Z")])
+        measurement = Measurement(h, (100,), 17)
+        key = np.random.Philox(estimation._seed_sequence(17, estimation.STREAM_SAMPLING)).state["state"]["key"]
+        fresh = np.random.Generator(np.random.Philox(counter=np.array([0, 0, label, 0], dtype=np.uint64), key=key))
+        self.draws(measurement.stream(5))  # a draw at another label first leaves nothing behind
+        assert self.draws(measurement.stream(label)) == self.draws(fresh)
+
+    def test_draws_at_a_label_do_not_depend_on_earlier_labels(self):
+        h = PauliHamiltonian(1, [(1.0, "Z")])
+        labels = [3, 0, 2**40, 3, 1, 2**64 - 1, 0]
+        alone = {label: self.draws(Measurement(h, (100,), 8).stream(label)) for label in labels}
+        measurement = Measurement(h, (100,), 8)
+        for label in labels:
+            assert self.draws(measurement.stream(label)) == alone[label]
+            measurement.stream(label).integers(0, 10, size=label % 5)  # a part-used buffer
+
+    @pytest.mark.parametrize("label", [-1, 2**64, 1.0, True])
+    def test_label_outside_64_bits_rejected(self, label):
+        measurement = Measurement(PauliHamiltonian(1, [(1.0, "Z")]), (100,), 8)
+        with pytest.raises(ValueError, match="^stream label must be an integer in"):
+            measurement.stream(label)
+
+    def test_a_run_keys_one_stream(self, monkeypatch):
+        namespaces = []
+        seed_sequence = estimation._seed_sequence
+
+        def recording(seed, namespace, *key):
+            namespaces.append(namespace)
+            return seed_sequence(seed, namespace, *key)
+
+        monkeypatch.setattr(estimation, "_seed_sequence", recording)
+        h = random_hamiltonian(np.random.default_rng(5), 2)
+        result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(20), NelderMeadConfig(max_evaluations=40), seed=3)
+        assert result.trace.evaluations == 40
+        assert sorted(namespaces) == [estimation.STREAM_SAMPLING, STREAM_INIT]
+
+    def test_run_rows_are_single_estimates_at_their_labels(self):
+        h = random_hamiltonian(np.random.default_rng(6), 2)
+        spec = AnsatzSpec(2, 1)
+        result = run_vqe(h, spec, ShotPolicy.fixed(30), NelderMeadConfig(max_evaluations=30), seed=4)
+        for rec in result.trace.records:
+            alone = estimate_energy(spec.prepare(rec.parameters), h, shot_budget(h, ShotPolicy.fixed(30)), 4, rec.iteration)
+            assert (alone.value, alone.std_error) == (rec.energy_estimate, rec.std_error)
+
+
 class TestSeedRule:
     """Every generator and child seed checks the seed the same way."""
 
@@ -428,7 +487,7 @@ class TestOnePass:
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
     def test_one_generator_and_one_expectation_per_term(self, monkeypatch, policy):
-        calls = {"derived_generator": 0, "term_expectations": 0}
+        calls = {"stream": 0, "term_expectations": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -436,13 +495,13 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(estimation, "derived_generator", counted("derived_generator", estimation.derived_generator))
+        monkeypatch.setattr(Measurement, "stream", counted("stream", Measurement.stream))
         monkeypatch.setattr(estimation, "term_expectations", counted("term_expectations", estimation.term_expectations))
         h = random_hamiltonian(np.random.default_rng(3), 2)
         estimate_energy(random_state(np.random.default_rng(4), 2), h, shot_budget(h, policy), 5, iteration=2)
-        # One table reduction gives every term's expectation.
+        # One table reduction gives every term's expectation, and one relabelled stream every count.
         assert calls["term_expectations"] == 1
-        assert calls["derived_generator"] == (0 if policy.mode == "exact" else 1)
+        assert calls["stream"] == (0 if policy.mode == "exact" else 1)
 
     def test_run_vqe_computes_each_expectation_once_per_evaluation(self, monkeypatch):
         rows = []
