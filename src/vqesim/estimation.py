@@ -214,7 +214,6 @@ class Measurement:
                     raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
                 if shots == 1:
                     raise ValueError(f"term {pauli.label} takes 1 shot; a standard error needs 2")
-        self._sampled = np.array([shots > 0 for shots in term_shots])
         self._shots = np.array([shots for shots in term_shots if shots], dtype=np.int64)
         self._terms = [(coeff, shots) for (coeff, _), shots in zip(hamiltonian.terms, term_shots)]
 
@@ -231,8 +230,8 @@ class Measurement:
         exact_value = _weighted_sum(self.hamiltonian, expectations)
         if self.exact:
             return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
-        # Clipped: rounding can push <P> a hair outside [-1, 1].
-        p_plus = np.clip((1.0 + expectations[self._sampled]) / 2.0, 0.0, 1.0)
+        # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
+        p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), self.term_shots) if shots]
         plus_counts = iter(self.stream(iteration).binomial(self._shots, p_plus).tolist())
         value = 0.0
         variance = 0.0

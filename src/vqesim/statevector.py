@@ -154,7 +154,7 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
     n, layers = spec.n_qubits, spec.layer_count
     gates = euler_gates(batch.reshape(len(batch), layers + 1, n, 3))
     rows = max(1, _BATCH_AMPLITUDES >> n)
-    chunks = []
+    out = np.empty((len(batch), 1 << n), dtype=complex)
     for start in range(0, len(batch), rows):
         chunk = gates[start:start + rows]
         k = len(chunk)
@@ -170,10 +170,9 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
                 amps = np.einsum("kts,kasb->katb", chunk[:, layer, q], block, order=order).reshape(k, -1)
             if layer < layers:
                 amps = amps[:, _cnot_ladder(n)]
-        chunks.append(amps)
-    amps = np.ascontiguousarray(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
-    _check_norms(amps)
-    return amps
+        out[start:start + k] = amps
+    _check_norms(out)
+    return out
 
 
 def term_expectations(state: StateVector, h: PauliHamiltonian) -> np.ndarray:
