@@ -56,10 +56,9 @@ def _check_norms(amplitudes: np.ndarray) -> None:
     Each row's squares of real and imaginary parts are summed in numpy's
     own loop, all rows in one reduction.
     """
-    norms = np.sqrt(np.add.reduce(np.square(amplitudes.view(float)), axis=1))
-    bad = ~(np.abs(norms - 1.0) <= 1e-10)  # written so that a NaN norm fails
-    if bad.any():
-        raise ValueError(f"state norm {norms[bad][0]} deviates from 1 beyond 1e-10")
+    for norm in np.sqrt(np.add.reduce(np.square(amplitudes.view(float)), axis=1)).tolist():
+        if not abs(norm - 1.0) <= 1e-10:  # written so that a NaN norm fails
+            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
 
 def _dimension(n_qubits: int) -> int:
