@@ -143,13 +143,13 @@ def run_vqe(
         overlaps = ground_space_overlaps(spectrum, amplitudes)
         two_qubit = tangles(amplitudes) if hamiltonian.n_qubits == 2 else [None] * len(amplitudes)
         values = []
-        for params, row, tangle, overlap in zip(np.array(batch, dtype=float), expectations, two_qubit, overlaps):
+        for params, row, tangle, overlap in zip(batch, expectations, two_qubit, overlaps):
             step = len(records)
             estimate = estimate_energy(row, hamiltonian, measurement.term_shots, measurement, iteration=step)
             records.append(
                 TraceRecord(
                     iteration=step,
-                    parameters=params,
+                    parameters=np.array(params, dtype=float),
                     energy_estimate=estimate.value,
                     std_error=estimate.std_error,
                     exact_energy=estimate.exact_value,

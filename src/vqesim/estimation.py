@@ -207,8 +207,8 @@ class Measurement:
         self._label.update(buffer_pos=4, has_uint32=0)
         self.hamiltonian, self.term_shots = hamiltonian, term_shots
         # Identity terms alone are a constant, which `estimate` adds exactly.
-        self.exact = not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms)
-        if not self.exact:
+        self._exact = not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms)
+        if not self._exact:
             for (_, pauli), shots in zip(hamiltonian.terms, term_shots):
                 if not shots and not pauli.is_identity:
                     raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
@@ -228,7 +228,7 @@ class Measurement:
     def estimate(self, expectations: np.ndarray, iteration: int) -> EnergyEstimate:
         """The estimate for one state's term expectations, drawn on the stream labelled `iteration`."""
         exact_value = _weighted_sum(self.hamiltonian, expectations)
-        if self.exact:
+        if self._exact:
             return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
         # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
         p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), self.term_shots) if shots]
