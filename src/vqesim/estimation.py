@@ -231,7 +231,9 @@ class Measurement:
         if self._exact:
             return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
         # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
-        p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), self.term_shots) if shots]
+        p_plus = [
+            min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), self.term_shots) if shots
+        ]
         plus_counts = iter(self.stream(iteration).binomial(self._shots, p_plus).tolist())
         value = 0.0
         variance = 0.0
@@ -269,9 +271,9 @@ def estimate_energy(
     estimates as the exact sum of its coefficients. Otherwise a term with
     s shots has the +1 count k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
     all drawn at once on the run's stream labelled `iteration` (see
-    `Measurement`); on a noiseless
-    statevector that is statistically the same as re-preparing the state
-    for every term, so the term estimates are independent. A term's mean
+    `Measurement`); on a noiseless statevector that is statistically the
+    same as re-preparing the state for every term, so the term estimates
+    are independent. A term's mean
     is (2k - s)/s and its standard error the ddof=1 figure of its +-1
     outcomes, sqrt((1 - mean^2)/(s - 1)); the errors combine in
     quadrature. An identity term without shots adds its coefficient. A

@@ -24,8 +24,7 @@ from vqesim import (
 )
 import vqesim.driver
 from vqesim import estimation, statevector
-from vqesim.estimation import MAX_TERM_SHOTS, STREAM_INIT, STREAM_SCAN, derive_seed, derived_generator
-from vqesim.estimation import Measurement
+from vqesim.estimation import MAX_TERM_SHOTS, STREAM_INIT, STREAM_SCAN, Measurement, derive_seed, derived_generator
 from vqesim.statevector import basis_state, batch_term_expectations
 
 
@@ -122,8 +121,9 @@ class TestStreamContract:
         h = random_hamiltonian(np.random.default_rng(6), 2)
         spec = AnsatzSpec(2, 1)
         result = run_vqe(h, spec, ShotPolicy.fixed(30), NelderMeadConfig(max_evaluations=30), seed=4)
+        term_shots = shot_budget(h, ShotPolicy.fixed(30))
         for rec in result.trace.records:
-            alone = estimate_energy(spec.prepare(rec.parameters), h, shot_budget(h, ShotPolicy.fixed(30)), 4, rec.iteration)
+            alone = estimate_energy(spec.prepare(rec.parameters), h, term_shots, 4, rec.iteration)
             assert (alone.value, alone.std_error) == (rec.energy_estimate, rec.std_error)
 
 
@@ -450,10 +450,11 @@ class TestTermShots:
         term_shots = (0, 100, 100)
         measurement = Measurement(self.H, term_shots, 1)
         row = term_expectations(basis_state(1, 1), self.H)
-        assert estimate_energy(row, self.H, term_shots, measurement) == estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+        alone = estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+        assert estimate_energy(row, self.H, term_shots, measurement) == alone
         other = PauliHamiltonian(1, self.H.terms)
         for h, shots in ((other, term_shots), (self.H, tuple(list(term_shots)))):
-            with pytest.raises(ValueError, match="^the Measurement was made for another Hamiltonian or other term_shots$"):
+            with pytest.raises(ValueError, match="^the Measurement was made for another Hamiltonian"):
                 estimate_energy(row, h, shots, measurement)
 
     def test_identity_terms_alone_are_their_coefficient_sum(self):
