@@ -6,9 +6,7 @@ from .analysis import (
     Spectrum,
     exact_spectrum,
     fit_quadratic_minimum,
-    ground_space_overlap,
     monte_carlo_minimum_uncertainty,
-    tangle,
 )
 from .driver import (
     TraceRecord,
@@ -19,6 +17,7 @@ from .driver import (
 )
 from .estimation import (
     EnergyEstimate,
+    Measurement,
     ShotPolicy,
     estimate_energy,
     shot_budget,
@@ -47,7 +46,6 @@ from .statevector import (
     StateVector,
     exact_energy,
     prepare,
-    term_expectations,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +55,7 @@ __all__ = [
     "EnergyEstimate",
     "FermionOperator",
     "GradientDescentConfig",
+    "Measurement",
     "MinimumUncertainty",
     "NelderMeadConfig",
     "OptimizerResult",
@@ -75,7 +74,6 @@ __all__ = [
     "exact_spectrum",
     "fit_quadratic_minimum",
     "gradient_descent",
-    "ground_space_overlap",
     "jordan_wigner",
     "monte_carlo_minimum_uncertainty",
     "nelder_mead",
@@ -85,7 +83,5 @@ __all__ = [
     "run_vqe",
     "shift_and_square",
     "shot_budget",
-    "tangle",
-    "term_expectations",
     "ucc_prepare",
 ]

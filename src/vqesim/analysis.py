@@ -1,10 +1,10 @@
 """Ground-truth oracles and run diagnostics.
 
-Dense spectra back every acceptance check; the tangle (absolute
-concurrence squared) and ground-state overlap reproduce the
-convergence diagnostics plotted alongside optimization traces; the
-weighted quadratic fit plus Monte-Carlo propagation turn a scanned
-energy curve into a minimum location with uncertainties.
+Dense spectra back every acceptance check; the tangles (absolute
+concurrence squared) and ground-space overlaps of a batch of states
+reproduce the convergence diagnostics plotted alongside optimization
+traces; the weighted quadratic fit plus Monte-Carlo propagation turn a
+scanned energy curve into a minimum location with uncertainties.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import PauliHamiltonian, _is_int, reconstruct
-from .statevector import StateVector
 
 # The widest dense 2^n x 2^n eigendecomposition: spectra and UCC preparation.
 MAX_SPECTRUM_QUBITS = 10
@@ -66,11 +65,6 @@ def exact_spectrum(h: PauliHamiltonian) -> Spectrum:
     return Spectrum(values, vectors)
 
 
-def ground_space_overlap(spectrum: Spectrum, state: StateVector) -> float:
-    """Norm of the state's projection onto the lowest eigenspace: a batch of one."""
-    return ground_space_overlaps(spectrum, state.amplitudes[None])[0]
-
-
 def ground_space_overlaps(spectrum: Spectrum, amplitudes: np.ndarray) -> list[float]:
     """Norm of each row's projection onto the lowest eigenspace, for (B, 2^n) amplitudes.
 
@@ -86,19 +80,15 @@ def ground_space_overlaps(spectrum: Spectrum, amplitudes: np.ndarray) -> list[fl
     return [min(1.0, math.sqrt(v)) for v in squares.tolist()]
 
 
-def tangle(state: StateVector) -> float:
-    """Absolute concurrence squared of a two-qubit pure state: a batch of one."""
-    if state.n_qubits != 2:
-        raise ValueError(f"tangle is defined for 2 qubits, got {state.n_qubits}")
-    return tangles(state.amplitudes[None])[0]
-
-
 def tangles(amplitudes: np.ndarray) -> list[float]:
     """Absolute concurrence squared of each row of (B, 4) two-qubit amplitudes.
 
     C = |<psi| Y(x)Y |psi*>| = 2|a00 a11 - a01 a10| in the computational
     basis, in Python complex arithmetic row by row; returns C^2 in [0, 1].
+    Amplitudes of any other width raise ValueError.
     """
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != 4:
+        raise ValueError(f"tangle is defined for 2 qubits, got {amplitudes.shape[-1].bit_length() - 1}")
     values = []
     for a00, a01, a10, a11 in amplitudes.tolist():
         concurrence = 2.0 * abs(a00 * a11 - a01 * a10)

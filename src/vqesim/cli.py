@@ -64,6 +64,7 @@ from .estimation import (
     MAX_SEED,
     STREAM_MC,
     STREAM_SCAN,
+    Measurement,
     ShotPolicy,
     derive_seed,
     derived_generator,
@@ -74,7 +75,7 @@ from .fermion import UccAnsatz, jordan_wigner
 from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
 from .optimize import NelderMeadConfig
 from .pauli import PauliHamiltonian, _is_int, _is_real, shift_and_square
-from .statevector import AnsatzSpec, exact_energy
+from .statevector import AnsatzSpec, batch_term_expectations, exact_energy
 
 
 class ConfigError(ValueError):
@@ -451,12 +452,10 @@ def _scan_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     config = plan.config
     rows = []  # (R, E_est, E_exact, std_error) per point
     for point, job, result in zip(plan.loaded, plan.jobs, results):
+        amplitudes = plan.ansatz.prepare_batch(result.best_parameters[None])
+        measurement = Measurement(job.operator, job.term_shots, job.seed)
         estimate = estimate_energy(
-            plan.ansatz.prepare(result.best_parameters),
-            job.operator,
-            job.term_shots,
-            job.seed,
-            iteration=result.trace.evaluations,
+            batch_term_expectations(amplitudes, job.operator)[0], measurement, iteration=result.trace.evaluations
         )
         rows.append((point.label, estimate.value, result.exact_ground_energy, estimate.std_error))
 

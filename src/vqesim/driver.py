@@ -1,8 +1,9 @@
 """The variational loop: estimator-driven minimization with diagnostics.
 
-A run prices its shots once, with `shot_budget` under its policy, and
-every estimate draws exactly those per-term shots; under the exact
-policy no term takes a shot, so every estimate is the noiseless <H>.
+A run prices its shots once, with `shot_budget` under its policy, into
+one `Measurement`, and every estimate draws exactly those per-term
+shots; under the exact policy no term takes a shot, so every estimate
+is the noiseless <H>.
 Every objective evaluation is one optimization step j: the ansatz is
 prepared once, and that state feeds both the shot-based estimate and
 the noiseless diagnostics of its trace record: the exact energy, which
@@ -18,8 +19,8 @@ The optimizers hand the objective a batch of points at a time (see
 `optimize`), and the batch is the unit of evaluation: its amplitudes
 are prepared as one (B, 2^n) array, and one reduction each gives every
 row's term expectations, overlaps and tangles. Each row is then
-estimated and recorded on its own step, with the bytes it would have if
-it had come alone.
+estimated from its expectations on its own step's stream and recorded,
+with the bytes it would have if it had come alone.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def run_vqe(
         values = []
         for params, row, tangle, overlap in zip(batch, expectations, two_qubit, overlaps):
             step = len(records)
-            estimate = estimate_energy(row, hamiltonian, measurement.term_shots, measurement, iteration=step)
+            estimate = estimate_energy(row, measurement, iteration=step)
             records.append(
                 TraceRecord(
                     iteration=step,

@@ -22,10 +22,11 @@ it; that is statistically the same as re-preparing, and the term
 estimates stay independent.
 
 Every term's noiseless expectation comes from one numpy reduction over
-the Hamiltonian's action table (`statevector.term_expectations`), not
-one call per term; a run reduces a whole batch of states at once and
-hands each row to `estimate_energy`. What a run fixes (the Hamiltonian,
-its per-term shots and the seed) is checked once, in a `Measurement`.
+the Hamiltonian's action table (`statevector.batch_term_expectations`),
+not one call per term; a run reduces a whole batch of states at once.
+What a run fixes (the Hamiltonian, its per-term shots and the seed) is
+checked once, in a `Measurement`, and `estimate_energy` takes one row of
+expectations with that `Measurement`.
 Randomness is fully deterministic: a run keys one counter-based Philox
 stream from its 64-bit seed, the evaluation's iteration index labels
 the stream's counter, and one vectorised binomial draw at that label
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliHamiltonian, _is_int, _is_real
-from .statevector import StateVector, _weighted_sum, term_expectations
+from .statevector import _weighted_sum
 
 # SeedSequence spawn-key namespaces; keeps sampling streams disjoint
 # from parameter-init, scan-point and Monte-Carlo streams.
@@ -206,7 +207,7 @@ class Measurement:
         self._label = self._bit_generator.state
         self._label.update(buffer_pos=4, has_uint32=0)
         self.hamiltonian, self.term_shots = hamiltonian, term_shots
-        # Identity terms alone are a constant, which `estimate` adds exactly.
+        # Identity terms alone are a constant, which `estimate_energy` adds exactly.
         self._exact = not any(term_shots) and not all(p.is_identity for _, p in hamiltonian.terms)
         if not self._exact:
             for (_, pauli), shots in zip(hamiltonian.terms, term_shots):
@@ -225,71 +226,39 @@ class Measurement:
         self._bit_generator.state = self._label
         return self._generator
 
-    def estimate(self, expectations: np.ndarray, iteration: int) -> EnergyEstimate:
-        """The estimate for one state's term expectations, drawn on the stream labelled `iteration`."""
-        exact_value = _weighted_sum(self.hamiltonian, expectations)
-        if self._exact:
-            return EnergyEstimate(exact_value, 0.0, self.term_shots, exact_value)
-        # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
-        p_plus = [
-            min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), self.term_shots) if shots
-        ]
-        plus_counts = iter(self.stream(iteration).binomial(self._shots, p_plus).tolist())
-        value = 0.0
-        variance = 0.0
-        for coeff, shots in self._terms:
-            if not shots:
-                value += coeff
-                continue
-            # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
-            mean = (2 * next(plus_counts) - shots) / shots
-            value += coeff * mean
-            variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
-        return EnergyEstimate(value, math.sqrt(variance), self.term_shots, exact_value)
 
+def estimate_energy(expectations: np.ndarray, measurement: Measurement, iteration: int = 0) -> EnergyEstimate:
+    """Estimate <H> for one prepared state from its term expectations, drawing exactly the run's shots.
 
-def estimate_energy(
-    state: StateVector | np.ndarray,
-    hamiltonian: PauliHamiltonian,
-    term_shots: tuple[int, ...],
-    seed: int | Measurement,
-    iteration: int = 0,
-) -> EnergyEstimate:
-    """Estimate <H> for a prepared state, drawing exactly `term_shots`, in one pass.
-
-    `term_shots` holds each term's shots in term order, as `shot_budget`
-    prices them. `state` is a prepared StateVector, or the row of term
-    expectations that `batch_term_expectations` gave for it; `seed` is
-    the run seed, or the `Measurement` a run made once from its
-    Hamiltonian, shots and seed, passed with that same Hamiltonian and
-    shots (other objects raise ValueError), so that nothing fixed for
-    the run is checked again.
-    Every term's noiseless expectation comes from one `term_expectations`
-    reduction; their weighted sum is `exact_value`, bit for bit what
-    `exact_energy` returns, and when no term takes a shot it is also the
-    estimate; only a Hamiltonian of identity terms alone, a constant,
+    `expectations` is the state's row of `batch_term_expectations`, one
+    entry per term of the `measurement`'s Hamiltonian (any other shape
+    raises ValueError). Their weighted sum is `exact_value`, bit for bit
+    what `exact_energy` returns, and when no term takes a shot it is also
+    the estimate; only a Hamiltonian of identity terms alone, a constant,
     estimates as the exact sum of its coefficients. Otherwise a term with
     s shots has the +1 count k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
     all drawn at once on the run's stream labelled `iteration` (see
-    `Measurement`); on a noiseless statevector that is statistically the
-    same as re-preparing the state for every term, so the term estimates
-    are independent. A term's mean
-    is (2k - s)/s and its standard error the ddof=1 figure of its +-1
-    outcomes, sqrt((1 - mean^2)/(s - 1)); the errors combine in
-    quadrature. An identity term without shots adds its coefficient. A
-    `term_shots` of the wrong length, or a measured term with 0 or 1
-    shots in a sampled estimate, raises ValueError.
+    `Measurement`). A term's mean is (2k - s)/s and its standard error
+    the ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1));
+    the errors combine in quadrature. An identity term without shots adds
+    its coefficient.
     """
-    if isinstance(seed, Measurement):
-        if seed.hamiltonian is not hamiltonian or seed.term_shots is not term_shots:
-            raise ValueError("the Measurement was made for another Hamiltonian or other term_shots")
-        measurement = seed
-    else:
-        measurement = Measurement(hamiltonian, term_shots, seed)
-    if isinstance(state, StateVector):
-        if state.n_qubits != hamiltonian.n_qubits:
-            raise ValueError(
-                f"prepared state has {state.n_qubits} qubits, Hamiltonian {hamiltonian.n_qubits}"
-            )
-        state = term_expectations(state, hamiltonian)
-    return measurement.estimate(state, iteration)
+    hamiltonian, term_shots = measurement.hamiltonian, measurement.term_shots
+    if expectations.shape != (len(term_shots),):
+        raise ValueError(f"expectations have shape {expectations.shape}, the Hamiltonian {len(term_shots)} terms")
+    exact_value = _weighted_sum(hamiltonian, expectations)
+    if measurement._exact:
+        return EnergyEstimate(exact_value, 0.0, term_shots, exact_value)
+    # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
+    p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e, shots in zip(expectations.tolist(), term_shots) if shots]
+    plus_counts = iter(measurement.stream(iteration).binomial(measurement._shots, p_plus).tolist())
+    value = variance = 0.0
+    for coeff, shots in measurement._terms:
+        if not shots:
+            value += coeff
+            continue
+        # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
+        mean = (2 * next(plus_counts) - shots) / shots
+        value += coeff * mean
+        variance += (coeff * math.sqrt((1.0 - mean * mean) / (shots - 1))) ** 2
+    return EnergyEstimate(value, math.sqrt(variance), term_shots, exact_value)

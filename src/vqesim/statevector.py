@@ -3,14 +3,15 @@
 A batch of states is a C-contiguous (B, 2^n) complex array, each row
 checked to unit norm; `prepare` returns one, and
 `batch_term_expectations` reduces one. A `StateVector` is a single
-state at the public boundary: immutable, with unit norm. Rotation
-conventions are Ry(t) = exp(-i t Y / 2) and Rz(t) = exp(-i t Z / 2).
+state at the public boundary, immutable and of unit norm, which
+`exact_energy` reduces as a batch of one. Rotation conventions are
+Ry(t) = exp(-i t Y / 2) and Rz(t) = exp(-i t Z / 2).
 The ansatz applies each Rz(a), Ry(b), Rz(c) triple as one fused gate,
 Rz(c) Ry(b) Rz(a) in closed form:
 [[e^{-i(a+c)/2} cos(b/2), -e^{i(a-c)/2} sin(b/2)],
  [e^{-i(a-c)/2} sin(b/2), e^{i(a+c)/2} cos(b/2)]]. Global phase is
 never compared: the loop's state diagnostic,
-analysis.ground_space_overlap, is a projection norm.
+analysis.ground_space_overlaps, is a projection norm.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .pauli import PauliHamiltonian, _is_int
 
 MAX_QUBITS = 12
 # The most amplitudes a batch keeps in flight: `prepare` runs a batch, and
-# `term_expectations` an action table, in chunks of max(1, _BATCH_AMPLITUDES >> n_qubits)
+# `batch_term_expectations` an action table, in chunks of max(1, _BATCH_AMPLITUDES >> n_qubits)
 # rows. 2^14 prepared 10- and 12-qubit batches faster than 2^12 or 2^16, which falls
 # out of cache, and reduced a 2546-term 10-qubit table fastest (21 ms; 28 and 25 ms).
 _BATCH_AMPLITUDES = 1 << 14
@@ -174,15 +175,6 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
     return out
 
 
-def term_expectations(state: StateVector, h: PauliHamiltonian) -> np.ndarray:
-    """Noiseless <psi|P_t|psi> of every term t of h, in term order: a batch of one."""
-    if h.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"Hamiltonian acts on {h.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    return batch_term_expectations(state.amplitudes[None], h)[0]
-
-
 def batch_term_expectations(amplitudes: np.ndarray, h: PauliHamiltonian) -> np.ndarray:
     """The (B, T) noiseless <psi_b|P_t|psi_b> of the rows of (B, 2^n) amplitudes; real, in [-1, 1].
 
@@ -227,5 +219,7 @@ def _weighted_sum(h: PauliHamiltonian, expectations: np.ndarray) -> float:
 
 
 def exact_energy(state: StateVector, h: PauliHamiltonian) -> float:
-    """Noiseless <psi|H|psi> as the weighted sum of `term_expectations`."""
-    return _weighted_sum(h, term_expectations(state, h))
+    """Noiseless <psi|H|psi>: the weighted sum of the state's row of `batch_term_expectations`."""
+    if h.n_qubits != state.n_qubits:
+        raise ValueError(f"Hamiltonian acts on {h.n_qubits} qubits, state has {state.n_qubits}")
+    return _weighted_sum(h, batch_term_expectations(state.amplitudes[None], h)[0])

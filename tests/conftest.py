@@ -4,7 +4,17 @@ from pathlib import Path
 
 import numpy as np
 
-from vqesim import FermionOperator, PauliHamiltonian, StateVector, jordan_wigner, reconstruct, term_expectations
+from vqesim import (
+    FermionOperator,
+    Measurement,
+    PauliHamiltonian,
+    StateVector,
+    estimate_energy,
+    exact_energy,
+    jordan_wigner,
+    reconstruct,
+)
+from vqesim.statevector import batch_term_expectations
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -18,9 +28,18 @@ def random_state(rng: np.random.Generator, n_qubits: int) -> StateVector:
 
 
 def expectation(state: StateVector, label: str) -> float:
-    """<P> of one string through the library's one path, `term_expectations`."""
-    (value,) = term_expectations(state, PauliHamiltonian(state.n_qubits, [(1.0, label)]))
-    return float(value)
+    """<P> of one string through the library's one path: `exact_energy` of 1.0 * P, which is 0.0 + 1.0 * <P>."""
+    return exact_energy(state, PauliHamiltonian(state.n_qubits, [(1.0, label)]))
+
+
+def term_row(state: StateVector, h: PauliHamiltonian) -> np.ndarray:
+    """The state's row of term expectations: `batch_term_expectations` of a batch of one."""
+    return batch_term_expectations(state.amplitudes[None], h)[0]
+
+
+def estimate_state(state: StateVector, h: PauliHamiltonian, term_shots, seed: int, iteration: int = 0):
+    """One prepared state's estimate as a run makes it: its row of expectations through a `Measurement`."""
+    return estimate_energy(term_row(state, h), Measurement(h, term_shots, seed), iteration)
 
 
 def all_labels(n_qubits: int) -> list[str]:

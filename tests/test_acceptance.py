@@ -21,21 +21,20 @@ from vqesim import (
     ShotPolicy,
     StateVector,
     UccAnsatz,
-    estimate_energy,
     exact_energy,
     exact_spectrum,
     jordan_wigner,
     run_vqe,
     shift_and_square,
     shot_budget,
-    tangle,
 )
+from vqesim.analysis import tangles
 from vqesim.cli import RunConfig, run_config, validate_config
 from vqesim.fermion import FermionOperator
 from vqesim.formats import parse_integrals, write_scan
 from vqesim.synthetic import parabola_scan
 
-from conftest import fermion_matrix, load_script
+from conftest import estimate_state, fermion_matrix, load_script
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -117,7 +116,7 @@ def test_shot_noise_scaling():
     log_std = []
     for shots in shot_grid:
         estimates = [
-            estimate_energy(plus, z, shot_budget(z, ShotPolicy.fixed(shots)), seed, iteration=shots).value
+            estimate_state(plus, z, shot_budget(z, ShotPolicy.fixed(shots)), seed, iteration=shots).value
             for seed in range(200)
         ]
         log_std.append(math.log(float(np.std(estimates))))
@@ -288,11 +287,12 @@ def test_tangle_diagnostics(exact_benchmark, noisy_benchmark):
     )
     bell = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
     product = StateVector(2, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
-    spot = abs(tangle(bell) - 1.0) < 1e-10 and abs(tangle(product)) < 1e-10
+    bell_tangle, product_tangle = tangles(np.array([bell.amplitudes, product.amplitudes]))
+    spot = abs(bell_tangle - 1.0) < 1e-10 and abs(product_tangle) < 1e-10
     ok = in_range and spot
     _report(
         "tangle-diagnostics",
         ok,
-        f"{len(all_records)} trace records in [0,1]; Bell {tangle(bell):.12f}, "
-        f"product {tangle(product):.12f}",
+        f"{len(all_records)} trace records in [0,1]; Bell {bell_tangle:.12f}, "
+        f"product {product_tangle:.12f}",
     )

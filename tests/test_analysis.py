@@ -11,12 +11,10 @@ from vqesim import (
     StateVector,
     exact_spectrum,
     fit_quadratic_minimum,
-    ground_space_overlap,
     monte_carlo_minimum_uncertainty,
     reconstruct,
-    tangle,
 )
-from vqesim.analysis import MAX_MC_SAMPLES
+from vqesim.analysis import MAX_MC_SAMPLES, ground_space_overlaps, tangles
 
 
 def schmidt_state(theta: float) -> StateVector:
@@ -110,9 +108,9 @@ class TestRealSpectrum:
         projector_gap = b_real @ b_real.conj().T - b_forced @ b_forced.conj().T
         assert np.max(np.abs(projector_gap)) <= 1e-10
         rng = np.random.default_rng(state_seed)
-        for _ in range(3):
-            state = random_state(rng, h.n_qubits)
-            assert abs(ground_space_overlap(real, state) - ground_space_overlap(forced, state)) <= 1e-12
+        amplitudes = np.array([random_state(rng, h.n_qubits).amplitudes for _ in range(3)])
+        for a, b in zip(ground_space_overlaps(real, amplitudes), ground_space_overlaps(forced, amplitudes)):
+            assert abs(a - b) <= 1e-12
 
     def test_eigenvector_dtype_follows_the_matrix(self):
         real = PauliHamiltonian(2, [(0.5, "ZI"), (-0.3, "XX"), (0.2, "YY")])
@@ -127,30 +125,35 @@ class TestRealSpectrum:
         assert spec.ground_space.shape == (4, 2)
 
 
+def batch(states: list[StateVector]) -> np.ndarray:
+    return np.array([state.amplitudes for state in states])
+
+
 class TestTangle:
     def test_bell_is_one(self):
         bell = StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert tangle(bell) == pytest.approx(1.0, abs=1e-10)
+        assert tangles(batch([bell])) == [pytest.approx(1.0, abs=1e-10)]
 
     def test_product_is_zero(self):
         basis01 = StateVector(2, np.array([0.0, 1.0, 0.0, 0.0], dtype=complex))
-        assert tangle(basis01) == pytest.approx(0.0, abs=1e-10)
+        assert tangles(batch([basis01])) == [pytest.approx(0.0, abs=1e-10)]
 
     @given(st.floats(0.0, np.pi / 2))
     @settings(max_examples=50)
     def test_schmidt_closed_form(self, theta):
-        assert tangle(schmidt_state(theta)) == pytest.approx(
-            np.sin(2.0 * theta) ** 2, abs=1e-9
-        )
+        assert tangles(batch([schmidt_state(theta)])) == [pytest.approx(np.sin(2.0 * theta) ** 2, abs=1e-9)]
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(12)
+        states, rotated = [], []
         for _ in range(100):
             state = random_state(rng, 2)
             u1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            rotated = StateVector(2, np.kron(u1, u2) @ state.amplitudes)
-            assert abs(tangle(state) - tangle(rotated)) < 1e-9
+            states.append(state)
+            rotated.append(StateVector(2, np.kron(u1, u2) @ state.amplitudes))
+        for a, b in zip(tangles(batch(states)), tangles(batch(rotated))):
+            assert abs(a - b) < 1e-9
 
     def test_closed_form_matches_the_yy_formula(self):
         # C = |<psi| Y(x)Y |psi*>|, the product with the spin-flipped state.
@@ -158,13 +161,16 @@ class TestTangle:
         rng = np.random.default_rng(13)
         states = [random_state(rng, 2) for _ in range(500)]
         states += [schmidt_state(theta) for theta in np.linspace(0.0, np.pi / 2, 50)]
-        for state in states:
+        for state, value in zip(states, tangles(batch(states))):
             concurrence = abs(np.vdot(state.amplitudes, yy @ state.amplitudes.conj()))
-            assert abs(tangle(state) - min(1.0, concurrence * concurrence)) <= 1e-15
+            assert abs(value - min(1.0, concurrence * concurrence)) <= 1e-15
 
     def test_wrong_qubit_count(self):
-        with pytest.raises(ValueError):
-            tangle(StateVector(1, np.array([1.0, 0.0], dtype=complex)))
+        for n in (1, 3):
+            amplitudes = np.zeros((2, 1 << n), dtype=complex)
+            amplitudes[:, 0] = 1.0
+            with pytest.raises(ValueError, match=f"^tangle is defined for 2 qubits, got {n}$"):
+                tangles(amplitudes)
 
 
 class TestOverlap:
@@ -206,12 +212,12 @@ class TestGroundSpaceOverlap:
         # ZZ ground space is span{|01>, |10>}; any unit combination has overlap 1
         spec = exact_spectrum(PauliHamiltonian(2, [(1.0, "ZZ")]))
         mixed = StateVector(2, np.array([0.0, 0.6, 0.8, 0.0], dtype=complex))
-        assert ground_space_overlap(spec, mixed) == pytest.approx(1.0, abs=1e-10)
+        assert ground_space_overlaps(spec, batch([mixed])) == [pytest.approx(1.0, abs=1e-10)]
 
     def test_orthogonal_state(self):
         spec = exact_spectrum(PauliHamiltonian(2, [(1.0, "ZZ")]))
         outside = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        assert ground_space_overlap(spec, outside) == pytest.approx(0.0, abs=1e-10)
+        assert ground_space_overlaps(spec, batch([outside])) == [pytest.approx(0.0, abs=1e-10)]
 
 
 class TestQuadraticFit:

@@ -809,9 +809,9 @@ class TestJobList:
         original = vqesim.driver.estimate_energy
         calls = []
 
-        def recording(state, hamiltonian, *args, **kwargs):
-            estimate = original(state, hamiltonian, *args, **kwargs)
-            calls.append((hamiltonian, estimate))
+        def recording(expectations, measurement, *args, **kwargs):
+            estimate = original(expectations, measurement, *args, **kwargs)
+            calls.append((measurement.hamiltonian, estimate))
             return estimate
 
         # The optimizer's evaluations, and the scan curve's fresh estimates.

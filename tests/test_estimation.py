@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expectation, random_hamiltonian, random_state
+from conftest import estimate_state, expectation, random_hamiltonian, random_state, term_row
 from reference import pauli_expectation
 from vqesim import (
     AnsatzSpec,
@@ -20,7 +20,6 @@ from vqesim import (
     random_initial_parameters,
     run_vqe,
     shot_budget,
-    term_expectations,
 )
 import vqesim.driver
 from vqesim import estimation, statevector
@@ -35,7 +34,7 @@ def plus() -> StateVector:
 def sample_term(state: StateVector, label: str, shots: int, seed: int, iteration: int = 0):
     """(mean, std error) of one term: <H> for H = 1.0 * label at `shots` shots."""
     h = PauliHamiltonian(state.n_qubits, [(1.0, label)])
-    estimate = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(shots)), seed, iteration)
+    estimate = estimate_state(state, h, shot_budget(h, ShotPolicy.fixed(shots)), seed, iteration)
     return estimate.value, estimate.std_error
 
 
@@ -51,15 +50,15 @@ class TestRngStream:
     def test_same_label_reproduces(self):
         h = random_hamiltonian(np.random.default_rng(1), 2)
         state = random_state(np.random.default_rng(2), 2)
-        a = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
-        b = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
+        a = estimate_state(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
+        b = estimate_state(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=7)
         assert a == b
 
     def test_labels_decorrelate(self):
         h = random_hamiltonian(np.random.default_rng(1), 2)
         state = random_state(np.random.default_rng(2), 2)
-        a = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=0)
-        b = estimate_energy(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=1)
+        a = estimate_state(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=0)
+        b = estimate_state(state, h, shot_budget(h, ShotPolicy.fixed(100)), 9, iteration=1)
         assert a.value != b.value
 
     def test_negative_label_rejected(self):
@@ -123,7 +122,7 @@ class TestStreamContract:
         result = run_vqe(h, spec, ShotPolicy.fixed(30), NelderMeadConfig(max_evaluations=30), seed=4)
         term_shots = shot_budget(h, ShotPolicy.fixed(30))
         for rec in result.trace.records:
-            alone = estimate_energy(spec.prepare(rec.parameters), h, term_shots, 4, rec.iteration)
+            alone = estimate_state(spec.prepare(rec.parameters), h, term_shots, 4, rec.iteration)
             assert (alone.value, alone.std_error) == (rec.energy_estimate, rec.std_error)
 
 
@@ -133,7 +132,7 @@ class TestSeedRule:
     @pytest.mark.parametrize(
         "derive",
         [
-            lambda seed: estimate_energy(plus(), PauliHamiltonian(1, [(1.0, "Z")]), (10,), seed),
+            lambda seed: estimate_energy(np.zeros(1), Measurement(PauliHamiltonian(1, [(1.0, "Z")]), (10,), seed)),
             lambda seed: derive_seed(seed, STREAM_SCAN, 0),
             lambda seed: derived_generator(seed, STREAM_INIT),
             lambda seed: random_initial_parameters(3, seed),
@@ -245,7 +244,7 @@ class TestSamplePauli:
     def test_mismatch(self):
         h = PauliHamiltonian(2, [(1.0, "ZZ")])
         with pytest.raises(ValueError):
-            estimate_energy(plus(), h, shot_budget(h, ShotPolicy.fixed(5)), 1)
+            exact_energy(plus(), h)
 
     def test_reproducible(self):
         state = random_state(np.random.default_rng(2), 2)
@@ -363,25 +362,23 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.exact()), 0)
+        estimate = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.exact()), 0)
         state = spec.prepare(params)
-        by_terms = sum(c * e for (c, _), e in zip(h.terms, term_expectations(state, h)))
+        by_terms = sum(c * e for (c, _), e in zip(h.terms, term_row(state, h)))
         assert estimate.value == pytest.approx(by_terms, abs=1e-10)
         assert estimate.std_error == 0.0 and estimate.total_shots == 0
 
     def test_identity_only_is_noiseless(self):
         h = PauliHamiltonian(2, [(2.0, "II")])
         spec = AnsatzSpec(2, 1)
-        estimate = estimate_energy(
-            spec.prepare(np.zeros(12)), h, shot_budget(h, ShotPolicy.fixed(100)), 1
-        )
+        estimate = estimate_state(spec.prepare(np.zeros(12)), h, shot_budget(h, ShotPolicy.fixed(100)), 1)
         assert estimate.value == 2.0 and estimate.std_error == 0.0
         assert estimate.total_shots == 0
 
     def test_precision_allocation(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
         spec = AnsatzSpec(1, 1)
-        estimate = estimate_energy(
+        estimate = estimate_state(
             spec.prepare(np.zeros(6)), h, shot_budget(h, ShotPolicy("precision", precision=0.01)), 2
         )
         assert estimate.term_shots == (10_000,)
@@ -392,7 +389,7 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        estimate = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(100_000)), 3)
+        estimate = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(100_000)), 3)
         truth = exact_energy(spec.prepare(params), h)
         assert abs(estimate.value - truth) <= 5.0 * estimate.std_error
 
@@ -401,8 +398,8 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
-        b = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
+        a = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
+        b = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=4)
         assert a == b
 
     def test_iteration_label_changes_noise(self):
@@ -410,20 +407,21 @@ class TestEstimateEnergy:
         h = random_hamiltonian(rng, 2)
         spec = AnsatzSpec(2, 1)
         params = rng.uniform(-np.pi, np.pi, spec.parameter_count)
-        a = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=0)
-        b = estimate_energy(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=1)
+        a = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=0)
+        b = estimate_state(spec.prepare(params), h, shot_budget(h, ShotPolicy.fixed(500)), 11, iteration=1)
         assert a.value != b.value
 
     def test_callable_preparation(self):
         h = PauliHamiltonian(1, [(1.0, "Z")])
-        estimate = estimate_energy(basis_state(1, 0), h, shot_budget(h, ShotPolicy.fixed(50)), 0)
+        estimate = estimate_state(basis_state(1, 0), h, shot_budget(h, ShotPolicy.fixed(50)), 0)
         assert estimate.value == 1.0
 
     @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(10)])
     def test_state_size_checked_for_identity_only(self, policy):
+        # The reduction checks the state's width; the estimator, handed a row, checks its length.
         h = PauliHamiltonian(2, [(2.0, "II")])
-        with pytest.raises(ValueError, match="prepared state has 1 qubits"):
-            estimate_energy(plus(), h, shot_budget(h, policy), 0)
+        with pytest.raises(ValueError, match=re.escape("Hamiltonian acts on 2 qubits, amplitudes have shape (1, 2)")):
+            estimate_state(plus(), h, shot_budget(h, policy), 0)
 
 
 class TestTermShots:
@@ -435,36 +433,36 @@ class TestTermShots:
     def test_wrong_length_names_both_counts(self, term_shots):
         message = f"term_shots has {len(term_shots)} entries, the Hamiltonian 3 terms"
         with pytest.raises(ValueError, match=f"^{message}$"):
-            estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+            Measurement(self.H, term_shots, 1)
 
     @pytest.mark.parametrize("term_shots,label", [((0, 100, 0), "Z"), ((0, 0, 100), "X")])
     def test_measured_term_without_shots_names_its_label(self, term_shots, label):
         with pytest.raises(ValueError, match=f"^term {label} is measured but takes 0 shots$"):
-            estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
+            Measurement(self.H, term_shots, 1)
 
     def test_measured_term_with_one_shot_is_refused(self):
         with pytest.raises(ValueError, match="^term X takes 1 shot; a standard error needs 2$"):
-            estimate_energy(basis_state(1, 1), self.H, (0, 1, 100), 1)
+            Measurement(self.H, (0, 1, 100), 1)
 
-    def test_measurement_serves_only_its_own_terms_and_shots(self):
-        term_shots = (0, 100, 100)
-        measurement = Measurement(self.H, term_shots, 1)
-        row = term_expectations(basis_state(1, 1), self.H)
-        alone = estimate_energy(basis_state(1, 1), self.H, term_shots, 1)
-        assert estimate_energy(row, self.H, term_shots, measurement) == alone
-        other = PauliHamiltonian(1, self.H.terms)
-        for h, shots in ((other, term_shots), (self.H, tuple(list(term_shots)))):
-            with pytest.raises(ValueError, match="^the Measurement was made for another Hamiltonian"):
-                estimate_energy(row, h, shots, measurement)
+    @pytest.mark.parametrize("term_shots", [(0, 0), (100, 0)], ids=["exact", "shots"])
+    @pytest.mark.parametrize("row", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]], ids=["short", "long", "2d"])
+    def test_expectations_of_another_shape_name_both_counts(self, term_shots, row):
+        # For 2.0 Z + 0.5 I, the row [1.0] once summed to 2.0 instead of 2.5: the sums stopped at the shorter.
+        h = PauliHamiltonian(1, [(2.0, "Z"), (0.5, "I")])
+        row = np.array(row)
+        message = re.escape(f"expectations have shape {row.shape}, the Hamiltonian 2 terms")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_energy(row, Measurement(h, term_shots, 1))
+        assert estimate_energy(np.array([1.0, 1.0]), Measurement(h, (0, 0), 1)).value == 2.5
 
     def test_identity_terms_alone_are_their_coefficient_sum(self):
         # <II> of this state rounds to 1 - 2**-53; a constant is read exactly under any shots.
         state = random_state(np.random.default_rng(0), 2)
         h = PauliHamiltonian(2, [(1.0, "II")])
-        assert estimate_energy(state, h, (0,), 1).value == 1.0 != exact_energy(state, h)
+        assert estimate_state(state, h, (0,), 1).value == 1.0 != exact_energy(state, h)
 
     def test_no_shots_is_exact(self):
-        estimate = estimate_energy(basis_state(1, 1), self.H, (0, 0, 0), 1)
+        estimate = estimate_state(basis_state(1, 1), self.H, (0, 0, 0), 1)
         assert estimate.value == estimate.exact_value == exact_energy(basis_state(1, 1), self.H) == -1.5
         assert estimate.std_error == 0.0 and estimate.total_shots == 0
 
@@ -481,14 +479,14 @@ class TestOnePass:
         n = 1 + seed % 3
         h = random_hamiltonian(rng, n)
         state = random_state(rng, n)
-        estimate = estimate_energy(state, h, shot_budget(h, policy), seed, iteration=seed)
+        estimate = estimate_state(state, h, shot_budget(h, policy), seed, iteration=seed)
         assert estimate.exact_value == exact_energy(state, h)
         if policy.mode == "exact":
             assert estimate.value == estimate.exact_value
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
     def test_one_generator_and_one_expectation_per_term(self, monkeypatch, policy):
-        calls = {"stream": 0, "term_expectations": 0}
+        calls = {"stream": 0, "batch_term_expectations": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -497,11 +495,15 @@ class TestOnePass:
             return wrapper
 
         monkeypatch.setattr(Measurement, "stream", counted("stream", Measurement.stream))
-        monkeypatch.setattr(estimation, "term_expectations", counted("term_expectations", estimation.term_expectations))
+        reduction = counted("batch_term_expectations", statevector.batch_term_expectations)
+        monkeypatch.setattr(statevector, "batch_term_expectations", reduction)
         h = random_hamiltonian(np.random.default_rng(3), 2)
-        estimate_energy(random_state(np.random.default_rng(4), 2), h, shot_budget(h, policy), 5, iteration=2)
-        # One table reduction gives every term's expectation, and one relabelled stream every count.
-        assert calls["term_expectations"] == 1
+        amplitudes = random_state(np.random.default_rng(4), 2).amplitudes[None]
+        row = statevector.batch_term_expectations(amplitudes, h)[0]
+        estimate_energy(row, Measurement(h, shot_budget(h, policy), 5), iteration=2)
+        # The row's one table reduction gives every term's expectation; the estimate adds none,
+        # and one relabelled stream gives every count.
+        assert calls["batch_term_expectations"] == 1
         assert calls["stream"] == (0 if policy.mode == "exact" else 1)
 
     def test_run_vqe_computes_each_expectation_once_per_evaluation(self, monkeypatch):
@@ -511,13 +513,7 @@ class TestOnePass:
             rows.append((len(amplitudes), h))
             return batch_term_expectations(amplitudes, h)
 
-        def single(state, h):
-            raise AssertionError("a run reduces each batch once, never a single state")
-
         monkeypatch.setattr(vqesim.driver, "batch_term_expectations", counted)
-        # Both names: the estimator's import and the one exact_energy uses.
-        monkeypatch.setattr(estimation, "term_expectations", single)
-        monkeypatch.setattr(statevector, "term_expectations", single)
         h = random_hamiltonian(np.random.default_rng(6), 2)
         result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), NelderMeadConfig(max_evaluations=20), seed=1)
         # One reduction per batch: the 13-vertex simplex, then single points.
@@ -536,7 +532,7 @@ class TestOnePass:
         h = PauliHamiltonian(n, [(1.0, label) for label in labels])
         state = random_state(rng, n)
         expected = [pauli_expectation(state.amplitudes, label) for label in labels]
-        assert np.max(np.abs(term_expectations(state, h) - expected)) <= 1e-12
+        assert np.max(np.abs(term_row(state, h) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 10, 12])
     def test_each_term_has_the_bytes_of_that_term_alone(self, n):
@@ -545,8 +541,8 @@ class TestOnePass:
         labels = list(dict.fromkeys("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(40)))
         h = PauliHamiltonian(n, [(1.0, label) for label in labels])
         state = random_state(rng, n)
-        alone = [term_expectations(state, PauliHamiltonian(n, [(1.0, label)])) for label in labels]
-        assert term_expectations(state, h).tobytes() == np.concatenate(alone).tobytes()
+        alone = [term_row(state, PauliHamiltonian(n, [(1.0, label)])) for label in labels]
+        assert term_row(state, h).tobytes() == np.concatenate(alone).tobytes()
 
     @pytest.mark.parametrize("n", [2, 8, 10])
     def test_batch_rows_give_the_bytes_of_a_batch_of_one(self, n):
@@ -559,15 +555,15 @@ class TestOnePass:
         measurement = Measurement(h, term_shots, 3)
         for params, row in zip(batch, batch_term_expectations(prepare(spec, batch), h)):
             alone = spec.prepare(params)
-            assert row.tobytes() == term_expectations(alone, h).tobytes()
-            assert estimate_energy(row, h, term_shots, measurement) == estimate_energy(alone, h, term_shots, 3)
+            assert row.tobytes() == term_row(alone, h).tobytes()
+            assert estimate_energy(row, measurement) == estimate_state(alone, h, term_shots, 3)
 
     def test_precision_std_error_matches_spread(self):
         # Unequal per-term shots under the precision rule: 324, 36, 100 and 16.
         h = PauliHamiltonian(2, [(0.9, "ZI"), (0.3, "XX"), (-0.5, "IZ"), (0.2, "YY"), (0.4, "II")])
         policy = ShotPolicy("precision", precision=0.05)
         state = random_state(np.random.default_rng(10), 2)
-        estimates = [estimate_energy(state, h, shot_budget(h, policy), 12, iteration=j) for j in range(2000)]
+        estimates = [estimate_state(state, h, shot_budget(h, policy), 12, iteration=j) for j in range(2000)]
         assert estimates[0].term_shots == (324, 36, 100, 16, 0)
         values = np.array([e.value for e in estimates])
         reported = math.sqrt(np.mean([e.std_error**2 for e in estimates]))
@@ -583,8 +579,8 @@ class TestShotBudget:
         term_shots = shot_budget(h, ShotPolicy("precision", precision=0.1))
         assert term_shots == (2,)
         measurement = Measurement(h, term_shots, 12)
-        row = term_expectations(z_eigen_mix(0.3), h)
-        estimates = [estimate_energy(row, h, term_shots, measurement, iteration=j) for j in range(4000)]
+        row = term_row(z_eigen_mix(0.3), h)
+        estimates = [estimate_energy(row, measurement, iteration=j) for j in range(4000)]
         values = np.array([e.value for e in estimates])
         reported = math.sqrt(np.mean([e.std_error**2 for e in estimates]))
         # 0.05 * sqrt((1 - 0.3^2) / 2) = 0.0337; the ddof=1 variance is unbiased, so its mean matches.
@@ -612,7 +608,7 @@ class TestShotBudget:
     )
     def test_estimate_draws_the_budget(self, policy):
         h = PauliHamiltonian(2, [(0.3, "II"), (-0.6, "ZI"), (0.5, "XX")])
-        estimate = estimate_energy(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, shot_budget(h, policy), 4)
+        estimate = estimate_state(AnsatzSpec(2, 1).prepare(np.full(12, 0.3)), h, shot_budget(h, policy), 4)
         per_term = shot_budget(h, policy)
         assert estimate.term_shots == per_term and estimate.total_shots == sum(per_term)
 
@@ -620,6 +616,6 @@ class TestShotBudget:
         # 2k - s for counts near 2**63 fits only in Python ints.
         policy = ShotPolicy.fixed(np.int64(MAX_TERM_SHOTS))
         h = PauliHamiltonian(1, [(1.0, "X")])
-        estimate = estimate_energy(plus(), h, shot_budget(h, policy), 3)
+        estimate = estimate_state(plus(), h, shot_budget(h, policy), 3)
         assert estimate.term_shots == (MAX_TERM_SHOTS,) and type(estimate.term_shots[0]) is int
         assert -1.0 <= estimate.value <= 1.0

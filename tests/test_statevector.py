@@ -14,7 +14,6 @@ from vqesim import (
     exact_energy,
     prepare,
     reconstruct,
-    term_expectations,
 )
 from vqesim.statevector import _BATCH_AMPLITUDES, MAX_QUBITS, basis_state, euler_gates
 
@@ -233,7 +232,7 @@ class TestExactExpectation:
 
     def test_mismatch(self):
         with pytest.raises(ValueError, match="Hamiltonian acts on 2 qubits, state has 1"):
-            term_expectations(basis_state(1, 0), PauliHamiltonian(2, [(1.0, "ZZ")]))
+            exact_energy(basis_state(1, 0), PauliHamiltonian(2, [(1.0, "ZZ")]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
