@@ -17,10 +17,16 @@ hardware, because the evaluation index labels the RNG stream.
 
 The optimizers hand the objective a batch of points at a time (see
 `optimize`), and the batch is the unit of evaluation: its amplitudes
-are prepared as one (B, 2^n) array, and one reduction each gives every
-row's term expectations, overlaps and tangles. Each row is then
-estimated from its expectations on its own step's stream and recorded,
-with the bytes it would have if it had come alone.
+are prepared as one (B, 2^n) array, and one reduction gives every
+row's term expectations. Each row is then estimated from its
+expectations on its own step's stream, and its value goes back to the
+optimizer; that is all the optimizer waits for. The diagnostics observe
+the loop from outside its path: the estimated rows wait, with their
+amplitudes, until at least max(1, _BATCH_AMPLITUDES >> n) of them (the
+bound `prepare` works in) are pending, and one overlap and one tangle
+reduction then cover them all and append their records. The last rows
+are recorded after the optimizer returns. Every row gets the bytes it
+would have if it had come alone.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 from .analysis import exact_spectrum, ground_space_overlaps, tangles
 from .estimation import (
     STREAM_INIT,
+    EnergyEstimate,
     Measurement,
     ShotPolicy,
     derived_generator,
@@ -45,7 +52,7 @@ from .optimize import (
     nelder_mead,
 )
 from .pauli import PauliHamiltonian
-from .statevector import batch_term_expectations
+from .statevector import _BATCH_AMPLITUDES, batch_term_expectations
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,9 @@ def run_vqe(
     [0, 2**64 - 1], or an x0 of the wrong shape or with a non-finite
     entry, raises ValueError before the spectrum is built. The default
     optimizer is Nelder-Mead with restarts; pass a GradientDescentConfig
-    for the baseline. The optimizer runs once; then the records at its
+    for the baseline. The optimizer runs once; the rows' records follow
+    their estimates in bounded batches (see the module docstring), and
+    the last ones once it returns. Then the records at its
     `restart_steps` are flagged `restart`, and the trace's evaluation
     and restart counts are read from its records.
     Deterministic given (inputs, config, seed).
@@ -137,20 +146,21 @@ def run_vqe(
             raise ValueError("non-finite parameter")
     spectrum = exact_spectrum(hamiltonian)
     records: list[TraceRecord] = []
+    # Estimated rows whose diagnostics are not yet computed: (step, parameters, estimate),
+    # and their amplitudes, one array per objective call.
+    pending: list[tuple[int, np.ndarray, EnergyEstimate]] = []
+    pending_amplitudes: list[np.ndarray] = []
+    flush_rows = max(1, _BATCH_AMPLITUDES >> hamiltonian.n_qubits)
 
-    def objective(batch: np.ndarray) -> list[float]:
-        amplitudes = ansatz.prepare_batch(batch)
-        expectations = batch_term_expectations(amplitudes, hamiltonian)
+    def record_pending() -> None:
+        amplitudes = np.concatenate(pending_amplitudes)
         overlaps = ground_space_overlaps(spectrum, amplitudes)
         two_qubit = tangles(amplitudes) if hamiltonian.n_qubits == 2 else [None] * len(amplitudes)
-        values = []
-        for params, row, tangle, overlap in zip(batch, expectations, two_qubit, overlaps):
-            step = len(records)
-            estimate = estimate_energy(row, measurement, iteration=step)
+        for (step, params, estimate), tangle, overlap in zip(pending, two_qubit, overlaps):
             records.append(
                 TraceRecord(
                     iteration=step,
-                    parameters=np.array(params, dtype=float),
+                    parameters=params,
                     energy_estimate=estimate.value,
                     std_error=estimate.std_error,
                     exact_energy=estimate.exact_value,
@@ -159,11 +169,27 @@ def run_vqe(
                     restart=False,
                 )
             )
+        pending.clear()
+        pending_amplitudes.clear()
+
+    def objective(batch: np.ndarray) -> list[float]:
+        amplitudes = ansatz.prepare_batch(batch)
+        expectations = batch_term_expectations(amplitudes, hamiltonian)
+        values = []
+        for params, row in zip(batch, expectations):
+            step = len(records) + len(pending)
+            estimate = estimate_energy(row, measurement, iteration=step)
+            pending.append((step, np.array(params, dtype=float), estimate))
             values.append(estimate.value)
+        pending_amplitudes.append(amplitudes)
+        if len(pending) >= flush_rows:
+            record_pending()
         return values
 
     optimizer = gradient_descent if isinstance(config, GradientDescentConfig) else nelder_mead
     opt = optimizer(objective, x0, config)
+    if pending:
+        record_pending()
     for step in opt.restart_steps:
         records[step] = replace(records[step], restart=True)
 

@@ -217,7 +217,8 @@ def nelder_mead(
                 f.last_improvement = f.evaluations
                 continue
 
-            centroid = xs[:-1].mean(axis=0)
+            # mean(axis=0) without its wrapper: the same sum, divided by the same count.
+            centroid = np.add.reduce(xs[:-1], axis=0) / dims
             worst = xs[-1]
             reflected = centroid + REFLECTION * (centroid - worst)
             f_reflected = f.one(reflected)

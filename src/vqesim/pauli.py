@@ -39,7 +39,8 @@ _Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 def _is_int(value) -> bool:
     """An integer as typed: a Python or numpy int, never a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # A plain int first: the ABC check costs more, and every estimate's stream label comes here.
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _is_real(value) -> bool:

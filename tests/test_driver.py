@@ -21,6 +21,8 @@ from vqesim import (
     shift_and_square,
 )
 import vqesim.driver
+from vqesim.analysis import ground_space_overlaps, tangles
+from vqesim.statevector import _BATCH_AMPLITUDES
 
 
 def quick_nm(**overrides):
@@ -299,6 +301,63 @@ class TestBatchInvariance:
             assert dataclasses.replace(a, parameters=None) == dataclasses.replace(b, parameters=None)
         assert batched.best_parameters.tobytes() == split.best_parameters.tobytes()
         assert (batched.best_energy, batched.reason) == (split.best_energy, split.reason)
+
+
+class TestDiagnosticsBehindTheEstimates:
+    """Overlaps and tangles are computed in bounded batches after the estimates, each row as if alone."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_record_has_the_diagnostics_of_its_row_alone(self, monkeypatch, n):
+        h = random_hamiltonian(np.random.default_rng([41, n]), n)
+        spec = AnsatzSpec(n, 1)
+        config = quick_nm(max_evaluations=150, stagnation_window=20)
+        default = run_vqe(h, spec, ShotPolicy.fixed(100), config, seed=5)
+        # Two rows a flush, so records are written while the optimizer runs.
+        monkeypatch.setattr(vqesim.driver, "_BATCH_AMPLITUDES", 2 << n)
+        small = run_vqe(h, spec, ShotPolicy.fixed(100), config, seed=5)
+        assert default.trace.restarts > 0
+        spectrum = exact_spectrum(h)
+        for a, b in zip(default.trace.records, small.trace.records, strict=True):
+            alone = spec.prepare_batch(a.parameters[None])
+            assert a.overlap == ground_space_overlaps(spectrum, alone)[0]
+            assert a.tangle == (tangles(alone)[0] if n == 2 else None)
+            assert a.parameters.tobytes() == b.parameters.tobytes()
+            assert dataclasses.replace(a, parameters=None) == dataclasses.replace(b, parameters=None)
+
+    def test_no_diagnostic_call_takes_more_than_the_bound_plus_one_batch(self, monkeypatch):
+        n = 10
+        spec = AnsatzSpec(n, 1)  # 60 parameters: a 61-row simplex
+        bound = max(1, _BATCH_AMPLITUDES >> n)
+        log = []
+        overlaps = vqesim.driver.ground_space_overlaps
+
+        def logged(spectrum, amplitudes):
+            log.append(("diagnostics", len(amplitudes)))
+            return overlaps(spectrum, amplitudes)
+
+        class LoggedAnsatz:
+            parameter_count = spec.parameter_count
+
+            def prepare_batch(self, batch):
+                log.append(("batch", len(batch)))
+                return spec.prepare_batch(batch)
+
+        monkeypatch.setattr(vqesim.driver, "ground_space_overlaps", logged)
+        h = PauliHamiltonian(n, [(1.0, "Z" * n), (0.5, "X" + "I" * (n - 1)), (-0.3, "I" * (n - 1) + "Y")])
+        result = run_vqe(h, LoggedAnsatz(), ShotPolicy.fixed(100), quick_nm(max_evaluations=150), seed=1)
+        assert log[0] == ("batch", spec.parameter_count + 1)
+        pending, spanned = 0, False
+        for kind, rows in log:
+            if kind == "batch":
+                last = rows
+                pending += rows
+            else:
+                assert rows == pending <= bound - 1 + last
+                spanned |= 1 < last < rows
+                pending = 0
+        # Some flush took rows left over from earlier calls besides a whole shrink or simplex.
+        assert spanned and pending == 0
+        assert sum(rows for kind, rows in log if kind == "diagnostics") == result.trace.evaluations == 150
 
 
 def _run_folded(hamiltonian, shift, seed):

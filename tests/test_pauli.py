@@ -14,9 +14,18 @@ from vqesim import (
     reconstruct,
     shift_and_square,
 )
-from vqesim.pauli import _label, _product
+from vqesim.pauli import _is_int, _label, _product
 
 labels_st = st.text(alphabet="IXYZ", min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, True), (np.int64(3), True), (2**70, True), (True, False), (np.bool_(True), False), (3.0, False)],
+    ids=["int", "np.int64", "2**70", "bool", "np.bool_", "float"],
+)
+def test_is_int_takes_integers_and_refuses_bools(value, expected):
+    assert _is_int(value) is expected
 
 
 class TestParse:
