@@ -22,7 +22,7 @@ row's term expectations. Each row is then estimated from its
 expectations on its own step's stream, and its value goes back to the
 optimizer; that is all the optimizer waits for. The diagnostics observe
 the loop from outside its path: the estimated rows wait, with their
-amplitudes, until at least max(1, _BATCH_AMPLITUDES >> n) of them (the
+amplitudes, until at least `statevector.batch_rows(n)` of them (the
 bound `prepare` works in) are pending, and one overlap and one tangle
 reduction then cover them all and append their records. The last rows
 are recorded after the optimizer returns. Every row gets the bytes it
@@ -52,7 +52,7 @@ from .optimize import (
     nelder_mead,
 )
 from .pauli import PauliHamiltonian
-from .statevector import _BATCH_AMPLITUDES, batch_term_expectations
+from .statevector import batch_rows, batch_term_expectations
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def run_vqe(
     `ansatz` is anything with a `parameter_count` attribute and a
     `prepare_batch(batch)` method that returns the checked (B, 2^n)
     amplitudes of the rows of a (B, parameter_count) array, in row
-    order.
+    order. The run keeps that array until the rows' diagnostics are
+    computed, so it must not be modified or reused afterwards.
     The optimizer calls the objective with such a batch and gets its B
     estimated energies back; row b of a batch is step len(records) + b,
     estimated on that step's RNG stream with the per-term shots that
@@ -150,10 +151,10 @@ def run_vqe(
     # and their amplitudes, one array per objective call.
     pending: list[tuple[int, np.ndarray, EnergyEstimate]] = []
     pending_amplitudes: list[np.ndarray] = []
-    flush_rows = max(1, _BATCH_AMPLITUDES >> hamiltonian.n_qubits)
+    flush_rows = batch_rows(hamiltonian.n_qubits)
 
     def record_pending() -> None:
-        amplitudes = np.concatenate(pending_amplitudes)
+        amplitudes = pending_amplitudes[0] if len(pending_amplitudes) == 1 else np.concatenate(pending_amplitudes)
         overlaps = ground_space_overlaps(spectrum, amplitudes)
         two_qubit = tangles(amplitudes) if hamiltonian.n_qubits == 2 else [None] * len(amplitudes)
         for (step, params, estimate), tangle, overlap in zip(pending, two_qubit, overlaps):

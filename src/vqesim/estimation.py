@@ -30,11 +30,9 @@ expectations with that `Measurement`.
 Randomness is fully deterministic: a run keys one counter-based Philox
 stream from its 64-bit seed, the evaluation's iteration index labels
 the stream's counter, and the binomial draws at that label give every
-term's count, in term order. A few-term estimate draws each count on its
-own (numpy's array form pays a fixed set of checks per call that cost
-more than a handful of scalar draws); a wider one draws them in one
-array call. Both read the same stream in the same order, so they give
-the same counts. Every generator and child seed
+term's count, one scalar draw per term in term order: the same counts
+as one array draw over the measured terms, without the argument checks
+numpy's array form pays on every call. Every generator and child seed
 derives from one `SeedSequence` helper, which holds the one seed range
 check.
 The noiseless <H> of the same pass comes with the estimate, so the
@@ -61,11 +59,6 @@ STREAM_MC = 3
 MAX_SEED = 2**64 - 1
 # The most shots one term may take: numpy draws them as a 64-bit integer.
 MAX_TERM_SHOTS = 2**63 - 1
-# Up to this many measured terms, `estimate_energy` draws one scalar binomial per term;
-# past it, one array draw. numpy's array form costs about 8 us of argument checks a
-# call against about 1 us for a scalar draw; on a 2-core x86 VM (numpy 2.4) the two
-# broke even at 8 to 12 terms, and 40 scalar draws ran the 40-term benchmark 3.5% slower.
-SCALAR_DRAW_TERMS = 8
 
 
 def _seed_sequence(seed: int, namespace: int, *key: int) -> np.random.SeedSequence:
@@ -224,7 +217,6 @@ class Measurement:
                     raise ValueError(f"term {pauli.label} is measured but takes 0 shots")
                 if shots == 1:
                     raise ValueError(f"term {pauli.label} takes 1 shot; a standard error needs 2")
-        self._shots = np.array([shots for shots in term_shots if shots], dtype=np.int64)
         self._terms = [(coeff, shots) for (coeff, _), shots in zip(hamiltonian.terms, term_shots)]
 
     def stream(self, iteration: int) -> np.random.Generator:
@@ -247,12 +239,10 @@ def estimate_energy(expectations: np.ndarray, measurement: Measurement, iteratio
     estimates as the exact sum of its coefficients. Otherwise a term with
     s shots has the +1 count k ~ Binomial(s, clip((1 + <P>)/2, 0, 1)),
     drawn in term order on the run's stream labelled `iteration` (see
-    `Measurement`): one scalar draw per term when at most
-    SCALAR_DRAW_TERMS terms are measured, else one array draw, which
-    gives the same counts. A term's mean is (2k - s)/s and its standard error
-    the ddof=1 figure of its +-1 outcomes, sqrt((1 - mean^2)/(s - 1));
-    the errors combine in quadrature. An identity term without shots adds
-    its coefficient.
+    `Measurement`), one scalar draw per term. A term's mean is (2k - s)/s
+    and its standard error the ddof=1 figure of its +-1 outcomes,
+    sqrt((1 - mean^2)/(s - 1)); the errors combine in quadrature. An
+    identity term without shots adds its coefficient.
     """
     hamiltonian, term_shots = measurement.hamiltonian, measurement.term_shots
     if expectations.shape != (len(term_shots),):
@@ -260,19 +250,14 @@ def estimate_energy(expectations: np.ndarray, measurement: Measurement, iteratio
     exact_value = _weighted_sum(hamiltonian, expectations)
     if measurement._exact:
         return EnergyEstimate(exact_value, 0.0, term_shots, exact_value)
-    # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
-    p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e in expectations.tolist()]
     generator = measurement.stream(iteration)
-    scalar = len(measurement._shots) <= SCALAR_DRAW_TERMS
-    if not scalar:
-        measured = [p for p, shots in zip(p_plus, term_shots) if shots]
-        plus_counts = iter(generator.binomial(measurement._shots, measured).tolist())
     value = variance = 0.0
-    for (coeff, shots), p in zip(measurement._terms, p_plus):
+    for (coeff, shots), e in zip(measurement._terms, expectations.tolist()):
         if not shots:
             value += coeff
             continue
-        plus = int(generator.binomial(shots, p)) if scalar else next(plus_counts)
+        # Clipped: rounding can push <P> a hair outside [-1, 1]. Python floats round as numpy's would.
+        plus = int(generator.binomial(shots, min(1.0, max(0.0, (1.0 + e) / 2.0))))
         # Python ints: 2k overflows int64 near MAX_TERM_SHOTS.
         mean = (2 * plus - shots) / shots
         value += coeff * mean

@@ -134,6 +134,11 @@ class AnsatzSpec:
         return prepare(self, batch)
 
 
+def batch_rows(n_qubits: int) -> int:
+    """How many rows of 2^n_qubits amplitudes a batch keeps in flight: max(1, _BATCH_AMPLITUDES >> n_qubits)."""
+    return max(1, _BATCH_AMPLITUDES >> n_qubits)
+
+
 def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
     """Run the ansatz on |0...0> for each row of a (B, parameter_count) batch, in row order.
 
@@ -153,7 +158,7 @@ def prepare(spec: AnsatzSpec, batch: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite parameter")
     n, layers = spec.n_qubits, spec.layer_count
     gates = euler_gates(batch.reshape(len(batch), layers + 1, n, 3))
-    rows = max(1, _BATCH_AMPLITUDES >> n)
+    rows = batch_rows(n)
     out = np.empty((len(batch), 1 << n), dtype=complex)
     for start in range(0, len(batch), rows):
         chunk = gates[start:start + rows]

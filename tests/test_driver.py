@@ -22,7 +22,7 @@ from vqesim import (
 )
 import vqesim.driver
 from vqesim.analysis import ground_space_overlaps, tangles
-from vqesim.statevector import _BATCH_AMPLITUDES
+from vqesim.statevector import batch_rows
 
 
 def quick_nm(**overrides):
@@ -313,7 +313,7 @@ class TestDiagnosticsBehindTheEstimates:
         config = quick_nm(max_evaluations=150, stagnation_window=20)
         default = run_vqe(h, spec, ShotPolicy.fixed(100), config, seed=5)
         # Two rows a flush, so records are written while the optimizer runs.
-        monkeypatch.setattr(vqesim.driver, "_BATCH_AMPLITUDES", 2 << n)
+        monkeypatch.setattr(vqesim.driver, "batch_rows", lambda n_qubits: 2)
         small = run_vqe(h, spec, ShotPolicy.fixed(100), config, seed=5)
         assert default.trace.restarts > 0
         spectrum = exact_spectrum(h)
@@ -327,37 +327,40 @@ class TestDiagnosticsBehindTheEstimates:
     def test_no_diagnostic_call_takes_more_than_the_bound_plus_one_batch(self, monkeypatch):
         n = 10
         spec = AnsatzSpec(n, 1)  # 60 parameters: a 61-row simplex
-        bound = max(1, _BATCH_AMPLITUDES >> n)
-        log = []
+        bound = batch_rows(n)
+        log, prepared = [], []
         overlaps = vqesim.driver.ground_space_overlaps
 
         def logged(spectrum, amplitudes):
-            log.append(("diagnostics", len(amplitudes)))
+            log.append(("diagnostics", len(amplitudes), amplitudes is prepared[-1]))
             return overlaps(spectrum, amplitudes)
 
         class LoggedAnsatz:
             parameter_count = spec.parameter_count
 
             def prepare_batch(self, batch):
-                log.append(("batch", len(batch)))
-                return spec.prepare_batch(batch)
+                log.append(("batch", len(batch), None))
+                prepared.append(spec.prepare_batch(batch))
+                return prepared[-1]
 
         monkeypatch.setattr(vqesim.driver, "ground_space_overlaps", logged)
         h = PauliHamiltonian(n, [(1.0, "Z" * n), (0.5, "X" + "I" * (n - 1)), (-0.3, "I" * (n - 1) + "Y")])
         result = run_vqe(h, LoggedAnsatz(), ShotPolicy.fixed(100), quick_nm(max_evaluations=150), seed=1)
-        assert log[0] == ("batch", spec.parameter_count + 1)
+        assert log[0] == ("batch", spec.parameter_count + 1, None)
         pending, spanned = 0, False
-        for kind, rows in log:
+        for kind, rows, uncopied in log:
             if kind == "batch":
                 last = rows
                 pending += rows
             else:
                 assert rows == pending <= bound - 1 + last
+                # One pending batch is handed on as it is; only several are concatenated.
+                assert uncopied == (rows == last)
                 spanned |= 1 < last < rows
                 pending = 0
         # Some flush took rows left over from earlier calls besides a whole shrink or simplex.
         assert spanned and pending == 0
-        assert sum(rows for kind, rows in log if kind == "diagnostics") == result.trace.evaluations == 150
+        assert sum(rows for kind, rows, _ in log if kind == "diagnostics") == result.trace.evaluations == 150
 
 
 def _run_folded(hamiltonian, shift, seed):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import time
@@ -425,64 +424,27 @@ class TestEstimateEnergy:
             estimate_state(plus(), h, shot_budget(h, policy), 0)
 
 
-class _RecordingGenerator:
-    """Hands `binomial` on to a generator, recording the shape of each call's shot counts."""
-
-    def __init__(self, generator):
-        self.generator, self.shapes = generator, []
-
-    def binomial(self, n, p):
-        self.shapes.append(np.shape(n))
-        return self.generator.binomial(n, p)
-
-
-def _measured_labels(n: int, count: int) -> list[str]:
-    """`count` distinct non-identity labels on n qubits."""
-    return ["".join("IXYZ"[(k >> (2 * q)) & 3] for q in range(n)) for k in range(1, count + 1)]
-
-
-class TestDrawPaths:
-    """Up to SCALAR_DRAW_TERMS measured terms draw one scalar count each, more draw one array; the counts agree."""
-
-    @pytest.mark.parametrize("measured", [1, 8, 9, 40])
-    def test_the_path_follows_the_measured_term_count(self, measured):
-        h = PauliHamiltonian(4, [(0.5, "IIII")] + [(1.0, label) for label in _measured_labels(4, measured)])
-        measurement = Measurement(h, shot_budget(h, ShotPolicy.fixed(100)), 3)
-        recorder = measurement._generator = _RecordingGenerator(measurement._generator)
-        estimate_energy(np.zeros(h.term_count), measurement)
-        assert recorder.shapes == ([()] * measured if measured <= estimation.SCALAR_DRAW_TERMS else [(measured,)])
+class TestTermDraws:
+    """Each measured term's count is one scalar draw, in term order: the counts of one array draw."""
 
     @pytest.mark.parametrize("shots", [2, 100, 10**10, MAX_TERM_SHOTS])
-    def test_scalar_and_array_draws_give_the_same_counts(self, monkeypatch, shots):
+    def test_estimates_take_the_counts_of_one_array_draw(self, shots):
         # <P> just past -1 and 1 clips p to 0 and 1; the other terms spread over [-1, 1].
         rng = np.random.default_rng([shots % 2**32, 30])
-        labels = _measured_labels(3, 11)
+        labels = ["".join("IXYZ"[(k >> (2 * q)) & 3] for q in range(3)) for k in range(1, 12)]  # 11 measured
         row = np.array([0.0, -1.0 - 2**-51, 1.0 + 2**-51, -1.0, 1.0, 0.0, *rng.uniform(-1, 1, 6)])
-        h = PauliHamiltonian(3, [(0.5, "III")] + [(float(c), label) for c, label in zip(rng.uniform(-1, 1, 11), labels)])
+        coefficients = rng.uniform(-1, 1, 11).tolist()
+        h = PauliHamiltonian(3, [(0.5, "III")] + list(zip(coefficients, labels)))
         measurement = Measurement(h, shot_budget(h, ShotPolicy.fixed(shots)), 17)
         p_plus = [min(1.0, max(0.0, (1.0 + e) / 2.0)) for e in row[1:].tolist()]
         assert p_plus[:4] == [0.0, 1.0, 0.0, 1.0]
         for iteration in range(20):
-            at_once = measurement.stream(iteration).binomial(measurement._shots, p_plus).tolist()
-            generator = measurement.stream(iteration)
-            assert [int(generator.binomial(shots, p)) for p in p_plus] == at_once
-        estimates = {}
-        for threshold in (0, 11):
-            monkeypatch.setattr(estimation, "SCALAR_DRAW_TERMS", threshold)
-            estimates[threshold] = [estimate_energy(row, measurement, iteration) for iteration in range(20)]
-        assert estimates[0] == estimates[11]
-
-    @pytest.mark.parametrize("n, terms", [(2, 6), (8, 12)])
-    def test_runs_give_the_same_trace_both_ways(self, monkeypatch, n, terms):
-        rng = np.random.default_rng([n, 31])
-        h = random_hamiltonian(rng, n, labels=["I" * n, *_measured_labels(n, terms - 1)])
-        traces = []
-        for threshold in (0, terms):
-            monkeypatch.setattr(estimation, "SCALAR_DRAW_TERMS", threshold)
-            result = run_vqe(h, AnsatzSpec(n, 1), ShotPolicy.fixed(100), NelderMeadConfig(max_evaluations=120), seed=9)
-            traces.append([(r.parameters.tobytes(), dataclasses.replace(r, parameters=None)) for r in result.trace.records])
-        assert len(traces[0]) == 120
-        assert traces[0] == traces[1]
+            counts = measurement.stream(iteration).binomial(np.full(11, shots, dtype=np.int64), p_plus).tolist()
+            assert counts[:4] == [0, shots, 0, shots]
+            value = 0.5
+            for coeff, plus in zip(coefficients, counts):
+                value += coeff * ((2 * plus - shots) / shots)
+            assert estimate_energy(row, measurement, iteration).value == value
 
 
 class TestTermShots:

@@ -15,7 +15,7 @@ from vqesim import (
     prepare,
     reconstruct,
 )
-from vqesim.statevector import _BATCH_AMPLITUDES, MAX_QUBITS, basis_state, euler_gates
+from vqesim.statevector import MAX_QUBITS, basis_state, batch_rows, euler_gates
 
 
 def ry(theta: float) -> np.ndarray:
@@ -182,7 +182,7 @@ class TestPrepareBatch:
     def test_rows_match_a_batch_of_one(self, n, layers):
         """Two chunk boundaries fall inside the batch; no row's bytes move."""
         spec = AnsatzSpec(n, layers)
-        rows = 2 * max(1, _BATCH_AMPLITUDES >> n) + 1
+        rows = 2 * batch_rows(n) + 1
         batch = np.random.default_rng([n, layers, rows]).uniform(-np.pi, np.pi, (rows, spec.parameter_count))
         amplitudes = prepare(spec, batch)
         assert amplitudes.shape == (rows, 1 << n) and amplitudes.flags.c_contiguous
