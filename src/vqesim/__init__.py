@@ -13,6 +13,7 @@ from .driver import (
     VqeResult,
     VqeTrace,
     random_initial_parameters,
+    run_jobs,
     run_vqe,
 )
 from .estimation import (
@@ -32,8 +33,8 @@ from .optimize import (
     GradientDescentConfig,
     NelderMeadConfig,
     OptimizerResult,
-    gradient_descent,
-    nelder_mead,
+    gradient_descent_search,
+    nelder_mead_search,
 )
 from .pauli import (
     PauliHamiltonian,
@@ -73,13 +74,14 @@ __all__ = [
     "exact_energy",
     "exact_spectrum",
     "fit_quadratic_minimum",
-    "gradient_descent",
+    "gradient_descent_search",
     "jordan_wigner",
     "monte_carlo_minimum_uncertainty",
-    "nelder_mead",
+    "nelder_mead_search",
     "prepare",
     "random_initial_parameters",
     "reconstruct",
+    "run_jobs",
     "run_vqe",
     "shift_and_square",
     "shot_budget",

@@ -59,7 +59,7 @@ from .analysis import (
     fit_quadratic_minimum,
     monte_carlo_minimum_uncertainty,
 )
-from .driver import VqeResult, run_vqe
+from .driver import VqeResult, run_jobs
 from .estimation import (
     MAX_SEED,
     STREAM_MC,
@@ -75,7 +75,7 @@ from .fermion import UccAnsatz, jordan_wigner
 from .formats import FormatError, ScanPoint, load_hamiltonian, load_integrals, load_scan
 from .optimize import NelderMeadConfig
 from .pauli import PauliHamiltonian, _is_int, _is_real, shift_and_square
-from .statevector import AnsatzSpec, batch_term_expectations, exact_energy
+from .statevector import AnsatzSpec, _weighted_sum, batch_term_expectations, exact_energy
 
 
 class ConfigError(ValueError):
@@ -424,15 +424,22 @@ def _single_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     return payload
 
 
+def _best_states(plan: RunPlan, results: list[VqeResult]) -> np.ndarray:
+    """The amplitudes of every job's best parameters, prepared as one batch."""
+    return plan.ansatz.prepare_batch(np.array([result.best_parameters for result in results]))
+
+
 def _folded_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     """Per shift: the folded objective and the plain <H> of the best state."""
     config = plan.config
+    amplitudes = _best_states(plan, results)
+    recovered = batch_term_expectations(amplitudes, plan.loaded)
     shifts = []
-    for shift, job, result in zip(config.lambdas, plan.jobs, results):
-        state = plan.ansatz.prepare(result.best_parameters)
+    for i, (shift, job, result) in enumerate(zip(config.lambdas, plan.jobs, results)):
+        folded = batch_term_expectations(amplitudes[i:i + 1], job.operator)[0]
         energies = {
-            "folded_energy": exact_energy(state, job.operator),
-            "recovered_eigenvalue": exact_energy(state, plan.loaded),
+            "folded_energy": _weighted_sum(job.operator, folded),
+            "recovered_eigenvalue": _weighted_sum(plan.loaded, recovered[i]),
         }
         sub = out / job.trace.parent
         _write_json(sub / "summary.json", _summary_payload(result, config, shift=shift, **energies))
@@ -450,13 +457,12 @@ def _scan_summary(plan: RunPlan, results: list[VqeResult], out: Path) -> dict:
     noisy evaluations is selection-biased low, a fresh estimate is not.
     """
     config = plan.config
+    amplitudes = _best_states(plan, results)
     rows = []  # (R, E_est, E_exact, std_error) per point
-    for point, job, result in zip(plan.loaded, plan.jobs, results):
-        amplitudes = plan.ansatz.prepare_batch(result.best_parameters[None])
+    for i, (point, job, result) in enumerate(zip(plan.loaded, plan.jobs, results)):
         measurement = Measurement(job.operator, job.term_shots, job.seed)
-        estimate = estimate_energy(
-            batch_term_expectations(amplitudes, job.operator)[0], measurement, iteration=result.trace.evaluations
-        )
+        expectations = batch_term_expectations(amplitudes[i:i + 1], job.operator)[0]
+        estimate = estimate_energy(expectations, measurement, iteration=result.trace.evaluations)
         rows.append((point.label, estimate.value, result.exact_ground_energy, estimate.std_error))
 
     with (out / "curve.csv").open("w", newline="") as fh:
@@ -505,11 +511,13 @@ def run_config(config: RunConfig) -> dict:
     _write_json(out / "config.json", dataclasses.asdict(config))
     # UCC starts at zero amplitudes: its first evaluation is the reference state.
     x0 = np.zeros(plan.ansatz.parameter_count) if config.mode == "ucc" else None
-    results = []
-    for job in plan.jobs:
-        result = run_vqe(job.operator, plan.ansatz, plan.policy, plan.optimizer, job.seed, x0)
+    jobs = [(job.operator, job.term_shots, job.seed) for job in plan.jobs]
+    results, error = run_jobs(plan.ansatz, jobs, plan.optimizer, x0)
+    # The jobs before the first that failed leave their traces, as if run one after another.
+    for job, result in zip(plan.jobs, results):
         _write_trace_csv(out / job.trace, result)
-        results.append(result)
+    if error is not None:
+        raise error
     summary = {"folded": _folded_summary, "scan": _scan_summary}.get(config.mode, _single_summary)
     return summary(plan, results, out)
 

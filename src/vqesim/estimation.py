@@ -133,7 +133,7 @@ class ShotPolicy:
         return f"precision:{float(self.precision)!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyEstimate:
     """One estimated <H>: value, combined standard error, shot bookkeeping.
 

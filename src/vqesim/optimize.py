@@ -14,15 +14,19 @@ settings: the simplex moves use Nelder and Mead's standard coefficients
 (1, 2, 1/2, 1/2), and the gradient is a central difference of fixed
 step FD_STEP.
 
-The objective takes a batch: a (B, dims) array of points, one per row,
-and returns their B values in row order. Where the points do not depend
-on each other's values the optimizers pass them together (Lee and
-Wiswall, Computational Economics 30, 2007): Nelder-Mead's dims + 1
-simplex vertices and its dims-point shrink, and gradient descent's
-2 * dims central-difference probes, in the order a point-by-point search
-would evaluate them. Every other point is a batch of one. The rows
-count against the budget one by one; a batch that would overrun it is
-cut, and only the rows that fit are evaluated.
+Both are ask-and-tell searches (Collette, Hansen et al., "On
+object-oriented programming of optimizers", 2010): a generator that
+yields a (B, dims) array of points, one per row, is sent their B values
+in row order, and returns its OptimizerResult. The caller decides how
+and when the rows are evaluated, so several searches can share the
+work of one batch. Where the points do not depend on each other's
+values a search asks for them together (Lee and Wiswall, Computational
+Economics 30, 2007): Nelder-Mead's dims + 1 simplex vertices and its
+dims-point shrink, and gradient descent's 2 * dims central-difference
+probes, in the order a point-by-point search would evaluate them. Every
+other point is a batch of one. The rows count against the budget one
+by one; a batch that would overrun it is cut, and only the rows that
+fit are asked for.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -44,9 +48,6 @@ REASON_RESTART_LIMIT = "restart_limit"
 REFLECTION, EXPANSION, CONTRACTION, SHRINK = 1.0, 2.0, 0.5, 0.5
 # The central-difference step of gradient descent.
 FD_STEP = 1e-3
-
-# (B, dims) points in, their B values out, in row order.
-Objective = Callable[[np.ndarray], Sequence[float]]
 
 
 class ObjectiveValueError(ValueError):
@@ -113,25 +114,28 @@ class OptimizerResult:
         return len(self.restart_steps)
 
 
+# Yields (B, dims) points, is sent their B values in row order, returns the result.
+Search = Generator[np.ndarray, Sequence[float], OptimizerResult]
+
+
 class _BudgetExhausted(Exception):
     pass
 
 
 class _CountingObjective:
-    """Wraps the objective: budget enforcement, best-ever and stagnation tracking."""
+    """The asks of one search: budget enforcement, best-ever and stagnation tracking."""
 
-    def __init__(self, objective: Objective, max_evaluations: int):
-        self._objective = objective
+    def __init__(self, max_evaluations: int):
         self.max_evaluations = max_evaluations
         self.evaluations = 0
         self.x_best: np.ndarray | None = None
         self.f_best = math.inf
         self.last_improvement = 0
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """Values of the rows of xs, taken in order; the first lowest value ever wins.
+    def ask(self, xs: np.ndarray) -> Generator[np.ndarray, Sequence[float], np.ndarray]:
+        """Yield the rows of xs, then take their values in order; the first lowest value ever wins.
 
-        Rows past the budget are not evaluated: the ones that fit are, then
+        Rows past the budget are not asked for: the ones that fit are, then
         the budget's end is raised. A non-finite value raises
         ObjectiveValueError for the first row that has one.
         """
@@ -139,7 +143,7 @@ class _CountingObjective:
         if room <= 0:
             raise _BudgetExhausted
         batch = xs[:room]
-        values = [float(v) for v in self._objective(batch)]
+        values = [float(v) for v in (yield batch)]
         if len(values) != len(batch):
             raise ValueError(f"objective returned {len(values)} values for {len(batch)} points")
         for x, value in zip(batch, values):
@@ -156,20 +160,16 @@ class _CountingObjective:
             raise _BudgetExhausted
         return np.array(values)
 
-    def one(self, x: np.ndarray) -> float:
+    def ask_one(self, x: np.ndarray) -> Generator[np.ndarray, Sequence[float], float]:
         """The value of a single point: a batch of one."""
-        return float(self(x[None])[0])
+        return float((yield from self.ask(x[None]))[0])
 
 
 def _finalize(f: _CountingObjective, restart_steps: list[int], converged: bool, reason: str) -> OptimizerResult:
     return OptimizerResult(f.x_best.copy(), f.f_best, f.evaluations, tuple(restart_steps), converged, reason)
 
 
-def nelder_mead(
-    objective: Objective,
-    x0: Sequence[float],
-    config: NelderMeadConfig | None = None,
-) -> OptimizerResult:
+def nelder_mead_search(x0: Sequence[float], config: NelderMeadConfig | None = None) -> Search:
     """Minimize with the four Nelder-Mead simplex moves, plus restarts.
 
     The initial simplex is x0, which needs at least one coordinate,
@@ -185,17 +185,17 @@ def nelder_mead(
     dims = x0.size
     if dims == 0:
         raise ValueError("Nelder-Mead needs at least one parameter; x0 is empty")
-    f = _CountingObjective(objective, cfg.max_evaluations)
+    f = _CountingObjective(cfg.max_evaluations)
     restart_steps: list[int] = []
 
-    def build_simplex(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def build_simplex(center: np.ndarray):
         xs = np.repeat(center[None], dims + 1, axis=0)
         for k in range(dims):
             xs[k + 1, k] += cfg.initial_scale
-        return xs, f(xs)
+        return xs, (yield from f.ask(xs))
 
     try:
-        xs, vals = build_simplex(x0)
+        xs, vals = yield from build_simplex(x0)
         while True:
             order = np.argsort(vals, kind="stable")
             xs, vals = xs[order], vals[order]
@@ -213,7 +213,7 @@ def nelder_mead(
                 if f.evaluations >= cfg.max_evaluations:  # no evaluation left for the new simplex
                     return _finalize(f, restart_steps, False, REASON_BUDGET)
                 restart_steps.append(f.evaluations)
-                xs, vals = build_simplex(f.x_best)
+                xs, vals = yield from build_simplex(f.x_best)
                 f.last_improvement = f.evaluations
                 continue
 
@@ -221,10 +221,10 @@ def nelder_mead(
             centroid = np.add.reduce(xs[:-1], axis=0) / dims
             worst = xs[-1]
             reflected = centroid + REFLECTION * (centroid - worst)
-            f_reflected = f.one(reflected)
+            f_reflected = yield from f.ask_one(reflected)
             if f_reflected < vals[0]:
                 expanded = centroid + EXPANSION * (reflected - centroid)
-                f_expanded = f.one(expanded)
+                f_expanded = yield from f.ask_one(expanded)
                 if f_expanded < f_reflected:
                     xs[-1], vals[-1] = expanded, f_expanded
                 else:
@@ -234,26 +234,22 @@ def nelder_mead(
             else:
                 if f_reflected < vals[-1]:
                     contracted = centroid + CONTRACTION * (reflected - centroid)
-                    f_contracted = f.one(contracted)
+                    f_contracted = yield from f.ask_one(contracted)
                     accept = f_contracted <= f_reflected
                 else:
                     contracted = centroid - CONTRACTION * (centroid - worst)
-                    f_contracted = f.one(contracted)
+                    f_contracted = yield from f.ask_one(contracted)
                     accept = f_contracted < vals[-1]
                 if accept:
                     xs[-1], vals[-1] = contracted, f_contracted
                 else:
                     xs[1:] = xs[0] + SHRINK * (xs[1:] - xs[0])
-                    vals[1:] = f(xs[1:])
+                    vals[1:] = yield from f.ask(xs[1:])
     except _BudgetExhausted:
         return _finalize(f, restart_steps, False, REASON_BUDGET)
 
 
-def gradient_descent(
-    objective: Objective,
-    x0: Sequence[float],
-    config: GradientDescentConfig | None = None,
-) -> OptimizerResult:
+def gradient_descent_search(x0: Sequence[float], config: GradientDescentConfig | None = None) -> Search:
     """Fixed-step descent along a central finite-difference gradient.
 
     Runs until the evaluation budget is spent and returns the best
@@ -261,19 +257,19 @@ def gradient_descent(
     """
     cfg = config or GradientDescentConfig()
     x0 = np.asarray(x0, dtype=float)
-    f = _CountingObjective(objective, cfg.max_evaluations)
+    f = _CountingObjective(cfg.max_evaluations)
     x = x0.copy()
     try:
-        f.one(x)
+        yield from f.ask_one(x)
         while True:
             # Rows 2k and 2k + 1 step coordinate k up, then down from there.
             probes = np.repeat(x[None], 2 * x.size, axis=0)
             for k in range(x.size):
                 probes[2 * k, k] += FD_STEP
                 probes[2 * k + 1, k] = probes[2 * k, k] - 2.0 * FD_STEP
-            values = f(probes)
+            values = yield from f.ask(probes)
             grad = (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
             x = x - cfg.step_size * grad
-            f.one(x)
+            yield from f.ask_one(x)
     except _BudgetExhausted:
         return _finalize(f, [], False, REASON_BUDGET)

@@ -42,6 +42,16 @@ def estimate_state(state: StateVector, h: PauliHamiltonian, term_shots, seed: in
     return estimate_energy(term_row(state, h), Measurement(h, term_shots, seed), iteration)
 
 
+def drive(search, objective):
+    """Run an ask-and-tell search to its result, answering each batch it asks for with objective(batch)."""
+    try:
+        batch = next(search)
+        while True:
+            batch = search.send(objective(batch))
+    except StopIteration as stop:
+        return stop.value
+
+
 def all_labels(n_qubits: int) -> list[str]:
     return ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)]
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vqesim import exact_spectrum
+from vqesim import PauliHamiltonian, exact_spectrum, run_vqe
 from vqesim.cli import (
     MAX_PARAMETERS,
     ConfigError,
@@ -26,6 +26,7 @@ from vqesim.cli import (
     validate_config,
 )
 from vqesim.formats import load_hamiltonian, write_scan
+from vqesim.optimize import ObjectiveValueError
 from vqesim.synthetic import parabola_scan
 
 TWO_QUBIT_FILE = "0.3 II\n-0.6 ZI\n0.4 IZ\n-0.2 ZZ\n0.5 XX\n"
@@ -843,6 +844,43 @@ class TestJobList:
             job = job_of[id(hamiltonian)]
             assert estimate.term_shots == job.term_shots
             assert estimate.total_shots == sum(job.term_shots) > 0
+
+    def test_a_failing_job_leaves_the_files_of_the_sequential_order(self, scan_file, tmp_path, monkeypatch, capsys):
+        """Point 1 leaves the float range; point 3 does so sooner. Only point 0's trace is written."""
+        import vqesim.cli
+
+        plan_jobs = vqesim.cli.plan_jobs
+        # Past the config check, which refuses coefficients whose squares sum past the largest float.
+        overflowing = {1: 1.5e308, 3: 1.7e308}
+
+        def with_overflow(*args):
+            jobs = plan_jobs(*args)
+            for index, c in overflowing.items():
+                operator = PauliHamiltonian(1, [(c, "Z"), (c, "X")])
+                jobs[index] = dataclasses.replace(jobs[index], operator=operator, term_shots=(0, 0))
+            return jobs
+
+        argv = ["run", "--mode", "scan", "--scan", str(scan_file), "--exact", "--seed", "2",
+                "--nm-max-evaluations", "300", "--mc-samples", "2000"]
+        assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+        monkeypatch.setattr(vqesim.cli, "plan_jobs", with_overflow)
+        plan = validate_config(config_from_mapping(
+            {"mode": "scan", "scan": str(scan_file), "seed": 2, "nm_max_evaluations": 300}
+        ))
+        alone = {}
+        for index in overflowing:
+            job = plan.jobs[index]
+            with pytest.raises(ObjectiveValueError) as raised:
+                run_vqe(job.operator, plan.ansatz, plan.policy, plan.optimizer, job.seed)
+            alone[index] = str(raised.value)
+        capsys.readouterr()
+        out = tmp_path / "failed"
+        assert main([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {alone[1]}\n" and alone[1] != alone[3]
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == [
+            "config.json", "traces/point_00.csv"
+        ]
+        assert (out / "traces/point_00.csv").read_bytes() == (tmp_path / "clean/traces/point_00.csv").read_bytes()
 
     def test_folded_run_squares_each_shift_once(self, hamiltonian_file, tmp_path, monkeypatch):
         import vqesim.pauli

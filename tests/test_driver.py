@@ -16,12 +16,15 @@ from vqesim import (
     VqeTrace,
     exact_energy,
     exact_spectrum,
-    nelder_mead,
+    nelder_mead_search,
+    run_jobs,
     run_vqe,
     shift_and_square,
+    shot_budget,
 )
 import vqesim.driver
 from vqesim.analysis import ground_space_overlaps, tangles
+from vqesim.optimize import ObjectiveValueError
 from vqesim.statevector import batch_rows
 
 
@@ -166,10 +169,10 @@ class TestTraceContract:
         results = []
 
         def recording_nelder_mead(*args):
-            results.append(nelder_mead(*args))
+            results.append((yield from nelder_mead_search(*args)))
             return results[-1]
 
-        monkeypatch.setattr(vqesim.driver, "nelder_mead", recording_nelder_mead)
+        monkeypatch.setattr(vqesim.driver, "nelder_mead_search", recording_nelder_mead)
         cfg = quick_nm(max_evaluations=budget, stagnation_window=20)
         result = run_vqe(h, AnsatzSpec(2, 1), ShotPolicy.fixed(50), cfg, seed=2)
         (opt,) = results
@@ -281,17 +284,24 @@ class TestBatchInvariance:
         h = random_hamiltonian(np.random.default_rng([37, n]), n)
         config = GradientDescentConfig(max_evaluations=150)
         batches = []
-        gradient_descent = vqesim.driver.gradient_descent
+        gradient_descent_search = vqesim.driver.gradient_descent_search
 
-        def one_by_one(objective, x0, config):
-            def rows(batch):
-                batches.append(len(batch))
-                return [value for row in batch for value in objective(row[None])]
-
-            return gradient_descent(rows, x0, config)
+        def one_by_one(x0, config):
+            """The search, with each batch it asks for asked row by row."""
+            search = gradient_descent_search(x0, config)
+            try:
+                batch = next(search)
+                while True:
+                    batches.append(len(batch))
+                    values = []
+                    for row in batch:
+                        values += (yield row[None])
+                    batch = search.send(values)
+            except StopIteration as stop:
+                return stop.value
 
         batched = run_vqe(h, AnsatzSpec(n, 1), policy, config, seed=3)
-        monkeypatch.setattr(vqesim.driver, "gradient_descent", one_by_one)
+        monkeypatch.setattr(vqesim.driver, "gradient_descent_search", one_by_one)
         split = run_vqe(h, AnsatzSpec(n, 1), policy, config, seed=3)
         # Each gradient is one batch of 2 * dims central-difference probes.
         assert max(batches) == 2 * AnsatzSpec(n, 1).parameter_count
@@ -397,3 +407,123 @@ class TestRunFolded:
             assert folded_energy == pytest.approx(
                 (recovered_eigenvalue - shift) ** 2, abs=1e-6
             )
+
+
+def _result_bytes(result):
+    """Everything a result reports, as bytes and reprs: records, best point, reason and restarts."""
+    records = [
+        (rec.parameters.tobytes(), repr(dataclasses.replace(rec, parameters=None))) for rec in result.trace.records
+    ]
+    return (
+        records, result.best_parameters.tobytes(), repr(result.best_energy), result.converged, result.reason,
+        result.trace.restarts, repr(result.exact_ground_energy),
+    )
+
+
+def _sequential(ansatz, policy, config, plan):
+    """Each job alone through run_vqe, one after another: the results before the first error, and that error."""
+    results = []
+    for hamiltonian, seed in plan:
+        try:
+            results.append(run_vqe(hamiltonian, ansatz, policy, config, seed=seed))
+        except ValueError as exc:
+            return results, exc
+    return results, None
+
+
+# 1.3e308 Z + 1.3e308 X on seed 1 leaves the float range at step 53 of Nelder-Mead; at
+# 1.7e308 on the same seed it does so at step 7, before any job beside it has ended.
+LATE_OVERFLOW = (PauliHamiltonian(1, [(1.3e308, "Z"), (1.3e308, "X")]), 1)
+EARLY_OVERFLOW = (PauliHamiltonian(1, [(1.7e308, "Z"), (1.7e308, "X")]), 1)
+
+
+class TestLockstep:
+    """A plan's jobs run together give, job for job, the bytes each gives alone."""
+
+    @pytest.mark.parametrize(
+        "n, policy, config",
+        [
+            # Two jobs end on the tolerance, three on the budget.
+            (1, ShotPolicy.exact(), quick_nm(max_evaluations=205, restart_limit=0)),
+            # Four jobs end on the restart limit, one on the budget.
+            (2, ShotPolicy.fixed(100), quick_nm(max_evaluations=150, stagnation_window=15, restart_limit=2)),
+            (1, ShotPolicy.fixed(100), GradientDescentConfig(max_evaluations=60)),
+            (2, ShotPolicy.exact(), GradientDescentConfig(max_evaluations=60)),
+        ],
+        ids=["1q-exact-nm", "2q-shots-nm", "1q-shots-gd", "2q-exact-gd"],
+    )
+    @pytest.mark.parametrize("flush", [None, 2], ids=["flush-at-bound", "flush-every-2"])
+    def test_jobs_give_the_bytes_they_give_alone(self, monkeypatch, n, policy, config, flush):
+        rng = np.random.default_rng([51, n])
+        plan = [(random_hamiltonian(rng, n), 10 + k) for k in range(5)]
+        ansatz = CountingAnsatz(AnsatzSpec(n, 1))
+        alone, error = _sequential(ansatz.spec, policy, config, plan)
+        assert error is None
+        if flush is not None:
+            monkeypatch.setattr(vqesim.driver, "batch_rows", lambda n_qubits: flush)
+        jobs = [(h, shot_budget(h, policy), seed) for h, seed in plan]
+        together, error = run_jobs(ansatz, jobs, config)
+        assert error is None
+        assert [_result_bytes(r) for r in together] == [_result_bytes(r) for r in alone]
+        assert ansatz.prepares == sum(r.trace.evaluations for r in alone)
+        if isinstance(config, NelderMeadConfig):
+            # The jobs end at different steps, for different reasons.
+            assert len({r.trace.evaluations for r in alone}) > 1
+            assert len({r.reason for r in alone}) > 1
+
+    def test_the_first_failing_job_in_order_is_the_error(self, monkeypatch):
+        plan = [
+            (random_hamiltonian(np.random.default_rng(52), 1), 3),
+            LATE_OVERFLOW,
+            (PauliHamiltonian(1, [(1.0, "X")]), 4),
+            EARLY_OVERFLOW,
+        ]
+        config = quick_nm(max_evaluations=300)
+        alone, expected = _sequential(AnsatzSpec(1, 1), ShotPolicy.exact(), config, plan)
+        assert len(alone) == 1 and isinstance(expected, ObjectiveValueError)
+        with pytest.raises(ObjectiveValueError) as early:
+            run_vqe(EARLY_OVERFLOW[0], AnsatzSpec(1, 1), ShotPolicy.exact(), config, seed=EARLY_OVERFLOW[1])
+        assert str(early.value) != str(expected)
+        estimate_energy = vqesim.driver.estimate_energy
+        estimates = {id(h): 0 for h, _ in plan}
+
+        def counted(expectations, measurement, iteration):
+            estimates[id(measurement.hamiltonian)] += 1
+            return estimate_energy(expectations, measurement, iteration=iteration)
+
+        monkeypatch.setattr(vqesim.driver, "estimate_energy", counted)
+        jobs = [(h, shot_budget(h, ShotPolicy.exact()), seed) for h, seed in plan]
+        together, error = run_jobs(AnsatzSpec(1, 1), jobs, config)
+        assert type(error) is ObjectiveValueError and str(error) == str(expected)
+        assert [_result_bytes(r) for r in together] == [_result_bytes(r) for r in alone]
+        # Job 3 failed first, at step 7; job 0 ran to its end, and job 2 stopped when job 1 failed.
+        assert list(estimates.values()) == [alone[0].trace.evaluations, 53, 53, 7]
+        assert alone[0].trace.evaluations == 300
+
+    def test_pending_rows_hold_their_own_amplitudes(self, monkeypatch):
+        """With several jobs live, no job's pending rows are a view of the round's batch."""
+        spec = AnsatzSpec(2, 1)
+        prepared = []
+        overlaps = vqesim.driver.ground_space_overlaps
+
+        class RecordingAnsatz:
+            parameter_count = spec.parameter_count
+
+            def prepare_batch(self, batch):
+                prepared.append(spec.prepare_batch(batch))
+                return prepared[-1]
+
+        def checked(spectrum, amplitudes):
+            for array in prepared:
+                assert amplitudes is array or not np.shares_memory(amplitudes, array)
+            return overlaps(spectrum, amplitudes)
+
+        monkeypatch.setattr(vqesim.driver, "ground_space_overlaps", checked)
+        monkeypatch.setattr(vqesim.driver, "batch_rows", lambda n_qubits: 3)
+        rng = np.random.default_rng(53)
+        hamiltonians = [random_hamiltonian(rng, 2) for _ in range(3)]
+        jobs = [(h, shot_budget(h, ShotPolicy.fixed(50)), seed) for seed, h in enumerate(hamiltonians)]
+        results, error = run_jobs(RecordingAnsatz(), jobs, quick_nm(max_evaluations=80))
+        assert error is None and [r.trace.evaluations for r in results] == [80, 80, 80]
+        # Every round but the last ones prepared all three jobs' rows in one batch.
+        assert len(prepared) < 80

@@ -3,13 +3,24 @@ import re
 import numpy as np
 import pytest
 
-from vqesim import GradientDescentConfig, NelderMeadConfig, gradient_descent, nelder_mead
+from conftest import drive
+from vqesim import GradientDescentConfig, NelderMeadConfig, gradient_descent_search, nelder_mead_search
 from vqesim.optimize import (
     ObjectiveValueError,
     REASON_BUDGET,
     REASON_RESTART_LIMIT,
     REASON_TOLERANCE,
 )
+
+
+def nelder_mead(objective, x0, config=None):
+    """The Nelder-Mead search driven to its result, its batches answered by `objective`."""
+    return drive(nelder_mead_search(x0, config), objective)
+
+
+def gradient_descent(objective, x0, config=None):
+    """The gradient-descent search driven to its result, its batches answered by `objective`."""
+    return drive(gradient_descent_search(x0, config), objective)
 
 
 def batched(fn):
