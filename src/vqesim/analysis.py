@@ -49,33 +49,39 @@ class Spectrum:
         return basis
 
 
+def _spectrum_guard(n_qubits: int) -> None:
+    """Raise ValueError for a dense spectrum over more than MAX_SPECTRUM_QUBITS qubits."""
+    if n_qubits > MAX_SPECTRUM_QUBITS:
+        raise ValueError(
+            f"dense spectrum over {n_qubits} qubits exceeds the "
+            f"{MAX_SPECTRUM_QUBITS}-qubit guard"
+        )
+
+
 def exact_spectrum(h: PauliHamiltonian) -> Spectrum:
     """Dense diagonalization of the reconstructed Hamiltonian.
 
     A real matrix (every term has an even number of Y factors) takes the
     real `eigh`, about 5x faster, and gives float64 eigenvectors.
     """
-    if h.n_qubits > MAX_SPECTRUM_QUBITS:
-        raise ValueError(
-            f"dense spectrum over {h.n_qubits} qubits exceeds the "
-            f"{MAX_SPECTRUM_QUBITS}-qubit guard"
-        )
+    _spectrum_guard(h.n_qubits)
     m = reconstruct(h)
     values, vectors = np.linalg.eigh(m if m.imag.any() else m.real)
     return Spectrum(values, vectors)
 
 
-def ground_space_overlaps(spectrum: Spectrum, amplitudes: np.ndarray) -> list[float]:
+def ground_space_overlaps(ground_space: np.ndarray, amplitudes: np.ndarray) -> list[float]:
     """Norm of each row's projection onto the lowest eigenspace, for (B, 2^n) amplitudes.
 
-    Equals |<psi_G|psi>| for a non-degenerate ground state; with
-    degeneracy it measures distance to the subspace rather than to an
-    arbitrary eigenvector choice. The projection's components are
-    conj(<g_k|psi>), which have the same norm; both sums are einsums
-    over the whole batch, and each row's value has the bytes of that
-    row alone.
+    `ground_space` holds that eigenspace's orthonormal columns, as
+    `Spectrum.ground_space` gives them. The norm equals |<psi_G|psi>|
+    for a non-degenerate ground state; with degeneracy it measures
+    distance to the subspace rather than to an arbitrary eigenvector
+    choice. The projection's components are conj(<g_k|psi>), which have
+    the same norm; both sums are einsums over the whole batch, and each
+    row's value has the bytes of that row alone.
     """
-    components = np.einsum("ik,bi->bk", spectrum.ground_space, amplitudes.conj())
+    components = np.einsum("ik,bi->bk", ground_space, amplitudes.conj())
     squares = np.einsum("bk,bk->b", components.conj(), components).real
     return [min(1.0, math.sqrt(v)) for v in squares.tolist()]
 

@@ -30,16 +30,26 @@ and append their records. The last rows are recorded once the search
 returns. Every row gets the bytes it would have if it had come alone,
 so a job's records do not depend on the jobs beside it. `run_vqe` is
 the one-job case.
+
+Only the overlap and `exact_ground_energy` read the dense spectrum, so
+no search step waits for it. A job holds a future of its ground energy
+and ground space, and waits on it at its first flush of records. From
+`SPECTRUM_THREAD_QUBITS` qubits `run_jobs` builds the spectra on one
+helper thread, in job order, while the searches run (LAPACK's `eigh`
+releases the GIL); smaller spectra are built inline, before the job's
+first step. Either way the same function gets the same input, so the
+bytes do not depend on the thread, and a spectrum's error is its job's
+error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .analysis import exact_spectrum, ground_space_overlaps, tangles
+from .analysis import _spectrum_guard, exact_spectrum, ground_space_overlaps, tangles
 from .estimation import (
     STREAM_INIT,
     EnergyEstimate,
@@ -57,6 +67,9 @@ from .optimize import (
 )
 from .pauli import PauliHamiltonian
 from .statevector import batch_rows, batch_term_expectations
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,14 +119,28 @@ def random_initial_parameters(count: int, seed: int) -> np.ndarray:
 
 OptimizerConfig = NelderMeadConfig | GradientDescentConfig
 
+# Spectra of this many qubits or more are diagonalised on the run's helper thread; smaller
+# ones inline. With one BLAS thread on a 2-core VM, a complex 40-term `exact_spectrum` took
+# 0.07 ms at 2 qubits, 0.8 ms at 6, 3.8 ms at 7, 21 ms at 8 and 181 ms at 9. Handing one to
+# the thread cost a 2-qubit run 1.6-2.5 ms, waiting out the GIL switch interval, so below 7
+# qubits it costs more than it can overlap. At 8 qubits a 1000-shot run fell from 49 to 32 ms.
+SPECTRUM_THREAD_QUBITS = 7
+
+
+def _ground_state(hamiltonian: PauliHamiltonian) -> tuple[float, np.ndarray]:
+    """The ground energy and the read-only ground-space columns of the dense spectrum; the rest is dropped."""
+    spectrum = exact_spectrum(hamiltonian)
+    return spectrum.ground_energy(), spectrum.ground_space
+
 
 class _Job:
     """One job of a lockstep run: its search, the rows it asks for next, its records, and how it ended."""
 
-    def __init__(self, measurement: Measurement, search):
+    def __init__(self, measurement: Measurement, search, ground: Future):
         self.measurement, self.search = measurement, search
         self.hamiltonian = measurement.hamiltonian
-        self.spectrum = exact_spectrum(self.hamiltonian)
+        # (ground energy, ground space), read first by the first flush of records.
+        self.ground = ground
         self.records: list[TraceRecord] = []
         # Estimated rows whose diagnostics are not yet computed: (step, parameters, estimate),
         # and their amplitudes, one array per round.
@@ -133,10 +160,11 @@ class _Job:
         """
         try:
             values = None if amplitudes is None else self.estimate(amplitudes())
-            self.batch = self.search.send(values)
-            return
-        except StopIteration as stop:
-            self.finish(stop.value)
+            try:
+                self.batch = self.search.send(values)
+                return
+            except StopIteration as stop:
+                self.finish(stop.value)
         except Exception as exc:
             self.error = exc
         self.batch = None
@@ -157,7 +185,7 @@ class _Job:
     def record_pending(self) -> None:
         pending_amplitudes = self.pending_amplitudes
         amplitudes = pending_amplitudes[0] if len(pending_amplitudes) == 1 else np.concatenate(pending_amplitudes)
-        overlaps = ground_space_overlaps(self.spectrum, amplitudes)
+        overlaps = ground_space_overlaps(self.ground.result()[1], amplitudes)
         two_qubit = tangles(amplitudes) if self.hamiltonian.n_qubits == 2 else [None] * len(amplitudes)
         for (step, params, estimate), tangle, overlap in zip(self.pending, two_qubit, overlaps):
             self.records.append(
@@ -188,7 +216,7 @@ class _Job:
             best_energy=opt.f_best,
             converged=opt.converged,
             reason=opt.reason,
-            exact_ground_energy=self.spectrum.ground_energy(),
+            exact_ground_energy=self.ground.result()[0],
         )
 
 
@@ -211,17 +239,22 @@ def run_jobs(
     while several jobs are live, each keeps a copy of its own rows, not
     the round's array. An x0 of the wrong shape or with a non-finite
     entry, a seed outside [0, 2**64 - 1] or a term_shots of the wrong
-    length raises ValueError before any spectrum is built. The default
-    optimizer is Nelder-Mead with restarts; pass a GradientDescentConfig
-    for the baseline.
+    length raises ValueError before any spectrum is built, and so does a
+    Hamiltonian over `MAX_SPECTRUM_QUBITS` before any search step. The
+    default optimizer is Nelder-Mead with restarts; pass a
+    GradientDescentConfig for the baseline.
 
-    Returns the results of the jobs before the first that failed, in job
-    order, and that job's error (None if none failed). The jobs before
-    it run to their end, whenever it failed, and the jobs after it stop,
-    so a caller that records the results and then raises the error
-    leaves what the jobs run one after another would leave. Each job's
-    result is the one it gets alone, deterministic given (inputs,
-    config, seed).
+    Each job's spectrum is built inline or, from `SPECTRUM_THREAD_QUBITS`
+    qubits, on a helper thread that the call opens and shuts down before
+    it returns or raises; the job waits on it at its first flush of
+    records. Returns the results of the jobs before the first that
+    failed, in job order, and that job's error (None if none failed); a
+    spectrum that fails is its job's error. The jobs before it run to
+    their end, whenever it failed, and the jobs after it stop, so a
+    caller that records the results and then raises the error leaves
+    what the jobs run one after another would leave. Each job's result
+    is the one it gets alone, deterministic given (inputs, config,
+    seed).
     """
     config = config or NelderMeadConfig()
     search = gradient_descent_search if isinstance(config, GradientDescentConfig) else nelder_mead_search
@@ -232,29 +265,47 @@ def run_jobs(
         if not np.isfinite(x0).all():
             raise ValueError("non-finite parameter")
     measurements = [Measurement(hamiltonian, term_shots, seed) for hamiltonian, term_shots, seed in jobs]  # checks seeds
-    runs = []
-    for measurement, (_, _, seed) in zip(measurements, jobs):
-        start = random_initial_parameters(ansatz.parameter_count, seed) if x0 is None else x0
-        runs.append(_Job(measurement, search(start, config)))
-    live = _live(runs)
-    while live:
-        prepared = None
-        if len(live) > 1:
-            try:
-                prepared = ansatz.prepare_batch(np.concatenate([run.batch for run in live]))
-            except Exception:  # each job then prepares its own rows and meets its own error
-                pass
-        offset, ended = 0, False
-        for run in live:
-            rows = len(run.batch)
-            if prepared is None:
-                run.advance(lambda: ansatz.prepare_batch(run.batch))
-            else:
-                run.advance(lambda: prepared[offset:offset + rows].copy())
-            offset += rows
-            ended |= run.batch is None
-        if ended:
-            live = _live(runs)
+    for measurement in measurements:
+        _spectrum_guard(measurement.hamiltonian.n_qubits)
+    # Imported on the first run, not with the module: it loads logging, about 5 ms that
+    # every fresh import of vqesim would pay.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="vqesim-spectrum")
+    try:
+        runs = []
+        for measurement, (hamiltonian, _, seed) in zip(measurements, jobs):
+            if hamiltonian.n_qubits >= SPECTRUM_THREAD_QUBITS:
+                ground = pool.submit(_ground_state, hamiltonian)
+            else:  # inline, into a done future: the error goes in it, as on the thread
+                ground = Future()
+                try:
+                    ground.set_result(_ground_state(hamiltonian))
+                except Exception as exc:
+                    ground.set_exception(exc)
+            start = random_initial_parameters(ansatz.parameter_count, seed) if x0 is None else x0
+            runs.append(_Job(measurement, search(start, config), ground))
+        live = _live(runs)
+        while live:
+            prepared = None
+            if len(live) > 1:
+                try:
+                    prepared = ansatz.prepare_batch(np.concatenate([run.batch for run in live]))
+                except Exception:  # each job then prepares its own rows and meets its own error
+                    pass
+            offset, ended = 0, False
+            for run in live:
+                rows = len(run.batch)
+                if prepared is None:
+                    run.advance(lambda: ansatz.prepare_batch(run.batch))
+                else:
+                    run.advance(lambda: prepared[offset:offset + rows].copy())
+                offset += rows
+                ended |= run.batch is None
+            if ended:
+                live = _live(runs)
+    finally:
+        pool.shutdown(cancel_futures=True)
     for index, run in enumerate(runs):
         if run.error is not None:
             return [earlier.result for earlier in runs[:index]], run.error

@@ -109,7 +109,7 @@ class TestRealSpectrum:
         assert np.max(np.abs(projector_gap)) <= 1e-10
         rng = np.random.default_rng(state_seed)
         amplitudes = np.array([random_state(rng, h.n_qubits).amplitudes for _ in range(3)])
-        for a, b in zip(ground_space_overlaps(real, amplitudes), ground_space_overlaps(forced, amplitudes)):
+        for a, b in zip(ground_space_overlaps(b_real, amplitudes), ground_space_overlaps(b_forced, amplitudes)):
             assert abs(a - b) <= 1e-12
 
     def test_eigenvector_dtype_follows_the_matrix(self):
@@ -212,12 +212,12 @@ class TestGroundSpaceOverlap:
         # ZZ ground space is span{|01>, |10>}; any unit combination has overlap 1
         spec = exact_spectrum(PauliHamiltonian(2, [(1.0, "ZZ")]))
         mixed = StateVector(2, np.array([0.0, 0.6, 0.8, 0.0], dtype=complex))
-        assert ground_space_overlaps(spec, batch([mixed])) == [pytest.approx(1.0, abs=1e-10)]
+        assert ground_space_overlaps(spec.ground_space, batch([mixed])) == [pytest.approx(1.0, abs=1e-10)]
 
     def test_orthogonal_state(self):
         spec = exact_spectrum(PauliHamiltonian(2, [(1.0, "ZZ")]))
         outside = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        assert ground_space_overlaps(spec, batch([outside])) == [pytest.approx(0.0, abs=1e-10)]
+        assert ground_space_overlaps(spec.ground_space, batch([outside])) == [pytest.approx(0.0, abs=1e-10)]
 
 
 class TestQuadraticFit:

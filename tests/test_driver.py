@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -329,7 +330,7 @@ class TestDiagnosticsBehindTheEstimates:
         spectrum = exact_spectrum(h)
         for a, b in zip(default.trace.records, small.trace.records, strict=True):
             alone = spec.prepare_batch(a.parameters[None])
-            assert a.overlap == ground_space_overlaps(spectrum, alone)[0]
+            assert a.overlap == ground_space_overlaps(spectrum.ground_space, alone)[0]
             assert a.tangle == (tangles(alone)[0] if n == 2 else None)
             assert a.parameters.tobytes() == b.parameters.tobytes()
             assert dataclasses.replace(a, parameters=None) == dataclasses.replace(b, parameters=None)
@@ -341,9 +342,9 @@ class TestDiagnosticsBehindTheEstimates:
         log, prepared = [], []
         overlaps = vqesim.driver.ground_space_overlaps
 
-        def logged(spectrum, amplitudes):
+        def logged(ground_space, amplitudes):
             log.append(("diagnostics", len(amplitudes), amplitudes is prepared[-1]))
-            return overlaps(spectrum, amplitudes)
+            return overlaps(ground_space, amplitudes)
 
         class LoggedAnsatz:
             parameter_count = spec.parameter_count
@@ -513,10 +514,10 @@ class TestLockstep:
                 prepared.append(spec.prepare_batch(batch))
                 return prepared[-1]
 
-        def checked(spectrum, amplitudes):
+        def checked(ground_space, amplitudes):
             for array in prepared:
                 assert amplitudes is array or not np.shares_memory(amplitudes, array)
-            return overlaps(spectrum, amplitudes)
+            return overlaps(ground_space, amplitudes)
 
         monkeypatch.setattr(vqesim.driver, "ground_space_overlaps", checked)
         monkeypatch.setattr(vqesim.driver, "batch_rows", lambda n_qubits: 3)
@@ -527,3 +528,136 @@ class TestLockstep:
         assert error is None and [r.trace.evaluations for r in results] == [80, 80, 80]
         # Every round but the last ones prepared all three jobs' rows in one batch.
         assert len(prepared) < 80
+
+
+@pytest.fixture
+def spectrum_threads(monkeypatch):
+    """The thread each spectrum of the test was built on, in call order."""
+    threads = []
+    exact_spectrum = vqesim.driver.exact_spectrum
+
+    def noted(hamiltonian):
+        threads.append(threading.current_thread())
+        return exact_spectrum(hamiltonian)
+
+    monkeypatch.setattr(vqesim.driver, "exact_spectrum", noted)
+    return threads
+
+
+class TestSpectrumOnAHelperThread:
+    """From SPECTRUM_THREAD_QUBITS a job's spectrum is built on the run's one helper thread, with the bytes it has inline."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("policy", [ShotPolicy.exact(), ShotPolicy.fixed(100)], ids=["exact", "shots100"])
+    @pytest.mark.parametrize(
+        "config",
+        [quick_nm(max_evaluations=120, stagnation_window=20), GradientDescentConfig(max_evaluations=60)],
+        ids=["nelder-mead", "gradient-descent"],
+    )
+    def test_threaded_spectra_give_the_inline_bytes(self, monkeypatch, spectrum_threads, n, policy, config):
+        rng = np.random.default_rng([57, n])
+        plan = [(random_hamiltonian(rng, n), 20 + k) for k in range(3)]
+        jobs = [(h, shot_budget(h, policy), seed) for h, seed in plan]
+        spec = AnsatzSpec(n, 1)
+
+        def runs():
+            one = run_vqe(plan[0][0], spec, policy, config, seed=plan[0][1])
+            together, error = run_jobs(spec, jobs, config)
+            assert error is None
+            return [_result_bytes(r) for r in [one, *together]]
+
+        before = set(threading.enumerate())
+        inline = runs()
+        assert spectrum_threads == [threading.main_thread()] * 4
+        monkeypatch.setattr(vqesim.driver, "SPECTRUM_THREAD_QUBITS", 1)
+        threaded = runs()
+        helpers = spectrum_threads[4:]
+        # One helper thread for the lone run, and one for all three jobs of the plan.
+        assert threading.main_thread() not in helpers and len(set(helpers)) == 2 and len(set(helpers[1:])) == 1
+        assert set(threading.enumerate()) == before
+        assert threaded == inline
+
+    def test_an_8_qubit_run_gives_the_inline_bytes(self, monkeypatch, spectrum_threads):
+        assert vqesim.driver.SPECTRUM_THREAD_QUBITS <= 8
+        rng = np.random.default_rng(60)
+        labels = ["".join(rng.choice(list("IXYZ"), 8)) for _ in range(12)]
+        h = random_hamiltonian(rng, 8, labels)
+        config = quick_nm(max_evaluations=100)  # the first flush, at batch_rows(8) = 64 rows, waits on the spectrum
+        threaded = run_vqe(h, AnsatzSpec(8, 1), ShotPolicy.fixed(100), config, seed=6)
+        monkeypatch.setattr(vqesim.driver, "SPECTRUM_THREAD_QUBITS", 9)
+        inline = run_vqe(h, AnsatzSpec(8, 1), ShotPolicy.fixed(100), config, seed=6)
+        assert [thread is threading.main_thread() for thread in spectrum_threads] == [False, True]
+        assert _result_bytes(threaded) == _result_bytes(inline)
+        assert threaded.trace.evaluations == 100
+
+    @pytest.mark.parametrize("threshold", [1, None], ids=["threaded", "inline"])
+    @pytest.mark.parametrize(
+        "flush, counts",
+        [
+            # Job 1 meets its spectrum's error at its first flush, after its 13-row simplex, and job 2
+            # stops in that round; job 0 runs to its end.
+            (2, [80, 13, 13]),
+            # With the default bound job 1's first flush comes once its search has returned, after
+            # 80 rows; job 2, at 70, stops there.
+            (None, [80, 80, 70]),
+        ],
+        ids=["flush-every-2", "flush-at-the-end"],
+    )
+    def test_a_failing_spectrum_is_its_jobs_error(self, monkeypatch, threshold, flush, counts):
+        rng = np.random.default_rng(58)
+        plan = [(random_hamiltonian(rng, 2), 30 + k) for k in range(3)]
+        policy, config = ShotPolicy.fixed(50), quick_nm(max_evaluations=80)
+        alone = run_vqe(plan[0][0], AnsatzSpec(2, 1), policy, config, seed=plan[0][1])
+        failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+        exact_spectrum, estimate_energy = vqesim.driver.exact_spectrum, vqesim.driver.estimate_energy
+        threads, estimates = [], {id(h): 0 for h, _ in plan}
+
+        def failing(hamiltonian):
+            threads.append(threading.current_thread())
+            if hamiltonian is plan[1][0]:
+                raise failure
+            return exact_spectrum(hamiltonian)
+
+        def counted(expectations, measurement, iteration):
+            estimates[id(measurement.hamiltonian)] += 1
+            return estimate_energy(expectations, measurement, iteration=iteration)
+
+        monkeypatch.setattr(vqesim.driver, "exact_spectrum", failing)
+        monkeypatch.setattr(vqesim.driver, "estimate_energy", counted)
+        if flush is not None:
+            monkeypatch.setattr(vqesim.driver, "batch_rows", lambda n_qubits: flush)
+        if threshold is not None:
+            monkeypatch.setattr(vqesim.driver, "SPECTRUM_THREAD_QUBITS", threshold)
+        before = set(threading.enumerate())
+        jobs = [(h, shot_budget(h, policy), seed) for h, seed in plan]
+        results, error = run_jobs(AnsatzSpec(2, 1), jobs, config)
+        assert error is failure
+        assert [_result_bytes(r) for r in results] == [_result_bytes(alone)]
+        assert list(estimates.values()) == counts
+        assert (threading.main_thread() in threads) == (threshold is None)
+        assert set(threading.enumerate()) == before
+
+    def test_no_helper_thread_outlives_a_failing_search(self, monkeypatch, spectrum_threads):
+        monkeypatch.setattr(vqesim.driver, "SPECTRUM_THREAD_QUBITS", 1)
+        plan = [(PauliHamiltonian(1, [(1.0, "X")]), 4), EARLY_OVERFLOW]
+        jobs = [(h, shot_budget(h, ShotPolicy.exact()), seed) for h, seed in plan]
+        before = set(threading.enumerate())
+        results, error = run_jobs(AnsatzSpec(1, 1), jobs, quick_nm(max_evaluations=300))
+        assert type(error) is ObjectiveValueError and len(results) == 1
+        # Job 0 read its spectrum; job 1's may have been cancelled before the thread reached it.
+        assert 1 <= len(spectrum_threads) <= 2 and threading.main_thread() not in spectrum_threads
+        assert set(threading.enumerate()) == before
+
+    def test_the_qubit_guard_raises_before_any_search_step(self, spectrum_threads):
+        class NoSteps:
+            parameter_count = AnsatzSpec(2, 1).parameter_count
+
+            def prepare_batch(self, batch):
+                raise AssertionError("a search step ran before the qubit guard")
+
+        small, wide = random_hamiltonian(np.random.default_rng(59), 2), PauliHamiltonian(11, [(1.0, "Z" * 11)])
+        jobs = [(h, shot_budget(h, ShotPolicy.exact()), seed) for seed, h in enumerate([small, wide])]
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="^dense spectrum over 11 qubits exceeds the 10-qubit guard$"):
+            run_jobs(NoSteps(), jobs)
+        assert spectrum_threads == [] and set(threading.enumerate()) == before
